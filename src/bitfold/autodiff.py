@@ -7,8 +7,16 @@ with ``requires_grad=True``. The graph is rebuilt on every forward pass
 and freed after backward.
 
 Every primitive validates that its output is finite and raises
-NonFiniteValue otherwise, so training loops fail at the op that produced
-the bad value rather than many steps later.
+NonFiniteValue otherwise, naming the op and the output shape, so training
+loops fail at the op that produced the bad value rather than many steps
+later.
+
+Gradient ownership: no gradient array is ever written in place. A tensor
+keeps the first gradient it receives as it is (a broadcast view if its
+shape differs) and adds later ones out of place, so a ``.grad`` may alias
+the upstream gradient, a parent's or a sibling's (the two operands of
+``add`` share one array). Code that reads ``.grad`` must copy it before
+modifying it.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ def no_grad():
 
 
 def _check_finite(arr):
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue("non-finite value produced by a forward op")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("non-finite value in tensor data")
 
 
 def _unbroadcast(grad, shape):
@@ -120,8 +128,9 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g if g.shape == self.data.shape else np.broadcast_to(g, self.data.shape)
+        else:
+            self.grad = self.grad + g
 
     def zero_grad(self):
         self.grad = None
@@ -179,9 +188,14 @@ def as_tensor(x):
 
 
 def _make(data, parents, backward):
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
-    return Tensor(data)
+    try:
+        if _grad_enabled and any(p.requires_grad for p in parents):
+            return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
+        return Tensor(data)
+    except NonFiniteValue:
+        op = backward.__qualname__.split(".")[0]
+        raise NonFiniteValue(
+            f"non-finite value produced by {op}, output shape {np.shape(data)}") from None
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -426,14 +440,19 @@ def concat(tensors, axis=0):
 
 
 def take(a, idx):
-    """Basic slicing or integer-array gather; backward scatters-adds."""
+    """Basic slicing or integer-array gather; backward scatters-adds.
+
+    Backward gathers the flat source position of every output element and
+    sums the gradient per position with one bincount. That serves every
+    kind of index, and repeated positions add in output order, exactly as
+    an unbuffered scatter-add does.
+    """
     a = as_tensor(a)
     out = a.data[idx]
 
     def bw(g):
-        gz = np.zeros_like(a.data)
-        np.add.at(gz, idx, g)
-        a._accum(gz)
+        pos = np.arange(a.size).reshape(a.shape)[idx]
+        a._accum(np.bincount(pos.ravel(), weights=g.ravel(), minlength=a.size).reshape(a.shape))
 
     return _make(out, (a,), bw)
 
@@ -494,11 +513,9 @@ def layernorm(a, eps=LAYERNORM_EPS):
     out = xc * inv
 
     def bw(g):
-        n = a.shape[-1]
         gm = g.mean(axis=-1, keepdims=True)
         gxm = (g * out).mean(axis=-1, keepdims=True)
         a._accum(inv * (g - gm - out * gxm))
-        del n
 
     return _make(out, (a,), bw)
 
@@ -586,7 +603,7 @@ def grad_check(fn, params, step=1e-5, seed=0, tol=1e-4, max_entries=40):
         p.zero_grad()
     loss = fn()
     loss.backward()
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros(p.shape))
                 for k, p in params.items()}
     rng = np.random.default_rng(seed)
     worst, worst_name = 0.0, "<none>"

@@ -108,9 +108,9 @@ def folding_eval(lm, tokenizer_params, dataset, steps=25, strategy="confidence",
         if resdiff_head is not None:
             from . import resdiff as rd
 
-            lm_out = lm.forward(out)
-            hidden = [h.data for h in lm_out.hidden_layers]
             with ad.no_grad():
+                lm_out = lm.forward(out)
+                hidden = [h.data for h in lm_out.hidden_layers]
                 cond = rd.condition(pred_bits, hidden, resdiff_head)
             decode_bits = pred_bits + rd.resdiff_sample(cond.data, resdiff_head, rng)
         with ad.no_grad():

@@ -62,8 +62,10 @@ def test_backward_rejects_detached():
 
 
 def test_nonfinite_forward_raises():
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(NonFiniteValue) as info:
         ad.log(ad.Tensor([0.0]))
+    assert "log" in str(info.value)
+    assert "(1,)" in str(info.value)
 
 
 def test_matmul_shape_mismatch():
@@ -150,3 +152,58 @@ def test_no_grad_builds_no_graph():
     with ad.no_grad():
         out = (w * w).sum()
     assert not out.requires_grad
+
+
+_TAKE_RNG = np.random.default_rng(6)
+TAKE_CASES = [
+    pytest.param((5, 4), (slice(1, 4), slice(None, None, 2)), id="basic-slice"),
+    pytest.param((5, 4), -2, id="negative-int"),
+    pytest.param((6, 3), np.array([0, 2, 2, 5, 0, 2]), id="int-array-repeats"),
+    pytest.param((9, 4), _TAKE_RNG.integers(0, 9, size=(5, 5)), id="relpos-table"),
+    pytest.param((4, 3, 2), (np.array([0, 1, 1, 3, 0, 1]), np.array([2, 0, 0, 1, 2, 0]),
+                             np.array([1, 0, 0, 1, 1, 0])), id="loss-pick"),
+    pytest.param((6, 4, 3), (np.array([1, 3, 3, 0]), 2, slice(None)), id="mixed"),
+    pytest.param((5, 4), _TAKE_RNG.random((5, 4)) < 0.5, id="bool-mask"),
+]
+
+
+@pytest.mark.parametrize("shape,idx", TAKE_CASES)
+def test_take_backward_matches_add_at(shape, idx):
+    rng = np.random.default_rng(7)
+    a = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+    out = ad.take(a, idx)
+    g = rng.normal(size=out.shape)
+    (out * ad.Tensor(g)).sum().backward()
+    want = np.zeros(shape)
+    np.add.at(want, idx, g)
+    np.testing.assert_array_equal(a.grad, want)
+
+
+def test_gradient_aliasing_one_leaf_both_add_operands():
+    rng = np.random.default_rng(8)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    c = rng.normal(size=(3, 4))
+    loss = ((x + x) * ad.Tensor(c)).sum() + (x * x).sum()
+    loss.backward()
+    np.testing.assert_allclose(x.grad, 2.0 * c + 2.0 * x.data, atol=1e-12)
+
+
+def test_gradient_aliasing_shared_upstream():
+    rng = np.random.default_rng(9)
+    a = ad.Tensor(rng.normal(size=(4,)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(4,)), requires_grad=True)
+    c, d = rng.normal(size=4), rng.normal(size=4)
+    ((a + b) * ad.Tensor(c)).sum().backward()
+    np.testing.assert_array_equal(a.grad, c)
+    np.testing.assert_array_equal(b.grad, c)
+    # A later accumulation into `a` must not reach `b`, which may share its array.
+    (a * ad.Tensor(d)).sum().backward()
+    np.testing.assert_allclose(a.grad, c + d, atol=1e-15)
+    np.testing.assert_array_equal(b.grad, c)
+
+    # The same within one graph: `a` is used again after the shared add.
+    a.zero_grad()
+    b.zero_grad()
+    (((a + b) * ad.Tensor(c)).sum() + (a * ad.Tensor(d)).sum()).backward()
+    np.testing.assert_allclose(a.grad, c + d, atol=1e-15)
+    np.testing.assert_array_equal(b.grad, c)
