@@ -11,6 +11,11 @@ NonFiniteValue otherwise, naming the op and the output shape, so training
 loops fail at the op that produced the bad value rather than many steps
 later.
 
+Besides elementwise, reduction, shape and normalization primitives, the
+module has fused primitives with hand-written backward passes: `attention`
+(every softmax attention in the package, with optional bias and Shaw
+relative values), `tri_contract` and `pair_dist`.
+
 Gradient ownership: no gradient array is ever written in place. A tensor
 keeps the first gradient it receives as it is (a broadcast view if its
 shape differs) and adds later ones out of place, so a ``.grad`` may alias
@@ -518,6 +523,68 @@ def layernorm(a, eps=LAYERNORM_EPS):
         a._accum(inv * (g - gm - out * gxm))
 
     return _make(out, (a,), bw)
+
+
+# -- fused attention --------------------------------------------------------
+
+def attention(q, k, v, scale, bias=None, rel=None):
+    """softmax(q @ k^T * scale + bias) @ v over the last two axes, as one node.
+
+    `rel = (table, diff)` adds Shaw relative values, out[h, i] += sum_j
+    a[h, i, j] * table[diff[i, j], h], for (H, L, d) inputs: `table` is an
+    (R, H, d_v) Tensor and `diff` an (L, L) int array of bins. Summing the
+    attention per bin, B[h, i, r] = sum_{j: diff[i, j] = r} a[h, i, j], makes
+    that term B @ table, so no (H, L, L, d_v) array is built in either pass.
+    The forward runs in the order of the unfused op chain and without `rel`
+    gives the same bits.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    parents = [q, k, v]
+    a = q.data @ np.swapaxes(k.data, -1, -2)  # logits, turned into weights in place
+    a *= scale
+    if bias is not None:
+        bias = as_tensor(bias)
+        parents.append(bias)
+        a += bias.data
+    if not np.isfinite(a).all():
+        raise NonFiniteValue(f"non-finite value produced by attention, logits shape {a.shape}")
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    out = a @ v.data
+    if rel is not None:
+        table, diff = rel
+        parents.append(table)
+        n_bins, length = table.shape[0], diff.shape[0]
+        rows = a.size // length
+        bins = np.arange(rows).reshape(-1, length, 1) * n_bins + diff
+        per_bin = np.bincount(bins.ravel(), weights=a.ravel(), minlength=rows * n_bins)
+        per_bin = per_bin.reshape(a.shape[:-1] + (n_bins,))  # (H, L, R)
+        tv = np.swapaxes(table.data, 0, 1)  # (H, R, d_v)
+        out += per_bin @ tv
+
+    def bw(g):
+        if v.requires_grad:
+            v._accum(np.swapaxes(a, -1, -2) @ g)
+        ga = g @ np.swapaxes(v.data, -1, -2)
+        if rel is not None:
+            if table.requires_grad:
+                table._accum(np.swapaxes(np.swapaxes(per_bin, -1, -2) @ g, 0, 1))
+            ga += (g @ np.swapaxes(tv, -1, -2))[..., np.arange(length)[:, None], diff]
+        ga -= (ga * a).sum(axis=-1, keepdims=True)
+        ga *= a
+        if bias is not None and bias.requires_grad:
+            gb = _unbroadcast(ga, bias.shape)
+            bias._accum(gb)
+            if gb is ga:  # bias now holds ga, so scale a copy
+                ga = ga.copy()
+        ga *= scale
+        if q.requires_grad:
+            q._accum(ga @ k.data)
+        if k.requires_grad:
+            k._accum(np.swapaxes(np.swapaxes(q.data, -1, -2) @ ga, -1, -2))
+
+    return _make(out, parents, bw)
 
 
 # -- pair-tensor contractions (hot kernels) ---------------------------------

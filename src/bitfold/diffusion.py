@@ -207,14 +207,9 @@ def posterior_step(xt: TokenState, x0_pred: TokenState, t, rng, schedule: NoiseS
     positions are kept (absorbing posterior)."""
     p_unmask = unmask_probability(schedule, t, s)
     out = xt.copy()
-    for mask_attr, value_copy in (
-        ("mask_seq", lambda i: out.seq.__setitem__(i, x0_pred.seq[i])),
-        ("mask_struct", lambda i: out.struct_bits.__setitem__(i, x0_pred.struct_bits[i])),
-    ):
-        mask = getattr(xt, mask_attr)
-        reveal = mask & (rng.random(len(xt)) < p_unmask)
-        for i in np.flatnonzero(reveal):
-            value_copy(i)
+    for mask_attr, value_attr in (("mask_seq", "seq"), ("mask_struct", "struct_bits")):
+        reveal = getattr(xt, mask_attr) & (rng.random(len(xt)) < p_unmask)
+        getattr(out, value_attr)[reveal] = getattr(x0_pred, value_attr)[reveal]
         getattr(out, mask_attr)[reveal] = False
     return out
 
@@ -247,11 +242,12 @@ def sample_prediction(output: LMOutput, xt: TokenState, temperature, rng, greedy
         probs = _temperature_softmax(
             output.struct_logits.data.reshape(length, xt.k, 2), temperature
         )
-        for i in np.flatnonzero(xt.mask_struct):
-            p_one = probs[i, :, 1]
-            ones = (p_one >= 0.5) if greedy else (rng.random(xt.k) < p_one)
-            state.struct_bits[i] = np.where(ones, 1.0, -1.0)
-            conf_struct[i] = float(np.prod(np.where(ones, p_one, 1.0 - p_one)))
+        idx = np.flatnonzero(xt.mask_struct)
+        p_one = probs[idx, :, 1]  # (n, K)
+        # one (n, K) draw takes the same numbers as n draws of K
+        ones = (p_one >= 0.5) if greedy else (rng.random(p_one.shape) < p_one)
+        state.struct_bits[idx] = np.where(ones, 1.0, -1.0)
+        conf_struct[idx] = np.prod(np.where(ones, p_one, 1.0 - p_one), axis=1)
     else:
         probs = _temperature_softmax(output.struct_logits.data, temperature)
         for i in np.flatnonzero(xt.mask_struct):
@@ -323,9 +319,9 @@ def _confidence_step(xt: TokenState, pred: Prediction, schedule: NoiseSchedule, 
     follows the alpha_bar schedule. Ties break toward lower position index."""
     out = xt.copy()
     keep_frac = schedule.alpha_bar[s]
-    for mask_attr, conf, reveal_value in (
-        ("mask_seq", pred.conf_seq, lambda i: out.seq.__setitem__(i, pred.state.seq[i])),
-        ("mask_struct", pred.conf_struct, lambda i: out.struct_bits.__setitem__(i, pred.state.struct_bits[i])),
+    for mask_attr, value_attr, conf in (
+        ("mask_seq", "seq", pred.conf_seq),
+        ("mask_struct", "struct_bits", pred.conf_struct),
     ):
         mask = getattr(xt, mask_attr)
         maskable = (~xt.pad).sum()
@@ -340,8 +336,7 @@ def _confidence_step(xt: TokenState, pred: Prediction, schedule: NoiseSchedule, 
         if n_reveal == 0:
             continue
         cand = np.flatnonzero(mask)
-        order = cand[np.lexsort((cand, -conf[cand]))]
-        for i in order[:n_reveal]:
-            reveal_value(i)
-            getattr(out, mask_attr)[i] = False
+        reveal = cand[np.lexsort((cand, -conf[cand]))][:n_reveal]
+        getattr(out, value_attr)[reveal] = getattr(pred.state, value_attr)[reveal]
+        getattr(out, mask_attr)[reveal] = False
     return out

@@ -135,11 +135,8 @@ class TriangleAttention(Module):
             return ad.transpose(ad.reshape(x, (length, length, self.n_heads, self.d_head)), (0, 2, 1, 3))
 
         q, k, v = split(self.q(z)), split(self.k(z)), split(self.v(z))
-        logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.d_head))
-        bias = ad.transpose(self.bias(z), (2, 0, 1))  # (H, j, k) from pair[j][k]
-        logits = logits + ad.reshape(bias, (1, self.n_heads, length, length))
-        attn = ad.softmax(logits, axis=-1)
-        ctx = ad.matmul(attn, v)  # (L, H, L, dh)
+        bias = ad.transpose(self.bias(z), (2, 0, 1))  # (H, j, k) from pair[j][k], shared by rows i
+        ctx = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_head), bias=bias)  # (L, H, L, dh)
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (length, length, -1))
         delta = self.out(merged * ad.sigmoid(self.gate(z)))
         if self.mode == "ending":

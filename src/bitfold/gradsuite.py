@@ -2,8 +2,9 @@
 
 Each entry builds a tiny instance of one loss (token cross-entropies,
 representation alignment, residual diffusion, transitions, pair-biased
-attention, triangle operations, SeqStruct attention) and compares
-backpropagated gradients against central finite differences.
+attention, relative-value attention, triangle operations, SeqStruct
+attention) and compares backpropagated gradients against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import geo_arch
 from . import nn
 from . import repa as repa_mod
 from . import resdiff as rd
+from . import tokenizer as tok
 from .autodiff import Tensor
 
 
@@ -123,6 +125,21 @@ def _loss_pair_bias_attention(seed):
     return fn, params
 
 
+def _loss_relpos_value_attention(seed):
+    rng = np.random.default_rng(seed)
+    block = tok.DecoderBlock(rng, tok.TokenizerConfig(width=8, heads=2))
+    block.attn.out.w.data[:] = rng.normal(size=block.attn.out.w.data.shape) * 0.3
+    x = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+    positions = np.array([0, 1, 2, 5, 6, 40])  # the gap past REL_POS_CLIP repeats clipped bins
+
+    def fn():
+        return (block(x, positions) ** 2).mean()
+
+    params = {"x": x}
+    params.update(block.parameters(prefix="block."))
+    return fn, params
+
+
 def _loss_triangle_update(seed):
     rng = np.random.default_rng(seed)
     losses = {}
@@ -192,6 +209,7 @@ SUITE = {
     "resdiff": _loss_resdiff,
     "transition": _loss_transition,
     "pair-bias-attention": _loss_pair_bias_attention,
+    "relpos-value-attention": _loss_relpos_value_attention,
     "triangle-update": _loss_triangle_update,
     "triangle-attention": _loss_triangle_attention,
     "seqstruct-attention": _loss_seqstruct,

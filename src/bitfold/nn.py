@@ -54,7 +54,12 @@ class Transition(Module):
 class RelPosBias(Module):
     """Per-head attention bias keyed by clipped index differences, plus
     optional per-head relative value vectors (Shaw-style) so position
-    information can flow into representations, not just into logits."""
+    information can flow into representations, not just into logits.
+
+    Calling it returns the (H, L, L) bias; with `d_value` it returns
+    `(bias, (table, diff))`, where `table` is the value table as an
+    (R, H, d_value) Tensor over R = 2 * clip + 1 offset bins and `diff` the
+    (L, L) int array of bins, the `rel` argument of `ad.attention`."""
 
     def __init__(self, rng, n_heads, clip=REL_POS_CLIP, d_value=0):
         self.clip = clip
@@ -75,15 +80,15 @@ class RelPosBias(Module):
         bias = ad.transpose(self.table[diff], (2, 0, 1))  # (H, L, L)
         if not self.d_value:
             return bias
-        length = len(position_indices)
-        relv = ad.reshape(self.value_table[diff], (length, length, self.n_heads, self.d_value))
-        return bias, ad.transpose(relv, (2, 0, 1, 3))  # (H, L, L, dv)
+        table = ad.reshape(self.value_table, (2 * self.clip + 1, self.n_heads, self.d_value))
+        return bias, (table, diff)
 
 
 class MultiHeadAttention(Module):
     """Self-attention over residues with optional logit bias and gating.
 
-    `bias` is an (H, L, L) tensor added to the scaled logits; `gated`
+    `bias` is an (H, L, L) tensor added to the scaled logits; `rel` is the
+    `(table, diff)` pair of relative values from `RelPosBias`; `gated`
     applies a per-head sigmoid gate computed from the input, as in
     pair-biased attention.
     """
@@ -101,19 +106,12 @@ class MultiHeadAttention(Module):
     def _split(self, x, length):
         return ad.transpose(ad.reshape(x, (length, self.n_heads, self.d_head)), (1, 0, 2))
 
-    def __call__(self, x, bias=None, rel_values=None):
+    def __call__(self, x, bias=None, rel=None):
         length = x.shape[0]
         q = self._split(self.q(x), length)
         k = self._split(self.k(x), length)
         v = self._split(self.v(x), length)
-        logits = ad.matmul(q, ad.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(self.d_head))
-        if bias is not None:
-            logits = logits + bias
-        attn = ad.softmax(logits, axis=-1)
-        ctx = ad.matmul(attn, v)  # (H, L, dh)
-        if rel_values is not None:
-            # ctx_i += sum_j attn_ij * relvec(i - j)
-            ctx = ctx + (ad.reshape(attn, (self.n_heads, length, length, 1)) * rel_values).sum(axis=2)
+        ctx = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_head), bias=bias, rel=rel)  # (H, L, dh)
         merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (length, self.n_heads * self.d_head))
         if self.gate is not None:
             merged = merged * ad.sigmoid(self.gate(x))

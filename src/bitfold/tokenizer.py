@@ -110,8 +110,8 @@ class DecoderBlock(Module):
         self.mlp = nn.Transition(rng, w, ratio=2)
 
     def __call__(self, x, positions):
-        bias, rel_values = self.rel(positions)
-        x = x + self.attn(self.norm(ad.layernorm(x)), bias=bias, rel_values=rel_values)
+        bias, rel = self.rel(positions)
+        x = x + self.attn(self.norm(ad.layernorm(x)), bias=bias, rel=rel)
         return x + self.mlp(x)
 
 

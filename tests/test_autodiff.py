@@ -207,3 +207,69 @@ def test_gradient_aliasing_shared_upstream():
     (((a + b) * ad.Tensor(c)).sum() + (a * ad.Tensor(d)).sum()).backward()
     np.testing.assert_allclose(a.grad, c + d, atol=1e-15)
     np.testing.assert_array_equal(b.grad, c)
+
+
+def _attention_chain(q, k, v, scale, bias=None, rel=None):
+    """The unfused op chain `attention` replaces, kept as its reference."""
+    axes = list(range(q.ndim))
+    axes[-2], axes[-1] = axes[-1], axes[-2]
+    logits = ad.matmul(q, ad.transpose(k, tuple(axes))) * scale
+    if bias is not None:
+        logits = logits + bias
+    attn = ad.softmax(logits, axis=-1)
+    ctx = ad.matmul(attn, v)
+    if rel is not None:
+        table, diff = rel
+        heads, length = attn.shape[0], attn.shape[1]
+        relv = ad.transpose(table[diff], (2, 0, 1, 3))  # (H, L, L, dv)
+        ctx = ctx + (ad.reshape(attn, (heads, length, length, 1)) * relv).sum(axis=2)
+    return ctx
+
+
+_REPEATED_BINS = np.clip(np.subtract.outer([0, 1, 2, 5, 6, 40], [0, 1, 2, 5, 6, 40]), -3, 3) + 3
+ATTENTION_CASES = [
+    pytest.param((2, 6, 3), (2, 6, 6), True, id="heads-bias-rel"),
+    pytest.param((6, 2, 6, 3), (1, 2, 6, 6), False, id="rows-broadcast-bias"),
+    pytest.param((2, 6, 3), None, False, id="no-bias"),
+]
+
+
+@pytest.mark.parametrize("shape,bias_shape,with_rel", ATTENTION_CASES)
+def test_attention_matches_op_chain(shape, bias_shape, with_rel):
+    weights = np.random.default_rng(10).normal(size=shape)
+
+    def run(fn):
+        rng = np.random.default_rng(11)
+        q, k, v = (ad.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3))
+        leaves = [q, k, v]
+        bias = rel = None
+        if bias_shape is not None:
+            bias = ad.Tensor(rng.normal(size=bias_shape), requires_grad=True)
+            leaves.append(bias)
+        if with_rel:  # 7 bins over (H, d_v); the clipped bins 0 and 6 repeat
+            table = ad.Tensor(rng.normal(size=(7, shape[0], shape[-1])), requires_grad=True)
+            leaves.append(table)
+            rel = (table, _REPEATED_BINS)
+        out = fn(q, k, v, 1.0 / np.sqrt(shape[-1]), bias=bias, rel=rel)
+        (out * ad.Tensor(weights)).sum().backward()
+        return out.data, [t.grad for t in leaves]
+
+    got, got_grads = run(ad.attention)
+    want, want_grads = run(_attention_chain)
+    np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, atol=1e-12, rtol=0)
+    if not with_rel:  # same ops in the same order: bit-identical
+        np.testing.assert_array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_attention_nonfinite_logits_raise():
+    rng = np.random.default_rng(12)
+    q = ad.Tensor(np.full((2, 4, 3), 1e200))
+    v = ad.Tensor(rng.normal(size=(2, 4, 3)))
+    with pytest.raises(NonFiniteValue) as info:
+        ad.attention(q, q, v, 0.5)  # 1e200 * 1e200 overflows the logits
+    assert "attention" in str(info.value)
+    assert "logits shape (2, 4, 4)" in str(info.value)

@@ -328,3 +328,95 @@ def test_generate_inverse_folding_preserves_struct():
     out = dfn.generate(model, 6, mode="inverse_folding", steps=5, rng=rng,
                        struct_bits=x0.struct_bits)
     np.testing.assert_array_equal(out.struct_bits, x0.struct_bits)
+
+
+# -- the per-position loops the vectorized sampler replaced, kept as reference --
+
+def _loop_sample_prediction(output, xt, temperature, rng, greedy=False):
+    length = len(xt)
+    state = xt.copy()
+    state.mask_seq = np.zeros(length, dtype=bool)
+    state.mask_struct = np.zeros(length, dtype=bool)
+    seq_p = dfn._temperature_softmax(output.seq_logits.data, temperature)
+    conf_seq = np.zeros(length)
+    for i in np.flatnonzero(xt.mask_seq):
+        choice = int(np.argmax(seq_p[i])) if greedy else int(rng.choice(dfn.N_AA, p=seq_p[i]))
+        state.seq[i] = choice
+        conf_seq[i] = seq_p[i, choice]
+    conf_struct = np.zeros(length)
+    probs = dfn._temperature_softmax(output.struct_logits.data.reshape(length, xt.k, 2), temperature)
+    for i in np.flatnonzero(xt.mask_struct):
+        p_one = probs[i, :, 1]
+        ones = (p_one >= 0.5) if greedy else (rng.random(xt.k) < p_one)
+        state.struct_bits[i] = np.where(ones, 1.0, -1.0)
+        conf_struct[i] = float(np.prod(np.where(ones, p_one, 1.0 - p_one)))
+    return dfn.Prediction(state=state, conf_seq=conf_seq, conf_struct=conf_struct)
+
+
+def _loop_posterior_step(xt, x0_pred, t, rng, schedule, s=None):
+    p_unmask = dfn.unmask_probability(schedule, t, s)
+    out = xt.copy()
+    for mask_attr, value_attr in (("mask_seq", "seq"), ("mask_struct", "struct_bits")):
+        reveal = getattr(xt, mask_attr) & (rng.random(len(xt)) < p_unmask)
+        for i in np.flatnonzero(reveal):
+            getattr(out, value_attr)[i] = getattr(x0_pred, value_attr)[i]
+        getattr(out, mask_attr)[reveal] = False
+    return out
+
+
+def _loop_confidence_step(xt, pred, schedule, s):
+    out = xt.copy()
+    keep_frac = schedule.alpha_bar[s]
+    for mask_attr, value_attr, conf in (
+        ("mask_seq", "seq", pred.conf_seq),
+        ("mask_struct", "struct_bits", pred.conf_struct),
+    ):
+        mask = getattr(xt, mask_attr)
+        maskable = (~xt.pad).sum()
+        if maskable == 0 or not mask.any():
+            continue
+        target_unmasked = int(round(maskable * keep_frac)) if s > 0 else maskable
+        n_reveal = min(max(target_unmasked - (maskable - mask.sum()), 0), mask.sum())
+        if s == 0:
+            n_reveal = mask.sum()
+        cand = np.flatnonzero(mask)
+        for i in cand[np.lexsort((cand, -conf[cand]))][:n_reveal]:
+            getattr(out, value_attr)[i] = getattr(pred.state, value_attr)[i]
+            getattr(out, mask_attr)[i] = False
+    return out
+
+
+class NoisyModel:
+    """Bit-head model whose logits are a fixed random sequence, one per call."""
+
+    def __init__(self, k=4, T=10):
+        self.k = k
+        self.schedule = dfn.make_schedule(T)
+        self.rng = np.random.default_rng(18)
+
+    def forward(self, state, position_indices=None):
+        length = len(state)
+        return dfn.LMOutput(Tensor(self.rng.normal(size=(length, 20)) * 2.0),
+                            Tensor(self.rng.normal(size=(length, 2 * self.k)) * 2.0), head="bit")
+
+
+@pytest.mark.parametrize("mode,strategy", [("folding", "confidence"), ("unconditional", "stochastic")])
+def test_generate_matches_per_position_loops(monkeypatch, mode, strategy):
+    length = 12
+    pad = np.zeros(length, dtype=bool)
+    pad[-2:] = True
+    seq = np.random.default_rng(19).integers(0, 20, size=length)
+
+    def run():
+        return dfn.generate(NoisyModel(), length, mode=mode, steps=7, strategy=strategy,
+                            rng=np.random.default_rng(20), seq=seq, pad=pad)
+
+    got = run()
+    monkeypatch.setattr(dfn, "sample_prediction", _loop_sample_prediction)
+    monkeypatch.setattr(dfn, "posterior_step", _loop_posterior_step)
+    monkeypatch.setattr(dfn, "_confidence_step", _loop_confidence_step)
+    want = run()
+    np.testing.assert_array_equal(got.seq, want.seq)
+    np.testing.assert_array_equal(got.struct_bits, want.struct_bits)
+    np.testing.assert_array_equal(got.mask_seq, want.mask_seq)
+    np.testing.assert_array_equal(got.mask_struct, want.mask_struct)
