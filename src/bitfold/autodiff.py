@@ -99,9 +99,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     # -- graph mechanics ----------------------------------------------------
     def backward(self):
         """Accumulate d(self)/d(leaf) into .grad of every reachable leaf."""

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-data, train-tokenizer, train-lm, finetune-fm,
-train-resdiff, sample, eval, grad-check, bench. All randomness derives
+train-resdiff, sample, eval, grad-check. All randomness derives
 from --seed; configuration comes from --config files with --set key=value
 overrides. Exit code 2 on usage errors, 1 on runtime failures.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -19,10 +18,8 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import diffusion as dfn
 from . import evalsuite
-from . import geo_arch
 from . import geometry as geo
 from . import hybrid_fm
-from . import kernels
 from . import repa as repa_mod
 from . import resdiff as rd
 from . import tokenizer as tok
@@ -77,9 +74,7 @@ def load_lm(path, cfg):
 def load_tokenizer(path, cfg):
     tensors, stored, _, _ = ckpt.load_checkpoint(path)
     check_architecture(stored, cfg)
-    params = tok.TokenizerParams(
-        tok.TokenizerConfig(k=cfg.k, width=cfg.tok_width, blocks=cfg.tok_blocks, heads=cfg.tok_heads)
-    )
+    params = tok.TokenizerParams(_tok_cfg(cfg))
     ckpt.restore_parameters(params, tensors)
     return params
 
@@ -180,17 +175,11 @@ def cmd_train_resdiff(args):
         hidden = [h.data for h in out.hidden_layers]
         samples.append((rd.residual(z.data, bits), bits, hidden))
     rd.train_resdiff(
-        samples_or_steps_guard(samples), head, steps=args.steps, seed=args.seed,
+        samples, head, steps=args.steps, seed=args.seed,
         warmup=min(2000, max(args.steps // 10, 1)), log_every=args.log_every,
     )
     _save_model(args.out, head, cfg, step=args.steps)
     return 0
-
-
-def samples_or_steps_guard(samples):
-    if not samples:
-        raise ValueError("dataset produced no training samples")
-    return samples
 
 
 def cmd_sample(args):
@@ -259,42 +248,6 @@ def cmd_grad_check(args):
         print(f"{name}: max rel err {rep.max_rel_err:.2e} ({'pass' if rep.passed else 'FAIL'})")
     print(f"worst: {worst[0]} {worst[1].max_rel_err:.2e}")
     return 0 if all(rep.passed for _, rep in reports) else 1
-
-
-def cmd_bench(args):
-    rng = np.random.default_rng(args.seed)
-    length, d = args.length, 16
-    a = rng.normal(size=(length, length, d))
-    b = rng.normal(size=(length, length, d))
-    pts = rng.normal(size=(length, 3))
-    kernels.cmm_bt(a, b)  # warm up
-    kernels.pdist(pts, 1e-8)
-    t0 = time.time()
-    for _ in range(args.reps):
-        kernels.cmm_bt(a, b)
-        kernels.cmm_at(a, b)
-        kernels.pdist(pts, 1e-8)
-    print(f"{kernels.backend()}: {time.time() - t0:.4f} s for {args.reps} reps at L={length}")
-
-    # per-step forward timing across geometric variants
-    variants = {
-        "plain": geo_arch.BlockConfig(),
-        "base": geo_arch.BlockConfig(pair_bias=True),
-        "tri-update": geo_arch.BlockConfig(pair_bias=True, triangle_update=True),
-        "tri-attn": geo_arch.BlockConfig(pair_bias=True, triangle_attention=True),
-    }
-    seq = rng.integers(0, 20, size=args.length)
-    bits = np.where(rng.random((args.length, 8)) < 0.5, 1.0, -1.0)
-    state = dfn.TokenState.observed(seq, bits)
-    for name, block_cfg in variants.items():
-        model = geo_arch.assemble_model(block_cfg, 1, k=8, seed=0)
-        with ad.no_grad():
-            model.forward(state)
-            t0 = time.time()
-            for _ in range(max(args.reps // 4, 1)):
-                model.forward(state)
-        print(f"forward {name}: {(time.time() - t0) / max(args.reps // 4, 1):.4f} s/step")
-    return 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -375,10 +328,6 @@ def build_parser():
     p = common(sub.add_parser("grad-check"))
     p.set_defaults(func=cmd_grad_check)
 
-    p = common(sub.add_parser("bench"))
-    p.add_argument("--length", type=int, default=64)
-    p.add_argument("--reps", type=int, default=8)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -95,9 +95,7 @@ def folding_eval(lm, tokenizer_params, dataset, steps=25, strategy="confidence",
     report = EvalReport()
     rng = np.random.default_rng(seed)
     for structure, seq in dataset:
-        with ad.no_grad():
-            z = tok.encode(structure, tokenizer_params)
-        true_bits = np.where(z.data >= 0.0, 1.0, -1.0)
+        true_bits = tok.structure_bits(structure, tokenizer_params)
         out = dfn.generate(
             lm, len(structure), mode="folding", steps=steps, strategy=strategy,
             temperature=temperature, rng=rng, seq=np.asarray(seq),

@@ -142,7 +142,6 @@ def _loss_relpos_value_attention(seed):
 
 def _loss_triangle_update(seed):
     rng = np.random.default_rng(seed)
-    losses = {}
     pair = Tensor(rng.normal(size=(4, 4, 5)), requires_grad=True)
     ups = []
     for mode in ("outgoing", "incoming"):
@@ -159,7 +158,6 @@ def _loss_triangle_update(seed):
     params = {"pair": pair}
     for i, up in enumerate(ups):
         params.update(up.parameters(prefix=f"up.{i}."))
-    del losses
     return fn, params
 
 

@@ -18,8 +18,8 @@ from . import autodiff as ad
 from . import diffusion as dfn
 from . import geometry as geo
 from . import tokenizer as tok
-from .errors import NonFiniteLoss, NonFiniteValue, TimeOrder
-from .optim import Adam, warmup_linear_decay
+from .errors import TimeOrder
+from .optim import fit
 
 PRIOR_SIGMA = 10.0
 FM_STEPS_DEFAULT = 10
@@ -63,9 +63,7 @@ def denoise(state: FlowState, models: HybridModels, rng=None, position_indices=N
     greedy bit readout, decode to centered coordinates."""
     rng = np.random.default_rng(0) if rng is None else rng
     structure = state.structure
-    with ad.no_grad():
-        z = tok.encode(structure, models.tokenizer)
-    bits_t = np.where(z.data >= 0.0, 1.0, -1.0)
+    bits_t = tok.structure_bits(structure, models.tokenizer)
     if state.conditioning is not None:
         seq = np.asarray(state.conditioning)
     else:
@@ -130,33 +128,19 @@ def fm_finetune(models: HybridModels, dataset, steps, seed=0, peak=1e-4, warmup=
 
     `dataset` is a list of (structure, sequence) pairs."""
     lm = models.lm
-    opt = Adam(lm.parameters())
     rng = np.random.default_rng(seed)
-    clean_bits = []
-    for structure, _ in dataset:
-        with ad.no_grad():
-            z = tok.encode(structure, models.tokenizer)
-        clean_bits.append(np.where(z.data >= 0.0, 1.0, -1.0))
-    for step in range(steps):
-        i = int(rng.integers(len(dataset)))
+    clean_bits = [tok.structure_bits(structure, models.tokenizer) for structure, _ in dataset]
+
+    def step_loss(i):
         structure, seq = dataset[i]
-        t = rng.uniform()
-        noisy = corrupt(structure, t, rng)
-        with ad.no_grad():
-            z_t = tok.encode(noisy.structure, models.tokenizer)
-        bits_t = np.where(z_t.data >= 0.0, 1.0, -1.0)
-        state = dfn.TokenState.observed(np.asarray(seq), bits_t)
-        out = lm.forward(state)
+        noisy = corrupt(structure, rng.uniform(), rng)
+        bits_t = tok.structure_bits(noisy.structure, models.tokenizer)
+        out = lm.forward(dfn.TokenState.observed(np.asarray(seq), bits_t))
         target = dfn.TokenState.observed(np.asarray(seq), clean_bits[i])
         supervised = target.copy()
         supervised.mask_struct[:] = True  # bit CE at every structure position
-        try:
-            loss = dfn.loss_bit(out, target, supervised, 1, lm.schedule)
-            opt.zero_grad()
-            loss.backward()
-        except NonFiniteValue as exc:
-            raise NonFiniteLoss(f"non-finite fine-tune loss at step {step}: {exc}")
-        opt.step(lr=warmup_linear_decay(step, steps, peak=peak, warmup=warmup))
-        if log_every and step % log_every == 0:
-            print(f"fm-finetune step {step}: loss {loss.item():.4f}")
+        return dfn.loss_bit(out, target, supervised, 1, lm.schedule), ""
+
+    fit(lm.parameters(), dataset, steps, rng, step_loss, "fm-finetune", peak, warmup,
+        log_every=log_every)
     return lm

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffusion as dfn
+from . import tokenizer as tok
 from .errors import LayoutMismatch
 
 GLY = 7  # glycine id in the 20-letter alphabet (alphabetical three-letter order)
@@ -118,12 +119,7 @@ def chains_from_structure(structure, tokenizer_params):
     """Tokenize a (possibly multi-chain) structure and split it into the
     per-chain (sequence-placeholder, struct_bits) list insert_linker
     expects; sequences must be supplied by the caller."""
-    from . import autodiff as ad
-    from . import tokenizer as tok
-
-    with ad.no_grad():
-        z = tok.encode(structure, tokenizer_params)
-    bits = np.where(z.data >= 0.0, 1.0, -1.0)
+    bits = tok.structure_bits(structure, tokenizer_params)
     pieces = []
     for c in np.unique(structure.chain_ids):
         sel = structure.chain_ids == c

@@ -1,8 +1,11 @@
-"""Adam optimizer and the warmup/linear-decay learning-rate schedule."""
+"""Adam optimizer, the warmup/linear-decay learning-rate schedule, and the
+one training loop every trainer runs."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import NonFiniteLoss, NonFiniteValue
 
 
 def warmup_linear_decay(step, total_steps, peak=1e-4, warmup=2000, floor=1e-5):
@@ -47,3 +50,38 @@ class Adam:
 
     def state(self):
         return {"t": self.t, "m": self.m, "v": self.v}
+
+
+def fit(params, items, steps, rng, step_loss, name, peak, warmup, floor=1e-5, log_every=0):
+    """Train `params` with Adam for `steps` steps; returns the per-step losses.
+
+    Each step draws an item index `i` uniformly from `items` and calls
+    `step_loss(i)`, which returns `(loss, note)` with `note` appended to
+    the log line, or `None` when the step has nothing to learn from; such
+    a step records 0.0 and leaves the parameters and Adam untouched.
+
+    `len(items)` is called exactly once per step, as the step's first
+    action, and nowhere else (the empty check is a truth test): the
+    benchmark counts those calls to mark step boundaries and to stop a run.
+    """
+    if not items:
+        raise ValueError(f"no training items for {name}")
+    opt = Adam(params)
+    losses = []
+    for step in range(steps):
+        i = int(rng.integers(len(items)))
+        try:
+            out = step_loss(i)
+            if out is None:
+                losses.append(0.0)
+                continue
+            loss, note = out
+            opt.zero_grad()
+            loss.backward()
+        except NonFiniteValue as exc:
+            raise NonFiniteLoss(f"non-finite {name} loss at step {step}: {exc}")
+        opt.step(lr=warmup_linear_decay(step, steps, peak=peak, warmup=warmup, floor=floor))
+        losses.append(loss.item())
+        if log_every and step % log_every == 0:
+            print(f"{name} step {step}: loss {losses[-1]:.4f}{note}")
+    return losses

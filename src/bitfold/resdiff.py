@@ -14,7 +14,8 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Linear, Module, Tensor
 from .errors import BadT, InvalidConfig, ShapeMismatch
-from .optim import Adam, warmup_linear_decay
+from .optim import fit
+from .repa import ensemble_hidden
 
 T_R_DEFAULT = 100
 BETA_START = 1e-4
@@ -84,13 +85,7 @@ def residual(z_cont, z_quant):
 def condition(z_quant, hidden_layers, head: ResDiffHead):
     """Per-residue conditioning c = z_quant @ W_quant + sum_i softmax(w)_i h_i."""
     z_quant = z_quant if isinstance(z_quant, Tensor) else Tensor(np.asarray(z_quant, dtype=np.float64))
-    weights = ad.softmax(ad.reshape(head.layer_logits, (-1, 1, 1)), axis=0)
-    stacked = ad.concat(
-        [ad.reshape(h if isinstance(h, Tensor) else Tensor(h), (1,) + tuple(h.shape))
-         for h in hidden_layers],
-        axis=0,
-    )
-    return head.cond_proj(z_quant) + (weights * stacked).sum(axis=0)
+    return head.cond_proj(z_quant) + ensemble_hidden(hidden_layers, head.layer_logits)
 
 
 def resdiff_loss(r, t, cond, head: ResDiffHead, rng):
@@ -129,15 +124,13 @@ def train_resdiff(samples, head: ResDiffHead, steps, seed=0, peak=1e-4, warmup=2
     """Train the epsilon net on (residual, z_quant, hidden_layers) triples;
     the conditioning vector is recomputed each step so its projection and
     ensemble logits train too."""
-    opt = Adam(head.parameters())
     rng = np.random.default_rng(seed)
-    for step in range(steps):
-        r, z_quant, hidden_layers = samples[int(rng.integers(len(samples)))]
+
+    def step_loss(i):
+        r, z_quant, hidden_layers = samples[i]
         cond = condition(z_quant, hidden_layers, head)
-        loss = resdiff_loss(r, int(rng.integers(1, head.t_r + 1)), cond, head, rng)
-        opt.zero_grad()
-        loss.backward()
-        opt.step(lr=warmup_linear_decay(step, steps, peak=peak, warmup=warmup))
-        if log_every and step % log_every == 0:
-            print(f"resdiff step {step}: loss {loss.item():.4f}")
+        return resdiff_loss(r, int(rng.integers(1, head.t_r + 1)), cond, head, rng), ""
+
+    fit(head.parameters(), samples, steps, rng, step_loss, "resdiff", peak, warmup,
+        log_every=log_every)
     return head

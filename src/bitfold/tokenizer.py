@@ -21,12 +21,10 @@ from .autodiff import Affine, Linear, Module, Tensor
 from .errors import (
     DegenerateInput,
     IndexOutOfRange,
-    NonFiniteLoss,
-    NonFiniteValue,
     ParseError,
     ShapeMismatch,
 )
-from .optim import Adam, warmup_linear_decay
+from .optim import fit
 
 N_FEATURES = 23  # 8 distance offsets + 6 dihedral sin/cos + 9 frame projections
 DIST_OFFSETS = (-4, -3, -2, -1, 1, 2, 3, 4)
@@ -144,6 +142,13 @@ def encode(structure, params: TokenizerParams):
     """Continuous tokens (L, K) from rigid-invariant features."""
     z, _ = params.encoder(invariant_features(structure))
     return z
+
+
+def structure_bits(structure, params: TokenizerParams):
+    """The (L, K) +-1 structure tokens under the frozen encoder."""
+    with ad.no_grad():
+        z = encode(structure, params)
+    return np.where(z.data >= 0.0, 1.0, -1.0)
 
 
 def decode(tokens, params: TokenizerParams, position_indices=None):
@@ -306,38 +311,28 @@ def reconstruction_report(params, dataset, position_indices=None):
     return report
 
 
-def train_tokenizer(dataset, cfg: TokenizerConfig, seed, steps, report_dataset=None,
-                    position_indices=None, log_every=0):
+def train_tokenizer(dataset, cfg: TokenizerConfig, seed, steps, position_indices=None,
+                    log_every=0):
     """Returns (params, ReconReport). Loss: 0.5*(cont + quant reconstruction)
     + 0.25*commitment + 0.1*entropy regularizer."""
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
     params = TokenizerParams(cfg, seed=seed)
-    opt = Adam(params.parameters())
     rng = np.random.default_rng(seed + 1)
     feats = [invariant_features(s) for s in dataset]
-    for step in range(steps):
-        i = int(rng.integers(len(dataset)))
+
+    def step_loss(i):
         structure = dataset[i]
-        pos = None if position_indices is None else position_indices[i]
-        if pos is None:
-            pos = np.arange(len(structure))
-        try:
-            z, _ = params.encoder(feats[i])
-            bits, q_losses = lfq_quantize(z)
-            pred_q = params.decoder(bits, pos)
-            pred_c = params.decoder(z, pos)
-            loss = (
-                0.5 * (reconstruction_loss(pred_q, structure) + reconstruction_loss(pred_c, structure))
-                + COMMIT_WEIGHT * q_losses["commitment"]
-                + ENTROPY_WEIGHT * q_losses["entropy"]
-            )
-            opt.zero_grad()
-            loss.backward()
-        except NonFiniteValue as exc:
-            raise NonFiniteLoss(f"non-finite tokenizer loss at step {step}: {exc}")
-        opt.step(lr=warmup_linear_decay(step, steps, peak=cfg.lr_peak, warmup=cfg.warmup))
-        if log_every and step % log_every == 0:
-            print(f"tokenizer step {step}: loss {loss.item():.4f}")
-    report = reconstruction_report(params, report_dataset or dataset)
-    return params, report
+        pos = np.arange(len(structure)) if position_indices is None else position_indices[i]
+        z, _ = params.encoder(feats[i])
+        bits, q_losses = lfq_quantize(z)
+        pred_q = params.decoder(bits, pos)
+        pred_c = params.decoder(z, pos)
+        loss = (
+            0.5 * (reconstruction_loss(pred_q, structure) + reconstruction_loss(pred_c, structure))
+            + COMMIT_WEIGHT * q_losses["commitment"]
+            + ENTROPY_WEIGHT * q_losses["entropy"]
+        )
+        return loss, ""
+
+    fit(params.parameters(), dataset, steps, rng, step_loss, "tokenizer",
+        cfg.lr_peak, cfg.warmup, log_every=log_every)
+    return params, reconstruction_report(params, dataset)

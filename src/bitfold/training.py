@@ -1,4 +1,5 @@
-"""Language-model training loop over the joint token state.
+"""Language-model training over the joint token state: the per-step loss
+that `optim.fit` drives.
 
 Each step samples one structure, a noise level t, and a corruption mode
 from {both tracks 0.5, sequence-only 0.25, structure-only 0.25} so folding
@@ -11,14 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from . import diffusion as dfn
 from . import geo_arch
 from . import repa as repa_mod
 from . import tokenizer as tok
 from .config import ModelConfig
-from .errors import NonFiniteLoss, NonFiniteValue
-from .optim import Adam, warmup_linear_decay
+from .optim import fit
 
 MODE_PROBS = {"both": 0.5, "seq_only": 0.25, "struct_only": 0.25}
 
@@ -38,8 +37,8 @@ def sample_mode(rng, folding_sft=False):
 
 
 def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, repa_head=None,
-             target_store=None, position_indices=None, log_every=0, loss_sink=None):
-    """Train in place; returns the final step's loss history list.
+             target_store=None, position_indices=None, log_every=0):
+    """Train in place; returns the per-step loss list.
 
     `dataset` is a list of (structure, sequence) pairs; structure tokens
     come from the frozen tokenizer encoder. With repa_head set, teacher
@@ -48,20 +47,15 @@ def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, repa_head=None,
     trained = dict(lm.parameters())
     if repa_head is not None:
         trained.update(repa_head.parameters(prefix="repa."))
-    opt = Adam(trained)
     rng = np.random.default_rng(cfg.seed)
     loss_fn = dfn.loss_bit if cfg.head == "bit" else dfn.loss_index
-    states = []
-    for structure, seq in dataset:
-        with ad.no_grad():
-            z = tok.encode(structure, tokenizer_params)
-        bits = np.where(z.data >= 0.0, 1.0, -1.0)
-        states.append(dfn.TokenState.observed(np.asarray(seq), bits))
-    losses = []
-    for step in range(cfg.steps):
-        i = int(rng.integers(len(dataset)))
+    states = [
+        dfn.TokenState.observed(np.asarray(seq), tok.structure_bits(structure, tokenizer_params))
+        for structure, seq in dataset
+    ]
+
+    def step_loss(i):
         x0 = states[i]
-        pos = None if position_indices is None else position_indices[i]
         t = int(rng.integers(1, lm.schedule.T + 1))
         mode = sample_mode(rng, cfg.folding_sft)
         xt = dfn.forward_mask(
@@ -70,26 +64,16 @@ def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, repa_head=None,
             corrupt_struct=mode in ("both", "struct_only"),
         )
         if not (xt.mask_seq.any() or xt.mask_struct.any()):
-            losses.append(0.0)  # nothing masked: the loss is identically zero
-            continue
-        try:
-            out = lm.forward(xt, position_indices=pos)
-            loss = loss_fn(out, x0, xt, t, lm.schedule)
-            if repa_head is not None and cfg.repa_weight != 0.0:
-                targets = target_store.get(dataset[i][0].source_id)
-                loss = loss + cfg.repa_weight * repa_mod.repa_loss(
-                    out.hidden_layers, repa_head, targets
-                )
-            opt.zero_grad()
-            loss.backward()
-        except NonFiniteValue as exc:
-            raise NonFiniteLoss(f"non-finite LM loss at step {step}: {exc}")
-        opt.step(lr=warmup_linear_decay(
-            step, cfg.steps, peak=cfg.lr_peak, warmup=cfg.warmup, floor=cfg.lr_floor,
-        ))
-        losses.append(loss.item())
-        if loss_sink is not None:
-            loss_sink.append(loss.item())
-        if log_every and step % log_every == 0:
-            print(f"lm step {step}: loss {loss.item():.4f} mode {mode} t {t}")
-    return losses
+            return None  # nothing masked: the loss is identically zero
+        pos = None if position_indices is None else position_indices[i]
+        out = lm.forward(xt, position_indices=pos)
+        loss = loss_fn(out, x0, xt, t, lm.schedule)
+        if repa_head is not None and cfg.repa_weight != 0.0:
+            targets = target_store.get(dataset[i][0].source_id)
+            loss = loss + cfg.repa_weight * repa_mod.repa_loss(
+                out.hidden_layers, repa_head, targets
+            )
+        return loss, f" mode {mode} t {t}"
+
+    return fit(trained, dataset, cfg.steps, rng, step_loss, "lm",
+               cfg.lr_peak, cfg.warmup, cfg.lr_floor, log_every)

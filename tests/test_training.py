@@ -1,0 +1,213 @@
+"""The shared training loop `optim.fit` and the four trainers built on it."""
+
+import numpy as np
+import pytest
+
+from bitfold import autodiff as ad
+from bitfold import diffusion as dfn
+from bitfold import geometry as geo
+from bitfold import hybrid_fm, optim, training
+from bitfold import repa as repa_mod
+from bitfold import resdiff as rd
+from bitfold import tokenizer as tok
+from bitfold.autodiff import Tensor
+from bitfold.config import ModelConfig
+from bitfold.errors import NonFiniteLoss, NonFiniteValue
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    return [geo.synth_backbone(geo.SynthSpec(length=n), seed=i)
+            for i, n in enumerate((12, 16, 14))]
+
+
+@pytest.fixture(scope="module")
+def tok_params():
+    return tok.TokenizerParams(tok.TokenizerConfig(width=16, blocks=1, heads=2), seed=0)
+
+
+def small_cfg(**kw):
+    base = dict(d_model=16, d_pair=8, heads=2, n_blocks=1, tok_width=16, T=8,
+                seed=3, steps=8, warmup=3)
+    return ModelConfig(**{**base, **kw})
+
+
+class CountingList(list):
+    """A list that counts its length lookups; a truth test is not one."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.len_calls = 0
+
+    def __len__(self):
+        self.len_calls += 1
+        return super().__len__()
+
+    def __bool__(self):
+        return super().__len__() > 0
+
+
+# -- train_lm against the loop it replaced ------------------------------------
+
+def _loop_train_lm(lm, tokenizer_params, dataset, cfg, repa_head=None, target_store=None):
+    """The LM training loop as it stood before `optim.fit`."""
+    trained = dict(lm.parameters())
+    if repa_head is not None:
+        trained.update(repa_head.parameters(prefix="repa."))
+    opt = optim.Adam(trained)
+    rng = np.random.default_rng(cfg.seed)
+    loss_fn = dfn.loss_bit if cfg.head == "bit" else dfn.loss_index
+    states = []
+    for structure, seq in dataset:
+        with ad.no_grad():
+            z = tok.encode(structure, tokenizer_params)
+        bits = np.where(z.data >= 0.0, 1.0, -1.0)
+        states.append(dfn.TokenState.observed(np.asarray(seq), bits))
+    losses = []
+    for step in range(cfg.steps):
+        i = int(rng.integers(len(dataset)))
+        x0 = states[i]
+        t = int(rng.integers(1, lm.schedule.T + 1))
+        mode = training.sample_mode(rng, cfg.folding_sft)
+        xt = dfn.forward_mask(
+            x0, lm.schedule, t, rng,
+            corrupt_seq=mode in ("both", "seq_only"),
+            corrupt_struct=mode in ("both", "struct_only"),
+        )
+        if not (xt.mask_seq.any() or xt.mask_struct.any()):
+            losses.append(0.0)
+            continue
+        out = lm.forward(xt)
+        loss = loss_fn(out, x0, xt, t, lm.schedule)
+        if repa_head is not None and cfg.repa_weight != 0.0:
+            targets = target_store.get(dataset[i][0].source_id)
+            loss = loss + cfg.repa_weight * repa_mod.repa_loss(
+                out.hidden_layers, repa_head, targets
+            )
+        opt.zero_grad()
+        loss.backward()
+        opt.step(lr=optim.warmup_linear_decay(
+            step, cfg.steps, peak=cfg.lr_peak, warmup=cfg.warmup, floor=cfg.lr_floor,
+        ))
+        losses.append(loss.item())
+    return losses
+
+
+@pytest.mark.parametrize("flags", [
+    {},
+    {"pair_bias": True, "repa_enabled": True},
+    {"head": "index"},
+    {"folding_sft": True},
+], ids=["plain", "pair_bias-repa", "index-head", "folding_sft"])
+def test_train_lm_matches_old_loop(pairs, tok_params, flags):
+    cfg = small_cfg(**flags)
+
+    def run(train):
+        lm = training.build_lm(cfg)
+        head = store = None
+        if cfg.repa_enabled:
+            head = repa_mod.RepaHead(cfg.d_model, cfg.tok_width, cfg.n_blocks, seed=1)
+            store = repa_mod.precompute_targets(tok_params, [s for s, _ in pairs])
+        losses = train(lm, tok_params, pairs, cfg, repa_head=head, target_store=store)
+        params = dict(lm.parameters())
+        if head is not None:
+            params.update(head.parameters(prefix="repa."))
+        return losses, params
+
+    got_losses, got = run(training.train_lm)
+    want_losses, want = run(_loop_train_lm)
+    assert got_losses == want_losses
+    assert got.keys() == want.keys()
+    for name in got:
+        np.testing.assert_array_equal(got[name].data, want[name].data, err_msg=name)
+
+
+# -- the benchmark's step clock -------------------------------------------------
+
+def test_train_lm_reads_len_once_per_step(pairs, tok_params):
+    dataset = CountingList(pairs)
+    training.train_lm(training.build_lm(small_cfg()), tok_params, dataset, small_cfg(steps=5))
+    assert dataset.len_calls == 5
+
+
+def test_train_tokenizer_reads_len_once_per_step(pairs):
+    dataset = CountingList([s for s, _ in pairs])
+    tok.train_tokenizer(dataset, tok.TokenizerConfig(width=16, blocks=1, heads=2),
+                        seed=0, steps=4)
+    assert dataset.len_calls == 4
+
+
+# -- non-finite values name the trainer and the step ----------------------------
+
+def _poison(module):
+    for p in module.parameters().values():
+        p.data[...] = np.nan
+
+
+def test_fm_finetune_nonfinite_forward_raises(pairs, tok_params):
+    lm = training.build_lm(small_cfg())
+    _poison(lm)
+    models = hybrid_fm.HybridModels(tokenizer=tok_params, lm=lm)
+    with pytest.raises(NonFiniteLoss, match="fm-finetune loss at step 0"):
+        hybrid_fm.fm_finetune(models, pairs, steps=2)
+
+
+def test_train_resdiff_nonfinite_loss_raises():
+    rng = np.random.default_rng(0)
+    head = rd.ResDiffHead(k=4, d_hidden=8, n_layers=1, d_lm=6, n_lm_layers=1, t_r=4)
+    _poison(head)
+    samples = [(rng.normal(size=(5, 4)), np.ones((5, 4)), [rng.normal(size=(5, 6))])]
+    with pytest.raises(NonFiniteLoss, match="resdiff loss at step 0"):
+        rd.train_resdiff(samples, head, steps=2)
+
+
+# -- fit ------------------------------------------------------------------------
+
+def test_fit_skipped_step_records_zero_and_leaves_adam(monkeypatch):
+    opts = []
+
+    class RecordingAdam(optim.Adam):
+        def __init__(self, params):
+            super().__init__(params)
+            opts.append(self)
+
+    monkeypatch.setattr(optim, "Adam", RecordingAdam)
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    calls = []
+
+    def step_loss(i):
+        calls.append(i)
+        if len(calls) % 2 == 0:
+            return None
+        return (w * w).sum(), ""
+
+    losses = optim.fit({"w": w}, [0, 1], 4, np.random.default_rng(0), step_loss, "toy",
+                       peak=0.1, warmup=1)
+    assert len(calls) == 4
+    assert losses[1] == 0.0 and losses[3] == 0.0
+    assert losses[0] > 0.0 and losses[2] > 0.0
+    assert opts[0].t == 2
+
+    before = w.data.copy()
+    losses = optim.fit({"w": w}, [0], 3, np.random.default_rng(0), lambda i: None, "toy",
+                       peak=0.1, warmup=1)
+    assert losses == [0.0, 0.0, 0.0]
+    assert opts[1].t == 0
+    np.testing.assert_array_equal(w.data, before)
+
+
+def test_fit_rejects_empty_items():
+    with pytest.raises(ValueError, match="no training items"):
+        optim.fit({}, [], 3, np.random.default_rng(0), lambda i: None, "toy",
+                  peak=0.1, warmup=1)
+
+
+def test_fit_wraps_nonfinite_value():
+    w = Tensor(np.ones(2), requires_grad=True)
+
+    def step_loss(i):
+        raise NonFiniteValue("boom")
+
+    with pytest.raises(NonFiniteLoss, match="non-finite toy loss at step 0: boom"):
+        optim.fit({"w": w}, [0], 2, np.random.default_rng(0), step_loss, "toy",
+                  peak=0.1, warmup=1)
