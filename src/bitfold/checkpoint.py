@@ -3,8 +3,9 @@
 Little-endian layout: magic `BFCK`, version u32, config echo (u32 length +
 UTF-8 text), training step u64, rng-state echo (u32 length + UTF-8 JSON),
 parameter count u32, then per-parameter records {u32 name length, name,
-u32 rank, u32 dims..., float64 payload}. Loading verifies the config echo
-against the caller's config so an architecture mismatch fails loudly.
+u32 rank, u32 dims..., float64 payload}. Loading returns the config echo
+as stored; the caller scopes the check of it to the keys of the component
+it loads (`config.check_architecture`).
 """
 
 from __future__ import annotations
@@ -65,11 +66,8 @@ def save_checkpoint(path, params, config_text, step=0, rng_state=None):
         fh.write(b"".join(chunks))
 
 
-def load_checkpoint(path, expected_config=None):
-    """Returns (tensors dict, config_text, step, rng_state).
-
-    If `expected_config` is given, the stored config echo must match it
-    exactly or InvalidConfig is raised."""
+def load_checkpoint(path):
+    """Returns (tensors dict, config_text, step, rng_state)."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     if reader.take(4) != MAGIC:
@@ -78,8 +76,6 @@ def load_checkpoint(path, expected_config=None):
     if version != VERSION:
         raise ParseError(f"unsupported checkpoint version {version}")
     config_text = reader.string()
-    if expected_config is not None and config_text != expected_config:
-        raise InvalidConfig("checkpoint config does not match the loaded config")
     step = reader.u64()
     rng_state = json.loads(reader.string())
     tensors = {}

@@ -4,6 +4,11 @@ Subcommands: gen-data, train-tokenizer, train-lm, finetune-fm,
 train-resdiff, sample, eval, grad-check. All randomness derives
 from --seed; configuration comes from --config files with --set key=value
 overrides. Exit code 2 on usage errors, 1 on runtime failures.
+
+A command that loads a checkpoint must repeat that component's config keys
+(`config.COMPONENT_KEYS`), and only those: an LM trained with
+`--set pair_bias=true` is sampled with `--set pair_bias=true`, while its
+sampler and training keys are free to differ.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from . import resdiff as rd
 from . import tokenizer as tok
 from . import training
 from .config import check_architecture, format_config, load_config
-from .errors import BitfoldError
+from .errors import BitfoldError, DegenerateInput, LengthMismatch
 
 
 # -- dataset layout -----------------------------------------------------------
@@ -48,7 +53,13 @@ def load_dataset(directory):
         structure = geo.load_backbone(base + ".bkb")
         with open(base + ".seq") as fh:
             seq = np.array([int(x) for x in fh.read().split()], dtype=np.int64)
+        if len(seq) != len(structure):
+            raise LengthMismatch(
+                f"{base}.seq: {len(seq)} residues, but {base}.bkb has {len(structure)}"
+            )
         items.append((structure, seq))
+    if not items:
+        raise DegenerateInput(f"no training items: --data {directory} has no .bkb files")
     return items
 
 
@@ -62,25 +73,32 @@ def _save_model(path, module, cfg, step=0, extra=None):
     ckpt.save_checkpoint(path, params, format_config(cfg), step=step)
 
 
+def _load(path, module, cfg, component):
+    """Restore `module` from `path` once the stored config agrees with `cfg`
+    on `component`'s keys. The LM's `repa.` tensors are not restored."""
+    tensors, stored, _, _ = ckpt.load_checkpoint(path)
+    check_architecture(path, stored, cfg, component)
+    ckpt.restore_parameters(module, {k: v for k, v in tensors.items() if not k.startswith("repa.")})
+    return module
+
+
 def load_lm(path, cfg):
-    tensors, stored, step, _ = ckpt.load_checkpoint(path)
-    check_architecture(stored, cfg)
-    lm = training.build_lm(cfg)
-    lm_tensors = {k: v for k, v in tensors.items() if not k.startswith("repa.")}
-    ckpt.restore_parameters(lm, lm_tensors)
-    return lm, step
+    return _load(path, training.build_lm(cfg), cfg, "lm")
 
 
 def load_tokenizer(path, cfg):
-    tensors, stored, _, _ = ckpt.load_checkpoint(path)
-    check_architecture(stored, cfg)
-    params = tok.TokenizerParams(_tok_cfg(cfg))
-    ckpt.restore_parameters(params, tensors)
-    return params
+    return _load(path, tok.TokenizerParams(_tok_cfg(cfg)), cfg, "tokenizer")
 
 
 def _tok_cfg(cfg):
     return tok.TokenizerConfig(k=cfg.k, width=cfg.tok_width, blocks=cfg.tok_blocks, heads=cfg.tok_heads)
+
+
+def _resdiff_head(cfg, seed):
+    return rd.ResDiffHead(
+        k=cfg.k, d_hidden=cfg.resdiff_hidden, n_layers=cfg.resdiff_layers,
+        d_lm=cfg.d_model, n_lm_layers=cfg.n_blocks, t_r=cfg.resdiff_t_r, seed=seed,
+    )
 
 
 # -- subcommands --------------------------------------------------------------
@@ -144,7 +162,7 @@ def cmd_finetune_fm(args):
     cfg = load_config(args.config, args.set or [])
     dataset = load_dataset(args.data)
     tokenizer_params = load_tokenizer(args.tokenizer, cfg)
-    lm, _ = load_lm(args.ckpt, cfg)
+    lm = load_lm(args.ckpt, cfg)
     models = hybrid_fm.HybridModels(tokenizer=tokenizer_params, lm=lm)
     hybrid_fm.fm_finetune(
         models, dataset, steps=args.steps, seed=args.seed,
@@ -159,11 +177,8 @@ def cmd_train_resdiff(args):
     cfg = load_config(args.config, args.set or [])
     dataset = load_dataset(args.data)
     tokenizer_params = load_tokenizer(args.tokenizer, cfg)
-    lm, _ = load_lm(args.ckpt, cfg)
-    head = rd.ResDiffHead(
-        k=cfg.k, d_hidden=cfg.resdiff_hidden, n_layers=cfg.resdiff_layers,
-        d_lm=cfg.d_model, n_lm_layers=cfg.n_blocks, t_r=cfg.resdiff_t_r, seed=args.seed,
-    )
+    lm = load_lm(args.ckpt, cfg)
+    head = _resdiff_head(cfg, args.seed)
     samples = []
     for structure, seq in dataset:
         with ad.no_grad():
@@ -176,7 +191,8 @@ def cmd_train_resdiff(args):
         samples.append((rd.residual(z.data, bits), bits, hidden))
     rd.train_resdiff(
         samples, head, steps=args.steps, seed=args.seed,
-        warmup=min(2000, max(args.steps // 10, 1)), log_every=args.log_every,
+        peak=cfg.lr_peak, warmup=min(cfg.warmup, max(args.steps // 10, 1)),
+        log_every=args.log_every,
     )
     _save_model(args.out, head, cfg, step=args.steps)
     return 0
@@ -185,7 +201,7 @@ def cmd_train_resdiff(args):
 def cmd_sample(args):
     cfg = load_config(args.config, args.set or [])
     tokenizer_params = load_tokenizer(args.tokenizer, cfg)
-    lm, _ = load_lm(args.ckpt, cfg)
+    lm = load_lm(args.ckpt, cfg)
     rng = np.random.default_rng(args.seed)
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.n):
@@ -212,16 +228,10 @@ def cmd_eval(args):
     tokenizer_params = load_tokenizer(args.tokenizer, cfg)
     if args.mode == "folding":
         dataset = load_dataset(args.data)
-        lm, _ = load_lm(args.ckpt, cfg)
+        lm = load_lm(args.ckpt, cfg)
         head = None
         if args.resdiff:
-            head = rd.ResDiffHead(
-                k=cfg.k, d_hidden=cfg.resdiff_hidden, n_layers=cfg.resdiff_layers,
-                d_lm=cfg.d_model, n_lm_layers=cfg.n_blocks, t_r=cfg.resdiff_t_r,
-            )
-            tensors, stored, _, _ = ckpt.load_checkpoint(args.resdiff)
-            check_architecture(stored, cfg)
-            ckpt.restore_parameters(head, tensors)
+            head = _load(args.resdiff, _resdiff_head(cfg, args.seed), cfg, "resdiff")
         report = evalsuite.folding_eval(
             lm, tokenizer_params, dataset, steps=args.steps, seed=args.seed, resdiff_head=head,
         )

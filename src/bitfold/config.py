@@ -1,8 +1,14 @@
 """Line-based `key = value` configuration with `[section]` headers.
 
 One flat dataclass carries every knob: architecture flags and dims,
-tokenizer shape, noise schedule, auxiliary heads, multimer defaults, and
+tokenizer shape, noise schedule, auxiliary heads, sampler options and
 training hyperparameters. Round-trips through text losslessly.
+
+Every checkpoint stores the full config text as provenance, but
+`COMPONENT_KEYS` alone says what a checkpoint is checked against: the keys
+that define its component (tokenizer, LM or ResDiff head). Any other key
+may differ between the run that wrote a checkpoint and the run that loads
+it.
 """
 
 from __future__ import annotations
@@ -43,22 +49,17 @@ class ModelConfig:
     repa_enabled: bool = False
     repa_weight: float = 0.5
     # [resdiff]
-    resdiff_enabled: bool = False
     resdiff_t_r: int = 100
     resdiff_hidden: int = 128
     resdiff_layers: int = 4
     # [fm]
     fm_enabled: bool = False
     fm_n_steps: int = 10
-    # [multimer]
-    linker_len: int = 25
-    pos_offset: int = 25
     # [training]
     lr_peak: float = 1e-4
     warmup: int = 2000
     lr_floor: float = 1e-5
     steps: int = 1000
-    batch: int = 1
     seed: int = 0
     folding_sft: bool = False
 
@@ -95,35 +96,41 @@ _SECTIONS = {
     "tokenizer": ["k", "tok_width", "tok_blocks", "tok_heads"],
     "schedule": ["T", "weighting"],
     "repa": ["repa_enabled", "repa_weight"],
-    "resdiff": ["resdiff_enabled", "resdiff_t_r", "resdiff_hidden", "resdiff_layers"],
+    "resdiff": ["resdiff_t_r", "resdiff_hidden", "resdiff_layers"],
     "fm": ["fm_enabled", "fm_n_steps"],
-    "multimer": ["linker_len", "pos_offset"],
-    "training": ["lr_peak", "warmup", "lr_floor", "steps", "batch", "seed", "folding_sft"],
+    "training": ["lr_peak", "warmup", "lr_floor", "steps", "seed", "folding_sft"],
+}
+
+# The keys a checkpoint of each component must agree on with the loading config.
+COMPONENT_KEYS = {
+    "tokenizer": _SECTIONS["tokenizer"],
+    "lm": _SECTIONS["model"] + ["k"] + _SECTIONS["schedule"],
+    "resdiff": _SECTIONS["resdiff"] + ["k", "d_model", "n_blocks"],
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ModelConfig)}
 
 
-def _parse_value(name, raw):
-    kind = _FIELD_TYPES[name]
-    raw = raw.strip()
+def _assign(cfg, item, where):
+    """Set one `key = value` item on `cfg`; errors start with `where`."""
+    if "=" not in item:
+        raise InvalidConfig(f"{where}expected 'key = value', got {item!r}")
+    name, raw = (part.strip() for part in item.split("=", 1))
+    kind = _FIELD_TYPES.get(name)
+    if kind is None:
+        raise InvalidConfig(f"{where}unknown key {name!r}")
     if kind == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise InvalidConfig(f"{name}: expected boolean, got {raw!r}")
-    if kind == "int":
+        if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+            raise InvalidConfig(f"{where}{name}: expected boolean, got {raw!r}")
+        value = raw.lower() in ("true", "1", "yes")
+    elif kind in ("int", "float"):
         try:
-            return int(raw)
+            value = int(raw) if kind == "int" else float(raw)
         except ValueError:
-            raise InvalidConfig(f"{name}: expected integer, got {raw!r}")
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise InvalidConfig(f"{name}: expected number, got {raw!r}")
-    return raw
+            raise InvalidConfig(f"{where}{name}: expected {kind}, got {raw!r}") from None
+    else:
+        value = raw
+    setattr(cfg, name, value)
 
 
 def format_config(cfg: ModelConfig) -> str:
@@ -140,42 +147,31 @@ def parse_config(text) -> ModelConfig:
     cfg = ModelConfig()
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
-        if not line or (line.startswith("[") and line.endswith("]")):
-            continue
-        if "=" not in line:
-            raise InvalidConfig(f"line {line_no}: expected 'key = value', got {line!r}")
-        name, raw = (part.strip() for part in line.split("=", 1))
-        if name not in _FIELD_TYPES:
-            raise InvalidConfig(f"line {line_no}: unknown key {name!r}")
-        setattr(cfg, name, _parse_value(name, raw))
+        if line and not (line.startswith("[") and line.endswith("]")):
+            _assign(cfg, line, f"line {line_no}: ")
     return cfg.validate()
 
 
 def apply_overrides(cfg: ModelConfig, overrides) -> ModelConfig:
     """Apply `key=value` strings (CLI --set)."""
     for item in overrides:
-        if "=" not in item:
-            raise InvalidConfig(f"override must be key=value, got {item!r}")
-        name, raw = (part.strip() for part in item.split("=", 1))
-        if name not in _FIELD_TYPES:
-            raise InvalidConfig(f"unknown config key {name!r}")
-        setattr(cfg, name, _parse_value(name, raw))
+        _assign(cfg, item, "--set ")
     return cfg.validate()
 
 
-def check_architecture(stored_text, cfg: ModelConfig):
-    """Raise InvalidConfig if the stored config echo disagrees with `cfg`
-    on any non-training field (training hyperparameters may differ)."""
-    stored = parse_config(stored_text)
-    for section, names in _SECTIONS.items():
-        if section == "training":
-            continue
-        for name in names:
-            if getattr(stored, name) != getattr(cfg, name):
-                raise InvalidConfig(
-                    f"checkpoint config mismatch: {name} = {getattr(stored, name)!r} "
-                    f"vs loaded {getattr(cfg, name)!r}"
-                )
+def check_architecture(path, stored_text, cfg: ModelConfig, component):
+    """Raise InvalidConfig if the config echo stored in the checkpoint at
+    `path` disagrees with `cfg` on one of `component`'s keys."""
+    try:
+        stored = parse_config(stored_text)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: stored config: {exc}") from None
+    for name in COMPONENT_KEYS[component]:
+        if getattr(stored, name) != getattr(cfg, name):
+            raise InvalidConfig(
+                f"{path}: checkpoint has {name} = {getattr(stored, name)}, "
+                f"config has {getattr(cfg, name)}"
+            )
 
 
 def load_config(path=None, overrides=()) -> ModelConfig:

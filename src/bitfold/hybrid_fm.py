@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import diffusion as dfn
 from . import geometry as geo
 from . import tokenizer as tok
-from .errors import TimeOrder
+from .errors import HeadMismatch, TimeOrder
 from .optim import fit
 
 PRIOR_SIGMA = 10.0
@@ -54,6 +54,12 @@ class HybridModels:
     tokenizer: tok.TokenizerParams
     lm: object  # ProteinLM
     resdiff_head: object = None
+
+    def __post_init__(self):
+        if self.lm.head != "bit":
+            raise HeadMismatch(
+                f"hybrid flow matching needs head 'bit', the LM has head {self.lm.head!r}"
+            )
 
 
 def denoise(state: FlowState, models: HybridModels, rng=None, position_indices=None):

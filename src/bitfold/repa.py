@@ -3,19 +3,17 @@ them toward frozen teacher features with a negative-cosine loss.
 
 The teacher is the frozen structure-tokenizer encoder; its pre-head hidden
 states are rigid-invariant, so targets can be precomputed once per sample
-and cached as text files.
+and held in memory.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from . import autodiff as ad
 from . import tokenizer as tok
 from .autodiff import Module, Tensor
-from .errors import CacheMiss, ParseError
+from .errors import CacheMiss
 from .nn import MLP
 
 REPA_WEIGHT_DEFAULT = 0.5
@@ -58,68 +56,19 @@ def teacher_targets(structure, params: tok.TokenizerParams):
     return hidden.data.copy()
 
 
-def format_target_file(targets):
-    targets = np.asarray(targets)
-    lines = [f"REPA v1 L={targets.shape[0]} D={targets.shape[1]}"]
-    for row in targets:
-        lines.append(" ".join(f"{v:.17g}" for v in row))  # round-trips float64 exactly
-    return "\n".join(lines) + "\n"
-
-
-def parse_target_file(text):
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("REPA v1"):
-        raise ParseError("missing 'REPA v1' header", line_no=1)
-    try:
-        header = dict(part.split("=") for part in lines[0].split()[2:])
-        length, dim = int(header["L"]), int(header["D"])
-    except (KeyError, ValueError):
-        raise ParseError("malformed REPA header", line_no=1)
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if len(rows) != length:
-        raise ParseError(f"expected {length} rows, found {len(rows)}", line_no=len(lines))
-    out = np.empty((length, dim))
-    for i, row in enumerate(rows, start=2):
-        parts = row.split()
-        if len(parts) != dim:
-            raise ParseError(f"expected {dim} fields, got {len(parts)}", line_no=i)
-        out[i - 2] = [float(p) for p in parts]
-    return out
-
-
 class TargetStore:
-    """Read-only store of per-sample teacher targets, keyed by sample id.
+    """Read-only in-memory store of per-sample teacher targets, keyed by
+    sample id."""
 
-    Backed either by an in-memory dict or by one file per sample in a
-    directory (`<id>.repa`).
-    """
-
-    def __init__(self, targets=None, directory=None):
-        self._mem = dict(targets or {})
-        self._dir = directory
+    def __init__(self, targets):
+        self._mem = dict(targets)
 
     def get(self, sample_id):
-        if sample_id in self._mem:
-            return self._mem[sample_id]
-        if self._dir is not None:
-            path = os.path.join(self._dir, f"{sample_id}.repa")
-            if os.path.exists(path):
-                with open(path) as fh:
-                    value = parse_target_file(fh.read())
-                self._mem[sample_id] = value
-                return value
-        raise CacheMiss(f"no precomputed targets for sample {sample_id!r}")
+        if sample_id not in self._mem:
+            raise CacheMiss(f"no precomputed targets for sample {sample_id!r}")
+        return self._mem[sample_id]
 
 
-def precompute_targets(teacher_params, dataset, directory=None):
-    """Teacher targets for every structure in `dataset`; optionally written
-    to `directory` as one file per sample."""
-    store = {}
-    for structure in dataset:
-        targets = teacher_targets(structure, teacher_params)
-        store[structure.source_id] = targets
-        if directory is not None:
-            path = os.path.join(directory, f"{structure.source_id}.repa")
-            with open(path, "w") as fh:
-                fh.write(format_target_file(targets))
-    return TargetStore(store, directory)
+def precompute_targets(teacher_params, dataset):
+    """Teacher targets for every structure in `dataset`."""
+    return TargetStore({s.source_id: teacher_targets(s, teacher_params) for s in dataset})

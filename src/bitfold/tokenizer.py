@@ -133,7 +133,6 @@ class Decoder(Module):
 class TokenizerParams(Module):
     def __init__(self, cfg: TokenizerConfig, seed=0):
         rng = np.random.default_rng(seed)
-        self.cfg_k = cfg.k
         self.encoder = Encoder(rng, cfg)
         self.decoder = Decoder(rng, cfg)
 

@@ -5,7 +5,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import bitfold
+from bitfold import checkpoint as ckpt
+from bitfold import cli
+from bitfold import geometry as geo
+from bitfold.experiments import DEFAULT_GRID
 
 # Calls `cli.main` on each argv (a JSON list) in turn and prints the exit codes.
 # One child process runs the whole chain: training frees large arrays, which
@@ -29,28 +35,64 @@ def run_cli(runs):
     return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
 
 
+def _sets(overrides):
+    return [arg for key, value in overrides.items()
+            for arg in ("--set", f"{key}={str(value).lower()}")]
+
+
 def test_pipeline_subcommands_run(tmp_path):
     data, samples = str(tmp_path / "data"), str(tmp_path / "samples")
     tok_ckpt, lm_ckpt = str(tmp_path / "tok.ckpt"), str(tmp_path / "lm.ckpt")
-    rd_ckpt = str(tmp_path / "rd.ckpt")
+    rd_ckpt, rd_hot_ckpt = str(tmp_path / "rd.ckpt"), str(tmp_path / "rd_hot.ckpt")
+    grid = {name: str(tmp_path / f"{name}.ckpt") for name in DEFAULT_GRID}
     empty = tmp_path / "empty"
     empty.mkdir()
+    short = tmp_path / "short"
+    short.mkdir()
+    structure, seq = geo.synth_backbone(geo.SynthSpec(length=16), seed=0)
+    structure.source_id = "s0"
+    cli.write_sample(str(short), structure, seq[:-1])
     common = ["--data", data, "--tokenizer", tok_ckpt]
-    runs = [
+    passing = [
         ["gen-data", "--n", "4", "--min-len", "16", "--max-len", "20", "--out", data],
         ["train-tokenizer", "--data", data, "--out", tok_ckpt, "--steps", "2"],
         ["train-lm", *common, "--out", lm_ckpt, "--steps", "2"],
         ["finetune-fm", *common, "--ckpt", lm_ckpt, "--out", str(tmp_path / "fm.ckpt"),
          "--steps", "2"],
         ["train-resdiff", *common, "--ckpt", lm_ckpt, "--out", rd_ckpt, "--steps", "2"],
+        ["train-resdiff", *common, "--ckpt", lm_ckpt, "--out", rd_hot_ckpt, "--steps", "2",
+         "--set", "lr_peak=0.01"],
         ["sample", "--tokenizer", tok_ckpt, "--ckpt", lm_ckpt, "--out", samples,
          "--n", "2", "--length", "16", "--steps", "4"],
         ["eval", "--mode", "folding", *common, "--ckpt", lm_ckpt, "--resdiff", rd_ckpt,
          "--steps", "4"],
         ["eval", "--mode", "diversity", "--data", samples, "--tokenizer", tok_ckpt],
+        # every design-space row trains on the default tokenizer
+        *(["train-lm", *common, "--out", grid[name], "--steps", "2", *_sets(overrides)]
+          for name, overrides in DEFAULT_GRID.items()),
+        ["sample", "--tokenizer", tok_ckpt, "--ckpt", grid["2-geo-bit"],
+         "--out", str(tmp_path / "fm_samples"), "--length", "16",
+         "--set", "pair_bias=true", "--set", "fm_enabled=true"],
+    ]
+    failing = [
+        ["train-lm", *common, "--out", str(tmp_path / "none.ckpt"), "--steps", "2",
+         "--set", "k=6"],
+        ["sample", "--tokenizer", tok_ckpt, "--ckpt", grid["2-geo-bit"],
+         "--out", str(tmp_path / "fm_samples"), "--length", "16"],
+        ["finetune-fm", *common, "--ckpt", grid["0-baseline-index"],
+         "--out", str(tmp_path / "none.ckpt"), "--steps", "2", "--set", "head=index"],
+        ["train-tokenizer", "--data", str(short), "--out", str(tmp_path / "none.ckpt"),
+         "--steps", "2"],
         ["train-lm", "--data", str(empty), "--tokenizer", tok_ckpt,
          "--out", str(tmp_path / "none.ckpt"), "--steps", "2"],
     ]
+    runs = passing + failing
     codes, err = run_cli(runs)
-    assert codes == [0] * (len(runs) - 1) + [1], list(zip(codes, runs))
-    assert "no training items" in err
+    assert codes == [0] * len(passing) + [1] * len(failing), list(zip(codes, runs))
+    assert f"{tok_ckpt}: checkpoint has k = 8, config has 6" in err
+    assert f"{grid['2-geo-bit']}: checkpoint has pair_bias = True, config has False" in err
+    assert "needs head 'bit', the LM has head 'index'" in err
+    assert f"{short / 's0.seq'}: 15 residues, but {short / 's0.bkb'} has 16" in err
+    assert f"no training items: --data {empty}" in err
+    plain, hot = ckpt.load_checkpoint(rd_ckpt)[0], ckpt.load_checkpoint(rd_hot_ckpt)[0]
+    assert any(not np.array_equal(plain[name], hot[name]) for name in plain)

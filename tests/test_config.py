@@ -1,0 +1,89 @@
+"""Config text round trip, parse errors, per-component checkpoint checks,
+and the rule that every config key is read by some code."""
+
+import re
+from dataclasses import fields, replace
+from pathlib import Path
+
+import pytest
+
+import bitfold
+from bitfold.config import (
+    COMPONENT_KEYS, ModelConfig, apply_overrides, check_architecture, format_config,
+    parse_config,
+)
+from bitfold.errors import InvalidConfig
+
+KEYS = [f.name for f in fields(ModelConfig)]
+
+
+def _changed(cfg, name):
+    """`cfg` with `name` set to another value that still validates."""
+    value = getattr(cfg, name)
+    if isinstance(value, bool):
+        return replace(cfg, **{name: not value})
+    if isinstance(value, (int, float)):
+        return replace(cfg, **{name: 2 * value or 1})
+    return replace(cfg, **{name: {"bit": "index", "uniform": "inv-t"}[value]})
+
+
+def test_format_parse_round_trips_a_non_default_config():
+    cfg = ModelConfig(d_model=48, head="index", pair_bias=True, triangle_update=True, k=6,
+                      T=37, weighting="inv-t", repa_enabled=True, repa_weight=0.3,
+                      resdiff_hidden=24, fm_enabled=True, fm_n_steps=3, lr_peak=3.3e-4,
+                      seed=7, folding_sft=True)
+    assert parse_config(format_config(cfg)) == cfg
+
+
+def test_unknown_key_names_its_line():
+    with pytest.raises(InvalidConfig, match=r"line 3: unknown key 'batch'"):
+        parse_config("[model]\nd_model = 32\nbatch = 4\n")
+
+
+def test_bad_bool_names_its_line():
+    with pytest.raises(InvalidConfig, match=r"line 2: pair_bias: expected boolean, got 'maybe'"):
+        parse_config("[model]\npair_bias = maybe\n")
+
+
+def test_bad_override_names_the_flag():
+    with pytest.raises(InvalidConfig, match=r"--set k: expected int, got 'eight'"):
+        apply_overrides(ModelConfig(), ["k=eight"])
+
+
+@pytest.mark.parametrize("component", sorted(COMPONENT_KEYS))
+def test_checkpoint_is_checked_on_its_own_keys_only(component):
+    cfg = ModelConfig(pair_bias=True)  # so that each triangle flag may turn on
+    path = f"x/{component}.ckpt"
+    for name in KEYS:
+        stored = format_config(_changed(cfg, name))
+        if name in COMPONENT_KEYS[component]:
+            message = rf"^x/{component}\.ckpt: checkpoint has {name} = "
+            with pytest.raises(InvalidConfig, match=message):
+                check_architecture(path, stored, cfg, component)
+        else:
+            check_architecture(path, stored, cfg, component)
+
+
+def test_mismatch_message_names_path_key_and_both_values():
+    cfg = ModelConfig()
+    stored = format_config(replace(cfg, pair_bias=True))
+    with pytest.raises(InvalidConfig) as err:
+        check_architecture("lm.ckpt", stored, cfg, "lm")
+    assert str(err.value) == "lm.ckpt: checkpoint has pair_bias = True, config has False"
+
+
+def test_unparseable_echo_names_the_checkpoint():
+    with pytest.raises(InvalidConfig, match=r"^old\.ckpt: stored config: line 1: unknown key"):
+        check_architecture("old.ckpt", "resdiff_enabled = False\n", ModelConfig(), "tokenizer")
+
+
+def test_every_key_is_read():
+    """Each ModelConfig field is read as `cfg.<name>` in the package, or as
+    `self.<name>` in config.py, where block_config copies it."""
+    src = Path(bitfold.__file__).parent
+    package = "\n".join(p.read_text() for p in sorted(src.glob("*.py")))
+    config = (src / "config.py").read_text()
+    unread = [name for name in KEYS
+              if not re.search(rf"\bcfg\.{name}\b", package)
+              and not re.search(rf"\bself\.{name}\b", config)]
+    assert unread == []
