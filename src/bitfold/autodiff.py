@@ -741,12 +741,12 @@ class Linear(Module):
         return matmul(x, self.w) + self.b
 
 
-class Affine(Module):
-    """Post-layernorm learnable scale and shift."""
+class LayerNorm(Module):
+    """`layernorm` over the last axis, then a learnable scale and shift."""
 
     def __init__(self, d):
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = zeros_param(d)
 
     def __call__(self, x):
-        return x * self.gamma + self.beta
+        return layernorm(x) * self.gamma + self.beta

@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train-tokenizer, train-lm, finetune-fm,
 train-resdiff, sample, eval, grad-check. All randomness derives
-from --seed; configuration comes from --config files with --set key=value
-overrides. Exit code 2 on usage errors, 1 on runtime failures.
+from --seed; the commands that build or load a model read their
+configuration from --config files with --set key=value overrides. Exit
+code 2 on usage errors, 1 on runtime failures.
 
 A command that loads a checkpoint must repeat that component's config keys
 (`config.COMPONENT_KEYS`), and only those: an LM trained with
@@ -30,7 +31,7 @@ from . import resdiff as rd
 from . import tokenizer as tok
 from . import training
 from .config import check_architecture, format_config, load_config
-from .errors import BitfoldError, DegenerateInput, LengthMismatch
+from .errors import BitfoldError, DegenerateInput, LengthMismatch, ModeInputMissing
 
 
 # -- dataset layout -----------------------------------------------------------
@@ -104,7 +105,6 @@ def _resdiff_head(cfg, seed):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_gen_data(args):
-    cfg = load_config(args.config, args.set or [])
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     for i in range(args.n):
@@ -116,7 +116,6 @@ def cmd_gen_data(args):
         structure.source_id = f"synth{i:05d}"
         write_sample(args.out, structure, seq)
     print(f"wrote {args.n} samples to {args.out}")
-    del cfg
     return 0
 
 
@@ -224,6 +223,8 @@ def cmd_sample(args):
 
 
 def cmd_eval(args):
+    if args.mode == "folding" and args.ckpt is None:
+        raise ModeInputMissing("eval --mode folding needs --ckpt, the LM checkpoint to fold with")
     cfg = load_config(args.config, args.set or [])
     tokenizer_params = load_tokenizer(args.tokenizer, cfg)
     if args.mode == "folding":
@@ -248,8 +249,7 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_grad_check(args):
-    del args
+def cmd_grad_check(_args):
     from .gradsuite import run_grad_suite
 
     reports = run_grad_suite()
@@ -272,7 +272,8 @@ def build_parser():
         p.add_argument("--set", action="append", metavar="KEY=VALUE")
         return p
 
-    p = common(sub.add_parser("gen-data", help="generate synthetic backbones"))
+    p = sub.add_parser("gen-data", help="generate synthetic backbones")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-len", type=int, default=16)
@@ -335,8 +336,7 @@ def build_parser():
     p.add_argument("--steps", type=int, default=25)
     p.set_defaults(func=cmd_eval)
 
-    p = common(sub.add_parser("grad-check"))
-    p.set_defaults(func=cmd_grad_check)
+    sub.add_parser("grad-check").set_defaults(func=cmd_grad_check)
 
     return parser
 
@@ -346,10 +346,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BitfoldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (BitfoldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,12 +31,10 @@ class NoiseSchedule:
     lambda_w: np.ndarray  # (T+1,) per-step loss weights
 
 
-def make_schedule(T, kind="linear-mask", weighting="uniform"):
+def make_schedule(T, weighting="uniform"):
     """Linear absorbing schedule: survival alpha_bar_t = 1 - t/T."""
     if T < 2:
         raise BadT(f"T must be >= 2, got {T}")
-    if kind != "linear-mask":
-        raise ValueError(f"unknown schedule kind {kind!r}")
     t = np.arange(T + 1, dtype=np.float64)
     alpha_bar = 1.0 - t / T
     beta = np.ones(T + 1)

@@ -7,6 +7,12 @@ pair representation with pair-biased attention and pair transition,
 structure-track transition, triangle multiplicative updates, triangle
 attention, and SeqStruct attention over feature-concatenated tracks.
 
+Every attention here is one gated `nn.MultiHeadAttention` after an
+`autodiff.LayerNorm` pre-norm: trunk attention over residues (relative
+position bias, plus the pair bias when the pair track is on), SeqStruct
+attention (pair bias), and triangle attention over each row of the pair
+map (each column for "ending"), biased by a projection of the pair map.
+
 With every flag off the model reduces exactly to the plain two-modality
 transformer; pair-bias projections are zero-initialized so a zeroed pair
 representation also reproduces the plain forward bit-for-bit.
@@ -21,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffusion as dfn
 from . import nn
-from .autodiff import Affine, Linear, Module, Tensor
+from .autodiff import LayerNorm, Linear, Module, Tensor
 from .errors import InvalidConfig
 
 
@@ -88,57 +94,41 @@ class TriangleUpdate(Module):
 
     def __init__(self, rng, d_pair, d_hidden, mode):
         self.mode = mode
-        self.norm = Affine(d_pair)
+        self.norm = LayerNorm(d_pair)
         self.gate_a = Linear(rng, d_pair, d_hidden)
         self.val_a = Linear(rng, d_pair, d_hidden)
         self.gate_b = Linear(rng, d_pair, d_hidden)
         self.val_b = Linear(rng, d_pair, d_hidden)
         self.out_gate = Linear(rng, d_pair, d_pair)
-        self.out_norm = Affine(d_hidden)
+        self.out_norm = LayerNorm(d_hidden)
         self.out = Linear(rng, d_hidden, d_pair, zero_init=True)
 
     def __call__(self, pair):
-        z = self.norm(ad.layernorm(pair))
+        z = self.norm(pair)
         a = ad.sigmoid(self.gate_a(z)) * self.val_a(z)
         b = ad.sigmoid(self.gate_b(z)) * self.val_b(z)
         mixed = ad.tri_contract(a, b, self.mode)
-        delta = self.out(self.out_norm(ad.layernorm(mixed)))
+        delta = self.out(self.out_norm(mixed))
         return ad.sigmoid(self.out_gate(z)) * delta
 
 
 class TriangleAttention(Module):
-    """Row-wise (starting) or column-wise (ending) attention over the pair
-    map with logits biased by the pair representation itself."""
+    """Gated attention along each row (starting) or column (ending) of the
+    pair map, with logits biased by the pair representation itself."""
 
     def __init__(self, rng, d_pair, d_head, n_heads, mode):
         self.mode = mode
-        self.n_heads = n_heads
-        self.d_head = d_head
-        d_inner = d_head * n_heads
-        self.norm = Affine(d_pair)
-        self.q = Linear(rng, d_pair, d_inner)
-        self.k = Linear(rng, d_pair, d_inner)
-        self.v = Linear(rng, d_pair, d_inner)
+        self.norm = LayerNorm(d_pair)
         self.bias = Linear(rng, d_pair, n_heads)
-        self.gate = Linear(rng, d_pair, d_inner)
-        self.out = Linear(rng, d_inner, d_pair, zero_init=True)
+        self.attn = nn.MultiHeadAttention(rng, d_pair, n_heads, d_head=d_head, gated=True,
+                                          zero_init_out=True)
 
     def __call__(self, pair):
         if self.mode == "ending":
-            pair_in = ad.transpose(pair, (1, 0, 2))
-        else:
-            pair_in = pair
-        length = pair_in.shape[0]
-        z = self.norm(ad.layernorm(pair_in))
-
-        def split(x):  # (L, L, H*dh) -> (L, H, L, dh)
-            return ad.transpose(ad.reshape(x, (length, length, self.n_heads, self.d_head)), (0, 2, 1, 3))
-
-        q, k, v = split(self.q(z)), split(self.k(z)), split(self.v(z))
+            pair = ad.transpose(pair, (1, 0, 2))
+        z = self.norm(pair)
         bias = ad.transpose(self.bias(z), (2, 0, 1))  # (H, j, k) from pair[j][k], shared by rows i
-        ctx = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_head), bias=bias)  # (L, H, L, dh)
-        merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (length, length, -1))
-        delta = self.out(merged * ad.sigmoid(self.gate(z)))
+        delta = self.attn(z, bias=bias)
         if self.mode == "ending":
             delta = ad.transpose(delta, (1, 0, 2))
         return delta
@@ -149,14 +139,14 @@ class SeqStructAttention(Module):
     concatenation of the two tracks, split back afterwards."""
 
     def __init__(self, rng, d_model, d_pair, n_heads):
-        self.norm = Affine(2 * d_model)
+        self.norm = LayerNorm(2 * d_model)
         self.attn = nn.MultiHeadAttention(rng, 2 * d_model, n_heads, gated=True, zero_init_out=True)
         self.bias = PairBias(rng, d_pair, n_heads)
 
     def __call__(self, h_seq, h_struct, pair):
         d = h_seq.shape[1]
         joint = ad.concat([h_seq, h_struct], axis=1)
-        out = self.attn(self.norm(ad.layernorm(joint)), bias=self.bias(pair))
+        out = self.attn(self.norm(joint), bias=self.bias(pair))
         return out[:, :d], out[:, d:]
 
 
@@ -166,7 +156,7 @@ class EncoderBlock(Module):
     def __init__(self, rng, cfg: BlockConfig):
         d = cfg.d_model
         self.cfg = cfg
-        self.attn_norm = Affine(d)
+        self.attn_norm = LayerNorm(d)
         self.attn = nn.MultiHeadAttention(rng, d, cfg.heads, gated=True)
         self.rel = nn.RelPosBias(rng, cfg.heads)
         self.transition = nn.Transition(rng, d, cfg.transition_ratio)
@@ -194,7 +184,7 @@ class EncoderBlock(Module):
             zeros_r = Tensor(np.zeros((cfg.heads, length, length)))
             zeros_b = Tensor(np.zeros((cfg.heads, length, 2 * length)))
             bias = bias + ad.concat([ad.concat([pb, zeros_r], axis=2), zeros_b], axis=1)
-        h = h + self.attn(self.attn_norm(ad.layernorm(h)), bias=bias)
+        h = h + self.attn(self.attn_norm(h), bias=bias)
         if cfg.seqstruct_attention:
             h_struct, h_seq = h[:length], h[length:]
             d_seq, d_struct = self.seqstruct(h_seq, h_struct, pair)
@@ -243,7 +233,7 @@ class ProteinLM(Module):
         if cfg.pair_bias:
             self.pair_init = PairInit(rng, d, cfg.d_pair)
         self.blocks = [EncoderBlock(rng, cfg) for _ in range(n_blocks)]
-        self.final_norm = Affine(d)
+        self.final_norm = LayerNorm(d)
         self.seq_out = Linear(rng, d, dfn.N_AA)
 
     def _embed_struct(self, state):
@@ -267,7 +257,7 @@ class ProteinLM(Module):
         for block in self.blocks:
             h, pair = block(h, pair, positions)
             hidden_layers.append(h[:length])
-        h = self.final_norm(ad.layernorm(h))
+        h = self.final_norm(h)
         return dfn.LMOutput(
             seq_logits=self.seq_out(h[length:]),
             struct_logits=self.struct_out(h[:length]),
@@ -277,8 +267,3 @@ class ProteinLM(Module):
 
     def parameter_count(self):
         return sum(p.size for p in self.parameters().values())
-
-
-def assemble_model(cfg: BlockConfig, n_blocks, k=8, head="bit", T=100, seed=0,
-                   weighting="uniform"):
-    return ProteinLM(cfg, n_blocks, k, head=head, T=T, weighting=weighting, seed=seed)

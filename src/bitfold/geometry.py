@@ -54,11 +54,6 @@ class BackboneStructure:
     def ca(self):
         return self.coords[:, 1, :]
 
-    def centered(self):
-        """Copy translated so the CA centroid sits at the origin."""
-        shift = self.ca().mean(axis=0)
-        return BackboneStructure(self.coords - shift, self.chain_ids.copy(), self.source_id)
-
     def transformed(self, rotation, translation):
         coords = self.coords @ np.asarray(rotation).T + np.asarray(translation)
         return BackboneStructure(coords, self.chain_ids.copy(), self.source_id)

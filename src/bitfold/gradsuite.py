@@ -167,7 +167,7 @@ def _loss_triangle_attention(seed):
     attns = []
     for mode in ("starting", "ending"):
         ta = geo_arch.TriangleAttention(rng, 5, 3, 2, mode)
-        ta.out.w.data[:] = rng.normal(size=ta.out.w.data.shape) * 0.2
+        ta.attn.out.w.data[:] = rng.normal(size=ta.attn.out.w.data.shape) * 0.2
         attns.append(ta)
 
     def fn():

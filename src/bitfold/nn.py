@@ -1,8 +1,14 @@
 """Shared neural building blocks on top of the autodiff core.
 
-Multi-head attention (optionally with additive logit bias and sigmoid
-output gating), the gated transition block, MLP stacks, relative-position
-bias tables, sinusoidal embeddings, and differentiable backbone dihedral
+Multi-head attention is the package's one attention module: it attends
+along the second-to-last axis and treats any leading axes as independent
+rows, so the same module serves attention over residues (L, d) and
+triangle attention over the rows of the pair map (L, L, d). Its head width
+`d_head` defaults to `d_model // n_heads`. It takes an optional additive
+logit bias and sigmoid output gating. Every pre-norm is `autodiff.LayerNorm`.
+
+Also here: the gated transition block, MLP stacks, relative-position bias
+tables, sinusoidal embeddings, and differentiable backbone dihedral
 helpers used by reconstruction losses.
 """
 
@@ -11,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Affine, Linear, Module, Tensor
+from .autodiff import LayerNorm, Linear, Module, Tensor
 
 REL_POS_CLIP = 32
 
@@ -41,13 +47,13 @@ class Transition(Module):
     """
 
     def __init__(self, rng, d, ratio=4):
-        self.norm = Affine(d)
+        self.norm = LayerNorm(d)
         self.gate = Linear(rng, d, d * ratio)
         self.value = Linear(rng, d, d * ratio)
         self.out = Linear(rng, d * ratio, d, zero_init=True)
 
     def __call__(self, x):
-        h = self.norm(ad.layernorm(x))
+        h = self.norm(x)
         return self.out(ad.swish(self.gate(h)) * self.value(h))
 
 
@@ -85,34 +91,41 @@ class RelPosBias(Module):
 
 
 class MultiHeadAttention(Module):
-    """Self-attention over residues with optional logit bias and gating.
+    """Self-attention along the second-to-last axis of an (..., L, d_model)
+    input, with optional logit bias and gating; leading axes are
+    independent rows.
 
-    `bias` is an (H, L, L) tensor added to the scaled logits; `rel` is the
-    `(table, diff)` pair of relative values from `RelPosBias`; `gated`
-    applies a per-head sigmoid gate computed from the input, as in
-    pair-biased attention.
+    `bias` is added to the scaled (..., H, L, L) logits and broadcasts over
+    the rows; `rel` is the `(table, diff)` pair of relative values from
+    `RelPosBias`; `gated` applies a sigmoid gate computed from the input to
+    each head's output, as in pair-biased and triangle attention. The
+    heads are `d_head` wide, `d_model // n_heads` by default.
     """
 
-    def __init__(self, rng, d_model, n_heads, gated=False, zero_init_out=False):
-        assert d_model % n_heads == 0
+    def __init__(self, rng, d_model, n_heads, d_head=None, gated=False, zero_init_out=False):
+        if d_head is None:
+            assert d_model % n_heads == 0
+            d_head = d_model // n_heads
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
-        self.q = Linear(rng, d_model, d_model)
-        self.k = Linear(rng, d_model, d_model)
-        self.v = Linear(rng, d_model, d_model)
-        self.gate = Linear(rng, d_model, d_model) if gated else None
-        self.out = Linear(rng, d_model, d_model, zero_init=zero_init_out)
+        self.d_head = d_head
+        d_inner = n_heads * d_head
+        self.q = Linear(rng, d_model, d_inner)
+        self.k = Linear(rng, d_model, d_inner)
+        self.v = Linear(rng, d_model, d_inner)
+        self.gate = Linear(rng, d_model, d_inner) if gated else None
+        self.out = Linear(rng, d_inner, d_model, zero_init=zero_init_out)
 
-    def _split(self, x, length):
-        return ad.transpose(ad.reshape(x, (length, self.n_heads, self.d_head)), (1, 0, 2))
+    def _swap_heads(self, y):  # (..., L, H, dh) <-> (..., H, L, dh)
+        n = y.ndim
+        return ad.transpose(y, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
+
+    def _split(self, y):  # (..., L, H*dh) -> (..., H, L, dh)
+        return self._swap_heads(ad.reshape(y, y.shape[:-1] + (self.n_heads, self.d_head)))
 
     def __call__(self, x, bias=None, rel=None):
-        length = x.shape[0]
-        q = self._split(self.q(x), length)
-        k = self._split(self.k(x), length)
-        v = self._split(self.v(x), length)
-        ctx = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_head), bias=bias, rel=rel)  # (H, L, dh)
-        merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (length, self.n_heads * self.d_head))
+        q, k, v = self._split(self.q(x)), self._split(self.k(x)), self._split(self.v(x))
+        ctx = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_head), bias=bias, rel=rel)
+        merged = ad.reshape(self._swap_heads(ctx), x.shape[:-1] + (-1,))
         if self.gate is not None:
             merged = merged * ad.sigmoid(self.gate(x))
         return self.out(merged)

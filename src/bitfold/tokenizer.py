@@ -17,13 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from . import kernels, nn
-from .autodiff import Affine, Linear, Module, Tensor
-from .errors import (
-    DegenerateInput,
-    IndexOutOfRange,
-    ParseError,
-    ShapeMismatch,
-)
+from .autodiff import LayerNorm, Linear, Module, Tensor
+from .errors import DegenerateInput, IndexOutOfRange, ShapeMismatch
 from .optim import fit
 
 N_FEATURES = 23  # 8 distance offsets + 6 dihedral sin/cos + 9 frame projections
@@ -88,28 +83,28 @@ class Encoder(Module):
         w = cfg.width
         self.embed = Linear(rng, N_FEATURES, w)
         self.blocks = [nn.Transition(rng, w, ratio=2) for _ in range(cfg.blocks)]
-        self.norm = Affine(w)
+        self.norm = LayerNorm(w)
         self.head = Linear(rng, w, cfg.k)
 
     def __call__(self, feats):
         x = self.embed(feats if isinstance(feats, Tensor) else Tensor(feats))
         for block in self.blocks:
             x = x + block(x)
-        hidden = self.norm(ad.layernorm(x))
+        hidden = self.norm(x)
         return self.head(hidden), hidden
 
 
 class DecoderBlock(Module):
     def __init__(self, rng, cfg: TokenizerConfig):
         w = cfg.width
-        self.norm = Affine(w)
+        self.norm = LayerNorm(w)
         self.attn = nn.MultiHeadAttention(rng, w, cfg.heads)
         self.rel = nn.RelPosBias(rng, cfg.heads, d_value=w // cfg.heads)
         self.mlp = nn.Transition(rng, w, ratio=2)
 
     def __call__(self, x, positions):
         bias, rel = self.rel(positions)
-        x = x + self.attn(self.norm(ad.layernorm(x)), bias=bias, rel=rel)
+        x = x + self.attn(self.norm(x), bias=bias, rel=rel)
         return x + self.mlp(x)
 
 
@@ -118,14 +113,14 @@ class Decoder(Module):
         w = cfg.width
         self.embed = Linear(rng, cfg.k, w)
         self.blocks = [DecoderBlock(rng, cfg) for _ in range(cfg.blocks)]
-        self.norm = Affine(w)
+        self.norm = LayerNorm(w)
         self.out = Linear(rng, w, 12)
 
     def __call__(self, tokens, positions):
         x = self.embed(tokens if isinstance(tokens, Tensor) else Tensor(tokens))
         for block in self.blocks:
             x = block(x, positions)
-        coords = ad.reshape(self.out(self.norm(ad.layernorm(x))), (-1, 4, 3))
+        coords = ad.reshape(self.out(self.norm(x)), (-1, 4, 3))
         center = coords[:, 1, :].mean(axis=0)
         return coords - center
 
@@ -195,60 +190,6 @@ def index_to_bits(indices, k):
         raise IndexOutOfRange(f"indices outside [0, {2**k})")
     shifted = (indices[:, None] >> np.arange(k)) & 1
     return np.where(shifted > 0, 1.0, -1.0)
-
-
-# -- token file format -------------------------------------------------------
-
-def format_token_file(k, indices=None, bits=None, masked=None):
-    """TOK v1 text; MASK rows as 'M', PAD rows as 'P'."""
-    if (indices is None) == (bits is None):
-        raise ValueError("provide exactly one of indices, bits")
-    length = len(indices) if indices is not None else len(bits)
-    masked = np.zeros(length, dtype=bool) if masked is None else np.asarray(masked, dtype=bool)
-    lines = [f"TOK v1 K={k} L={length}"]
-    for i in range(length):
-        if indices is not None and indices[i] == pad_id(k):
-            lines.append("P")
-        elif masked[i] or (indices is not None and indices[i] == mask_id(k)):
-            lines.append("M")
-        elif indices is not None:
-            lines.append(str(int(indices[i])))
-        else:
-            lines.append(" ".join(f"{int(b):+d}" for b in bits[i]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_token_file(text):
-    """Returns (k, indices) with MASK/PAD ids in place; bit files are
-    converted to indices."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("TOK v1"):
-        raise ParseError("missing 'TOK v1' header", line_no=1)
-    try:
-        header = dict(part.split("=") for part in lines[0].split()[2:])
-        k, length = int(header["K"]), int(header["L"])
-    except (KeyError, ValueError):
-        raise ParseError("malformed TOK header", line_no=1)
-    if len(lines) - 1 != length:
-        raise ParseError(f"expected {length} rows, found {len(lines) - 1}", line_no=len(lines))
-    out = np.empty(length, dtype=np.int64)
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if parts == ["M"]:
-            out[i - 2] = mask_id(k)
-        elif parts == ["P"]:
-            out[i - 2] = pad_id(k)
-        elif len(parts) == 1:
-            val = int(parts[0])
-            if not 0 <= val < 2**k:
-                raise ParseError(f"index {val} out of range", line_no=i)
-            out[i - 2] = val
-        elif len(parts) == k:
-            bits = np.array([[float(p) for p in parts]])
-            out[i - 2] = bits_to_index(bits)[0]
-        else:
-            raise ParseError(f"expected 1 or {k} fields, got {len(parts)}", line_no=i)
-    return k, out
 
 
 # -- reconstruction loss and training ----------------------------------------

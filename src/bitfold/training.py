@@ -23,9 +23,9 @@ MODE_PROBS = {"both": 0.5, "seq_only": 0.25, "struct_only": 0.25}
 
 
 def build_lm(cfg: ModelConfig, seed=None):
-    return geo_arch.assemble_model(
-        cfg.block_config(), cfg.n_blocks, k=cfg.k, head=cfg.head, T=cfg.T,
-        seed=cfg.seed if seed is None else seed, weighting=cfg.weighting,
+    return geo_arch.ProteinLM(
+        cfg.block_config(), cfg.n_blocks, cfg.k, head=cfg.head, T=cfg.T,
+        weighting=cfg.weighting, seed=cfg.seed if seed is None else seed,
     )
 
 

@@ -85,6 +85,7 @@ def test_pipeline_subcommands_run(tmp_path):
          "--steps", "2"],
         ["train-lm", "--data", str(empty), "--tokenizer", tok_ckpt,
          "--out", str(tmp_path / "none.ckpt"), "--steps", "2"],
+        ["eval", "--mode", "folding", *common, "--steps", "4"],
     ]
     runs = passing + failing
     codes, err = run_cli(runs)
@@ -94,5 +95,6 @@ def test_pipeline_subcommands_run(tmp_path):
     assert "needs head 'bit', the LM has head 'index'" in err
     assert f"{short / 's0.seq'}: 15 residues, but {short / 's0.bkb'} has 16" in err
     assert f"no training items: --data {empty}" in err
+    assert "eval --mode folding needs --ckpt" in err
     plain, hot = ckpt.load_checkpoint(rd_ckpt)[0], ckpt.load_checkpoint(rd_hot_ckpt)[0]
     assert any(not np.array_equal(plain[name], hot[name]) for name in plain)

@@ -11,7 +11,7 @@ from bitfold import tokenizer as tok
 def test_folding_eval_resdiff_records_no_graph():
     k, n_blocks, d_model = 4, 2, 32
     cfg = ga.BlockConfig(d_model=d_model, heads=4)
-    lm = ga.assemble_model(cfg, n_blocks, k=k, seed=0)
+    lm = ga.ProteinLM(cfg, n_blocks, k=k, seed=0)
     tokenizer_params = tok.TokenizerParams(tok.TokenizerConfig(k=k, width=32, blocks=1), seed=0)
     head = rd.ResDiffHead(k=k, d_hidden=8, n_layers=1, d_lm=d_model, n_lm_layers=n_blocks,
                           t_r=4, seed=0)

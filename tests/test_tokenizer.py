@@ -1,5 +1,5 @@
-"""Tokenizer: invariant features, LFQ, bit/index codec, token files,
-reconstruction loss, short training runs."""
+"""Tokenizer: invariant features, LFQ, bit/index codec, reconstruction
+loss, short training runs."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import bitfold.autodiff as ad
 from bitfold import geometry as geo
 from bitfold import tokenizer as tok
 from bitfold.autodiff import Tensor
-from bitfold.errors import IndexOutOfRange, ParseError
+from bitfold.errors import IndexOutOfRange
 
 
 def make_structure(seed=0, length=16, chains=1):
@@ -95,31 +95,6 @@ def test_lfq_straight_through_gradient():
     bits, _ = tok.lfq_quantize(z)
     (bits * np.array([[2.0, 3.0]])).sum().backward()
     np.testing.assert_array_equal(z.grad, [[2.0, 3.0]])  # identity surrogate
-
-
-def test_token_file_roundtrip_indices():
-    indices = np.array([0, 5, 255, tok.mask_id(8), tok.pad_id(8)])
-    text = tok.format_token_file(8, indices=indices)
-    k, again = tok.parse_token_file(text)
-    assert k == 8
-    np.testing.assert_array_equal(again, indices)
-
-
-def test_token_file_bits_parse_to_indices():
-    bits = tok.index_to_bits(np.array([3, 9]), 4)
-    text = tok.format_token_file(4, bits=bits)
-    _, indices = tok.parse_token_file(text)
-    np.testing.assert_array_equal(indices, [3, 9])
-
-
-def test_token_file_errors():
-    with pytest.raises(ParseError):
-        tok.parse_token_file("nope\n")
-    with pytest.raises(ParseError) as exc:
-        tok.parse_token_file("TOK v1 K=4 L=1\n99\n")
-    assert exc.value.line_no == 2
-    with pytest.raises(ParseError):
-        tok.parse_token_file("TOK v1 K=4 L=3\n1\n2\n")
 
 
 def test_decode_centered_on_ca_centroid():
