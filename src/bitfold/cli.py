@@ -10,6 +10,9 @@ A command that loads a checkpoint must repeat that component's config keys
 (`config.COMPONENT_KEYS`), and only those: an LM trained with
 `--set pair_bias=true` is sampled with `--set pair_bias=true`, while its
 sampler and training keys are free to differ.
+
+An LM checkpoint holds the LM's parameters alone: the REPA head that
+`training.train_lm` builds and trains under `repa_enabled` is not saved.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from . import diffusion as dfn
 from . import evalsuite
 from . import geometry as geo
 from . import hybrid_fm
-from . import repa as repa_mod
 from . import resdiff as rd
 from . import tokenizer as tok
 from . import training
@@ -66,20 +68,16 @@ def load_dataset(directory):
 
 # -- checkpoint helpers -------------------------------------------------------
 
-def _save_model(path, module, cfg, step=0, extra=None):
-    params = dict(module.parameters())
-    if extra:
-        for prefix, mod in extra.items():
-            params.update(mod.parameters(prefix=prefix + "."))
-    ckpt.save_checkpoint(path, params, format_config(cfg), step=step)
+def _save_model(path, module, cfg, step=0):
+    ckpt.save_checkpoint(path, module.parameters(), format_config(cfg), step=step)
 
 
 def _load(path, module, cfg, component):
     """Restore `module` from `path` once the stored config agrees with `cfg`
-    on `component`'s keys. The LM's `repa.` tensors are not restored."""
+    on `component`'s keys."""
     tensors, stored, _, _ = ckpt.load_checkpoint(path)
     check_architecture(path, stored, cfg, component)
-    ckpt.restore_parameters(module, {k: v for k, v in tensors.items() if not k.startswith("repa.")})
+    ckpt.restore_parameters(module, tensors)
     return module
 
 
@@ -139,17 +137,8 @@ def cmd_train_lm(args):
     dataset = load_dataset(args.data)
     tokenizer_params = load_tokenizer(args.tokenizer, cfg)
     lm = training.build_lm(cfg)
-    repa_head = None
-    store = None
-    if cfg.repa_enabled:
-        repa_head = repa_mod.RepaHead(cfg.d_model, cfg.tok_width, cfg.n_blocks, seed=args.seed)
-        store = repa_mod.precompute_targets(tokenizer_params, [s for s, _ in dataset])
-    losses = training.train_lm(
-        lm, tokenizer_params, dataset, cfg, repa_head=repa_head, target_store=store,
-        log_every=args.log_every,
-    )
-    extra = {"repa": repa_head} if repa_head is not None else None
-    _save_model(args.out, lm, cfg, step=args.steps, extra=extra)
+    losses = training.train_lm(lm, tokenizer_params, dataset, cfg, log_every=args.log_every)
+    _save_model(args.out, lm, cfg, step=args.steps)
     if losses:
         print(f"final loss {losses[-1]:.4f} over {len(losses)} steps")
     else:

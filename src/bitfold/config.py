@@ -64,26 +64,20 @@ class ModelConfig:
     folding_sft: bool = False
 
     def block_config(self):
-        return BlockConfig(
-            pair_bias=self.pair_bias,
-            struct_transition=self.struct_transition,
-            triangle_update=self.triangle_update,
-            triangle_attention=self.triangle_attention,
-            seqstruct_attention=self.seqstruct_attention,
-            d_model=self.d_model,
-            d_pair=self.d_pair,
-            d_tri_update=self.d_tri_update,
-            d_tri_attn_head=self.d_tri_attn_head,
-            heads_tri=self.heads_tri,
-            heads=self.heads,
-            transition_ratio=self.transition_ratio,
-            heads_seqstruct=self.heads_seqstruct,
-        )
+        return BlockConfig(**{f.name: getattr(self, f.name) for f in fields(BlockConfig)})
 
     def validate(self):
         if self.head not in ("bit", "index"):
             raise InvalidConfig(f"head must be 'bit' or 'index', got {self.head!r}")
         self.block_config().validate()
+        splits = [("heads", self.heads, "d_model", self.d_model),
+                  ("tok_heads", self.tok_heads, "tok_width", self.tok_width)]
+        if self.seqstruct_attention:
+            splits.append(
+                ("heads_seqstruct", self.heads_seqstruct, "2 * d_model", 2 * self.d_model))
+        for heads, n_heads, width, d in splits:
+            if n_heads <= 0 or d % n_heads:
+                raise InvalidConfig(f"{heads} = {n_heads} must divide {width} = {d}")
         return self
 
 

@@ -82,7 +82,3 @@ class LayoutMismatch(BitfoldError):
 # architecture / config
 class InvalidConfig(BitfoldError):
     pass
-
-
-class CacheMiss(BitfoldError):
-    pass

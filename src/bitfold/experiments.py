@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import evalsuite
-from . import repa as repa_mod
 from . import training
 from .config import ModelConfig
 
@@ -42,16 +41,8 @@ def reproduce_grid(dataset, tokenizer_params, base_cfg: ModelConfig = None, grid
         cfg.seed = seed
         cfg.validate()
         lm = training.build_lm(cfg)
-        repa_head = None
-        store = None
-        if cfg.repa_enabled:
-            repa_head = repa_mod.RepaHead(cfg.d_model, cfg.tok_width, cfg.n_blocks, seed=seed)
-            store = repa_mod.precompute_targets(tokenizer_params, [s for s, _ in dataset])
         t0 = time.time()
-        training.train_lm(
-            lm, tokenizer_params, dataset, cfg, repa_head=repa_head, target_store=store,
-            log_every=log_every,
-        )
+        training.train_lm(lm, tokenizer_params, dataset, cfg, log_every=log_every)
         train_seconds = time.time() - t0
         report = evalsuite.folding_eval(
             lm, tokenizer_params, dataset, steps=eval_steps, seed=seed,

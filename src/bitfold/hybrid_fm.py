@@ -53,7 +53,6 @@ def corrupt(x1: geo.BackboneStructure, t, rng, sigma=PRIOR_SIGMA, conditioning=N
 class HybridModels:
     tokenizer: tok.TokenizerParams
     lm: object  # ProteinLM
-    resdiff_head: object = None
 
     def __post_init__(self):
         if self.lm.head != "bit":
@@ -62,12 +61,11 @@ class HybridModels:
             )
 
 
-def denoise(state: FlowState, models: HybridModels, rng=None, position_indices=None):
+def denoise(state: FlowState, models: HybridModels, position_indices=None):
     """The composed denoiser decoder(LM(encoder(x_t))): encode and quantize
     the noisy structure, one LM forward with the corrupted bits observed
     (sequence clamped to the conditioning if present, masked otherwise),
     greedy bit readout, decode to centered coordinates."""
-    rng = np.random.default_rng(0) if rng is None else rng
     structure = state.structure
     bits_t = tok.structure_bits(structure, models.tokenizer)
     if state.conditioning is not None:
@@ -81,13 +79,6 @@ def denoise(state: FlowState, models: HybridModels, rng=None, position_indices=N
     length, k = bits_t.shape
     bit_logits = out.struct_logits.data.reshape(length, k, 2)
     pred_bits = np.where(bit_logits[:, :, 1] >= bit_logits[:, :, 0], 1.0, -1.0)
-    if models.resdiff_head is not None:
-        from . import resdiff as rd
-
-        hidden = [h.data for h in out.hidden_layers]
-        with ad.no_grad():
-            cond = rd.condition(pred_bits, hidden, models.resdiff_head)
-        pred_bits = pred_bits + rd.resdiff_sample(cond.data, models.resdiff_head, rng)
     with ad.no_grad():
         coords = tok.decode(tok.Tensor(pred_bits), models.tokenizer, position_indices).data
     return geo.BackboneStructure(_centered(coords), structure.chain_ids, structure.source_id)
@@ -121,7 +112,7 @@ def fm_generate(models, length, rng, conditioning=None, n_steps=FM_STEPS_DEFAULT
         if denoiser is not None:
             x_hat = denoiser(state)
         else:
-            x_hat = denoise(state, models, rng=rng, position_indices=position_indices)
+            x_hat = denoise(state, models, position_indices=position_indices)
         state = euler_step(state, x_hat, (k + 1) / n_steps)
     coords = _centered(state.structure.coords)
     return geo.BackboneStructure(coords, chain_ids, state.structure.source_id)

@@ -8,8 +8,7 @@ triangle attention over the rows of the pair map (L, L, d). Its head width
 logit bias and sigmoid output gating. Every pre-norm is `autodiff.LayerNorm`.
 
 Also here: the gated transition block, MLP stacks, relative-position bias
-tables, sinusoidal embeddings, and differentiable backbone dihedral
-helpers used by reconstruction losses.
+tables and sinusoidal embeddings.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import LayerNorm, Linear, Module, Tensor
+from .errors import InvalidConfig
 
 REL_POS_CLIP = 32
 
@@ -104,7 +104,8 @@ class MultiHeadAttention(Module):
 
     def __init__(self, rng, d_model, n_heads, d_head=None, gated=False, zero_init_out=False):
         if d_head is None:
-            assert d_model % n_heads == 0
+            if d_model % n_heads:
+                raise InvalidConfig(f"{n_heads} heads do not divide width {d_model}")
             d_head = d_model // n_heads
         self.n_heads = n_heads
         self.d_head = d_head
@@ -142,72 +143,3 @@ def sinusoidal_embedding(positions, dim):
         emb = np.concatenate([emb, np.zeros((len(positions), dim - emb.shape[1]))], axis=1)
     return emb
 
-
-# -- differentiable backbone angles ----------------------------------------
-
-def cross3(a, b):
-    """Cross product along the trailing axis of (L, 3) tensors."""
-    ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
-    bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
-    cx = ay * bz - az * by
-    cy = az * bx - ax * bz
-    cz = ax * by - ay * bx
-    return ad.concat([ad.reshape(c, (-1, 1)) for c in (cx, cy, cz)], axis=1)
-
-
-def dihedral_sincos(p0, p1, p2, p3, eps=1e-8):
-    """(sin, cos) of the dihedral defined by four (L, 3) point tensors."""
-    b0 = p1 - p0
-    b1 = p2 - p1
-    b2 = p3 - p2
-    n1 = cross3(b0, b1)
-    n2 = cross3(b1, b2)
-    b1n = b1 * ad.reshape(1.0 / ad.sqrt((b1 * b1).sum(axis=1) + eps), (-1, 1))
-    m1 = cross3(n1, b1n)
-    x = (n1 * n2).sum(axis=1)
-    y = (m1 * n2).sum(axis=1)
-    r = ad.sqrt(x * x + y * y + eps)
-    return y / r, x / r
-
-
-def backbone_dihedral_sincos(coords, chain_ids):
-    """phi/psi/omega sin-cos features from a (L, 4, 3) coordinate tensor.
-
-    Returns an (L, 6) tensor; residues lacking a same-chain neighbor get
-    zero rows. `coords` may be a Tensor (differentiable path) or ndarray.
-    """
-    if not isinstance(coords, Tensor):
-        coords = Tensor(coords)
-    chain_ids = np.asarray(chain_ids)
-    length = coords.shape[0]
-    prev_ok = np.zeros(length, dtype=bool)
-    next_ok = np.zeros(length, dtype=bool)
-    prev_ok[1:] = chain_ids[1:] == chain_ids[:-1]
-    next_ok[:-1] = chain_ids[:-1] == chain_ids[1:]
-
-    idx = np.arange(length)
-    ip = np.where(prev_ok, idx - 1, idx)
-    inx = np.where(next_ok, idx + 1, idx)
-
-    n_at = coords[:, 0, :]
-    ca_at = coords[:, 1, :]
-    c_at = coords[:, 2, :]
-    c_prev = coords[ip, 2, :]
-    n_next = coords[inx, 0, :]
-    ca_next = coords[inx, 1, :]
-
-    phi_s, phi_c = dihedral_sincos(c_prev, n_at, ca_at, c_at)
-    psi_s, psi_c = dihedral_sincos(n_at, ca_at, c_at, n_next)
-    omg_s, omg_c = dihedral_sincos(ca_at, c_at, n_next, ca_next)
-
-    phi_mask = prev_ok.astype(np.float64)
-    nxt_mask = next_ok.astype(np.float64)
-    cols = [
-        phi_s * phi_mask,
-        phi_c * phi_mask,
-        psi_s * nxt_mask,
-        psi_c * nxt_mask,
-        omg_s * nxt_mask,
-        omg_c * nxt_mask,
-    ]
-    return ad.concat([ad.reshape(c, (-1, 1)) for c in cols], axis=1)

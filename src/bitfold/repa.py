@@ -2,8 +2,9 @@
 them toward frozen teacher features with a negative-cosine loss.
 
 The teacher is the frozen structure-tokenizer encoder; its pre-head hidden
-states are rigid-invariant, so targets can be precomputed once per sample
-and held in memory.
+states are rigid-invariant, so `training.train_lm` computes each
+structure's targets once, before its first step, and builds the head
+itself when `repa_enabled` is set.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 from . import autodiff as ad
 from . import tokenizer as tok
 from .autodiff import Module, Tensor
-from .errors import CacheMiss
 from .nn import MLP
 
 REPA_WEIGHT_DEFAULT = 0.5
@@ -47,28 +47,8 @@ def repa_loss(hidden_layers, head: RepaHead, targets, eps=1e-8):
     return -cos.mean()
 
 
-# -- precomputed target cache ------------------------------------------------
-
 def teacher_targets(structure, params: tok.TokenizerParams):
     """Frozen-encoder hidden states (L, width) for one structure."""
     with ad.no_grad():
         _, hidden = params.encoder(tok.invariant_features(structure))
     return hidden.data.copy()
-
-
-class TargetStore:
-    """Read-only in-memory store of per-sample teacher targets, keyed by
-    sample id."""
-
-    def __init__(self, targets):
-        self._mem = dict(targets)
-
-    def get(self, sample_id):
-        if sample_id not in self._mem:
-            raise CacheMiss(f"no precomputed targets for sample {sample_id!r}")
-        return self._mem[sample_id]
-
-
-def precompute_targets(teacher_params, dataset):
-    """Teacher targets for every structure in `dataset`."""
-    return TargetStore({s.source_id: teacher_targets(s, teacher_params) for s in dataset})

@@ -60,7 +60,7 @@ def invariant_features(structure: geo.BackboneStructure) -> np.ndarray:
         ok = (j >= 0) & (j < length)
         ok[ok] &= chain[j[ok]] == chain[idx[ok]]
         feats[ok, col] = np.linalg.norm(ca[j[ok]] - ca[ok], axis=1)
-    feats[:, 8:14] = nn.backbone_dihedral_sincos(structure.coords, chain).data
+    feats[:, 8:14] = _backbone_dihedral_sincos(structure.coords, chain)
     n_at, ca_at, c_at, o_at = (structure.coords[:, i, :] for i in range(4))
     e1 = _unit_rows(c_at - ca_at)
     normal = _unit_rows(np.cross(c_at - ca_at, n_at - ca_at))
@@ -74,6 +74,43 @@ def invariant_features(structure: geo.BackboneStructure) -> np.ndarray:
 
 def _unit_rows(v, eps=1e-12):
     return v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), eps)
+
+
+def _dihedral_sincos(p0, p1, p2, p3, eps=1e-8):
+    """(sin, cos) of the dihedral defined by four (L, 3) point arrays."""
+    b0 = p1 - p0
+    b1 = p2 - p1
+    b2 = p3 - p2
+    n1 = np.cross(b0, b1)
+    n2 = np.cross(b1, b2)
+    b1n = b1 * (1.0 / np.sqrt((b1 * b1).sum(axis=1) + eps))[:, None]
+    m1 = np.cross(n1, b1n)
+    x = (n1 * n2).sum(axis=1)
+    y = (m1 * n2).sum(axis=1)
+    r = np.sqrt(x * x + y * y + eps)
+    return y / r, x / r
+
+
+def _backbone_dihedral_sincos(coords, chain_ids):
+    """(L, 6) phi/psi/omega sin-cos from (L, 4, 3) coordinates; an angle
+    whose same-chain neighbour is missing is zero."""
+    length = coords.shape[0]
+    prev_ok = np.zeros(length, dtype=bool)
+    next_ok = np.zeros(length, dtype=bool)
+    prev_ok[1:] = chain_ids[1:] == chain_ids[:-1]
+    next_ok[:-1] = chain_ids[:-1] == chain_ids[1:]
+    idx = np.arange(length)
+    ip = np.where(prev_ok, idx - 1, idx)
+    inx = np.where(next_ok, idx + 1, idx)
+    n_at, ca_at, c_at = coords[:, 0], coords[:, 1], coords[:, 2]
+    n_next, ca_next = coords[inx, 0], coords[inx, 1]
+    phi_s, phi_c = _dihedral_sincos(coords[ip, 2], n_at, ca_at, c_at)
+    psi_s, psi_c = _dihedral_sincos(n_at, ca_at, c_at, n_next)
+    omg_s, omg_c = _dihedral_sincos(ca_at, c_at, n_next, ca_next)
+    phi_mask = prev_ok.astype(np.float64)
+    nxt_mask = next_ok.astype(np.float64)
+    return np.stack([phi_s * phi_mask, phi_c * phi_mask, psi_s * nxt_mask, psi_c * nxt_mask,
+                     omg_s * nxt_mask, omg_c * nxt_mask], axis=1)
 
 
 # -- model -------------------------------------------------------------------

@@ -4,8 +4,9 @@ that `optim.fit` drives.
 Each step samples one structure, a noise level t, and a corruption mode
 from {both tracks 0.5, sequence-only 0.25, structure-only 0.25} so folding
 and inverse-folding are trained in-distribution; folding-SFT forces
-structure-only corruption. Optional representation alignment adds
-repa_weight * repa_loss on the structure-track hidden states.
+structure-only corruption. With `repa_enabled`, representation alignment
+adds repa_weight * repa_loss, pulling the LM hidden states toward the
+frozen tokenizer encoder's features of the drawn structure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import diffusion as dfn
 from . import geo_arch
-from . import repa as repa_mod
+from . import repa
 from . import tokenizer as tok
 from .config import ModelConfig
 from .optim import fit
@@ -36,23 +37,27 @@ def sample_mode(rng, folding_sft=False):
     return names[int(rng.choice(len(names), p=list(MODE_PROBS.values())))]
 
 
-def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, repa_head=None,
-             target_store=None, position_indices=None, log_every=0):
+def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, position_indices=None,
+             log_every=0):
     """Train in place; returns the per-step loss list.
 
     `dataset` is a list of (structure, sequence) pairs; structure tokens
-    come from the frozen tokenizer encoder. With repa_head set, teacher
-    targets are pulled from `target_store` by structure source_id.
+    come from the frozen tokenizer encoder. With `cfg.repa_enabled`, a
+    `RepaHead` seeded by `cfg.seed` trains alongside the LM (its parameters
+    under `repa.`) against the encoder's hidden states of each item; the
+    head is discarded when training ends.
     """
     trained = dict(lm.parameters())
-    if repa_head is not None:
-        trained.update(repa_head.parameters(prefix="repa."))
     rng = np.random.default_rng(cfg.seed)
     loss_fn = dfn.loss_bit if cfg.head == "bit" else dfn.loss_index
     states = [
         dfn.TokenState.observed(np.asarray(seq), tok.structure_bits(structure, tokenizer_params))
         for structure, seq in dataset
     ]
+    if cfg.repa_enabled:
+        repa_head = repa.RepaHead(cfg.d_model, cfg.tok_width, cfg.n_blocks, seed=cfg.seed)
+        trained.update(repa_head.parameters(prefix="repa."))
+        targets = [repa.teacher_targets(structure, tokenizer_params) for structure, _ in dataset]
 
     def step_loss(i):
         x0 = states[i]
@@ -68,10 +73,9 @@ def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, repa_head=None,
         pos = None if position_indices is None else position_indices[i]
         out = lm.forward(xt, position_indices=pos)
         loss = loss_fn(out, x0, xt, t, lm.schedule)
-        if repa_head is not None and cfg.repa_weight != 0.0:
-            targets = target_store.get(dataset[i][0].source_id)
-            loss = loss + cfg.repa_weight * repa_mod.repa_loss(
-                out.hidden_layers, repa_head, targets
+        if cfg.repa_enabled and cfg.repa_weight != 0.0:
+            loss = loss + cfg.repa_weight * repa.repa_loss(
+                out.hidden_layers, repa_head, targets[i]
             )
         return loss, f" mode {mode} t {t}"
 

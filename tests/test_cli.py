@@ -73,6 +73,8 @@ def test_pipeline_subcommands_run(tmp_path):
         ["sample", "--tokenizer", tok_ckpt, "--ckpt", grid["2-geo-bit"],
          "--out", str(tmp_path / "fm_samples"), "--length", "16",
          "--set", "pair_bias=true", "--set", "fm_enabled=true"],
+        ["eval", "--mode", "folding", *common, "--ckpt", grid["3-geo-bit-repa"],
+         "--steps", "4", "--set", "pair_bias=true"],
     ]
     failing = [
         ["train-lm", *common, "--out", str(tmp_path / "none.ckpt"), "--steps", "2",
@@ -86,6 +88,8 @@ def test_pipeline_subcommands_run(tmp_path):
         ["train-lm", "--data", str(empty), "--tokenizer", tok_ckpt,
          "--out", str(tmp_path / "none.ckpt"), "--steps", "2"],
         ["eval", "--mode", "folding", *common, "--steps", "4"],
+        ["train-tokenizer", "--data", data, "--out", str(tmp_path / "none.ckpt"),
+         "--steps", "2", "--set", "tok_heads=3"],
     ]
     runs = passing + failing
     codes, err = run_cli(runs)
@@ -96,5 +100,8 @@ def test_pipeline_subcommands_run(tmp_path):
     assert f"{short / 's0.seq'}: 15 residues, but {short / 's0.bkb'} has 16" in err
     assert f"no training items: --data {empty}" in err
     assert "eval --mode folding needs --ckpt" in err
+    assert "tok_heads = 3 must divide tok_width = 64" in err
+    assert not any(name.startswith("repa.")
+                   for name in ckpt.load_checkpoint(grid["3-geo-bit-repa"])[0])
     plain, hot = ckpt.load_checkpoint(rd_ckpt)[0], ckpt.load_checkpoint(rd_hot_ckpt)[0]
     assert any(not np.array_equal(plain[name], hot[name]) for name in plain)

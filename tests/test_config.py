@@ -5,9 +5,11 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bitfold
+from bitfold import nn
 from bitfold.config import (
     COMPONENT_KEYS, ModelConfig, apply_overrides, check_architecture, format_config,
     parse_config,
@@ -75,6 +77,26 @@ def test_mismatch_message_names_path_key_and_both_values():
 def test_unparseable_echo_names_the_checkpoint():
     with pytest.raises(InvalidConfig, match=r"^old\.ckpt: stored config: line 1: unknown key"):
         check_architecture("old.ckpt", "resdiff_enabled = False\n", ModelConfig(), "tokenizer")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["heads=3"], "heads = 3 must divide d_model = 64"),
+    (["tok_heads=3"], "tok_heads = 3 must divide tok_width = 64"),
+    (["seqstruct_attention=true", "heads_seqstruct=3"],
+     r"heads_seqstruct = 3 must divide 2 \* d_model = 128"),
+])
+def test_head_count_must_divide_its_width(overrides, message):
+    with pytest.raises(InvalidConfig, match=message):
+        apply_overrides(ModelConfig(), overrides)
+
+
+def test_seqstruct_heads_are_free_while_seqstruct_is_off():
+    assert apply_overrides(ModelConfig(), ["heads_seqstruct=3"]).heads_seqstruct == 3
+
+
+def test_attention_refuses_heads_that_do_not_divide_its_width():
+    with pytest.raises(InvalidConfig, match="3 heads do not divide width 64"):
+        nn.MultiHeadAttention(np.random.default_rng(0), 64, 3)
 
 
 def test_every_key_is_read():

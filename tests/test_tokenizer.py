@@ -53,6 +53,58 @@ def test_invariant_features_rigid_invariance():
     )
 
 
+# The autodiff dihedrals that `invariant_features` used before its numpy form.
+
+def _cross3(a, b):
+    ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
+    bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
+    cols = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    return ad.concat([ad.reshape(c, (-1, 1)) for c in cols], axis=1)
+
+
+def _dihedral_sincos(p0, p1, p2, p3, eps=1e-8):
+    b0, b1, b2 = p1 - p0, p2 - p1, p3 - p2
+    n1, n2 = _cross3(b0, b1), _cross3(b1, b2)
+    b1n = b1 * ad.reshape(1.0 / ad.sqrt((b1 * b1).sum(axis=1) + eps), (-1, 1))
+    m1 = _cross3(n1, b1n)
+    x = (n1 * n2).sum(axis=1)
+    y = (m1 * n2).sum(axis=1)
+    r = ad.sqrt(x * x + y * y + eps)
+    return y / r, x / r
+
+
+def _autodiff_backbone_dihedrals(coords, chain_ids):
+    coords = Tensor(coords)
+    length = coords.shape[0]
+    prev_ok = np.zeros(length, dtype=bool)
+    next_ok = np.zeros(length, dtype=bool)
+    prev_ok[1:] = chain_ids[1:] == chain_ids[:-1]
+    next_ok[:-1] = chain_ids[:-1] == chain_ids[1:]
+    idx = np.arange(length)
+    ip = np.where(prev_ok, idx - 1, idx)
+    inx = np.where(next_ok, idx + 1, idx)
+    n_at, ca_at, c_at = coords[:, 0, :], coords[:, 1, :], coords[:, 2, :]
+    c_prev, n_next, ca_next = coords[ip, 2, :], coords[inx, 0, :], coords[inx, 1, :]
+    phi_s, phi_c = _dihedral_sincos(c_prev, n_at, ca_at, c_at)
+    psi_s, psi_c = _dihedral_sincos(n_at, ca_at, c_at, n_next)
+    omg_s, omg_c = _dihedral_sincos(ca_at, c_at, n_next, ca_next)
+    phi_mask = prev_ok.astype(np.float64)
+    nxt_mask = next_ok.astype(np.float64)
+    cols = [phi_s * phi_mask, phi_c * phi_mask, psi_s * nxt_mask, psi_c * nxt_mask,
+            omg_s * nxt_mask, omg_c * nxt_mask]
+    return ad.concat([ad.reshape(c, (-1, 1)) for c in cols], axis=1).data
+
+
+@pytest.mark.parametrize("chains", [1, 2])
+def test_dihedral_features_match_autodiff_reference(chains):
+    for seed in range(4):
+        s = make_structure(seed, length=20 + seed, chains=chains)
+        assert len(set(s.chain_ids)) == chains
+        np.testing.assert_array_equal(
+            tok.invariant_features(s)[:, 8:14], _autodiff_backbone_dihedrals(s.coords, s.chain_ids)
+        )
+
+
 def test_encoder_tokens_rigid_invariant():
     rng = np.random.default_rng(1)
     s = make_structure(1)

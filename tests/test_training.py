@@ -49,11 +49,14 @@ class CountingList(list):
 
 # -- train_lm against the loop it replaced ------------------------------------
 
-def _loop_train_lm(lm, tokenizer_params, dataset, cfg, repa_head=None, target_store=None):
-    """The LM training loop as it stood before `optim.fit`."""
+def _loop_train_lm(lm, tokenizer_params, dataset, cfg):
+    """The LM training loop as it stood before `optim.fit`, with the REPA
+    head seeded by `cfg.seed` and teacher targets indexed by item."""
     trained = dict(lm.parameters())
-    if repa_head is not None:
+    if cfg.repa_enabled:
+        repa_head = repa_mod.RepaHead(cfg.d_model, cfg.tok_width, cfg.n_blocks, seed=cfg.seed)
         trained.update(repa_head.parameters(prefix="repa."))
+        targets = [repa_mod.teacher_targets(s, tokenizer_params) for s, _ in dataset]
     opt = optim.Adam(trained)
     rng = np.random.default_rng(cfg.seed)
     loss_fn = dfn.loss_bit if cfg.head == "bit" else dfn.loss_index
@@ -79,10 +82,9 @@ def _loop_train_lm(lm, tokenizer_params, dataset, cfg, repa_head=None, target_st
             continue
         out = lm.forward(xt)
         loss = loss_fn(out, x0, xt, t, lm.schedule)
-        if repa_head is not None and cfg.repa_weight != 0.0:
-            targets = target_store.get(dataset[i][0].source_id)
+        if cfg.repa_enabled and cfg.repa_weight != 0.0:
             loss = loss + cfg.repa_weight * repa_mod.repa_loss(
-                out.hidden_layers, repa_head, targets
+                out.hidden_layers, repa_head, targets[i]
             )
         opt.zero_grad()
         loss.backward()
@@ -104,15 +106,7 @@ def test_train_lm_matches_old_loop(pairs, tok_params, flags):
 
     def run(train):
         lm = training.build_lm(cfg)
-        head = store = None
-        if cfg.repa_enabled:
-            head = repa_mod.RepaHead(cfg.d_model, cfg.tok_width, cfg.n_blocks, seed=1)
-            store = repa_mod.precompute_targets(tok_params, [s for s, _ in pairs])
-        losses = train(lm, tok_params, pairs, cfg, repa_head=head, target_store=store)
-        params = dict(lm.parameters())
-        if head is not None:
-            params.update(head.parameters(prefix="repa."))
-        return losses, params
+        return train(lm, tok_params, pairs, cfg), lm.parameters()
 
     got_losses, got = run(training.train_lm)
     want_losses, want = run(_loop_train_lm)
@@ -120,6 +114,28 @@ def test_train_lm_matches_old_loop(pairs, tok_params, flags):
     assert got.keys() == want.keys()
     for name in got:
         np.testing.assert_array_equal(got[name].data, want[name].data, err_msg=name)
+
+
+def test_repa_is_on_by_config_and_aligns_to_the_drawn_item(tok_params, monkeypatch):
+    """Targets follow the drawn item, not its `source_id`: both structures
+    here share one id, and their lengths tell them apart."""
+    dataset = [geo.synth_backbone(geo.SynthSpec(length=n), seed=n) for n in (12, 16)]
+    for structure, _ in dataset:
+        structure.source_id = "shared"
+    want = {len(s): repa_mod.teacher_targets(s, tok_params) for s, _ in dataset}
+    seen = []
+
+    def recording_repa_loss(hidden_layers, head, targets):
+        length = hidden_layers[0].shape[0]
+        np.testing.assert_array_equal(targets, want[length])
+        seen.append(length)
+        return original(hidden_layers, head, targets)
+
+    original = repa_mod.repa_loss
+    monkeypatch.setattr(repa_mod, "repa_loss", recording_repa_loss)
+    cfg = small_cfg(repa_enabled=True)
+    training.train_lm(training.build_lm(cfg), tok_params, dataset, cfg)
+    assert set(seen) == {12, 16}
 
 
 # -- the benchmark's step clock -------------------------------------------------
