@@ -12,9 +12,12 @@ loops fail at the op that produced the bad value rather than many steps
 later.
 
 Besides elementwise, reduction, shape and normalization primitives, the
-module has fused primitives with hand-written backward passes: `attention`
-(every softmax attention in the package, with optional bias and Shaw
-relative values), `tri_contract` and `pair_dist`.
+module has fused primitives with hand-written backward passes: `linear`
+(matmul plus bias), `layernorm` (normalization plus its affine scale and
+shift), `pad` (zero padding), `attention` (every softmax attention in the
+package, with optional bias and Shaw relative values), `tri_contract` and
+`pair_dist`. Each records one graph node where the op chain it replaces
+recorded several, so fewer intermediate arrays stay alive until backward.
 
 Gradient ownership: no gradient array is ever written in place. A tensor
 keeps the first gradient it receives as it is (a broadcast view if its
@@ -283,6 +286,30 @@ def matmul(a, b):
     return _make(out, (a, b), bw)
 
 
+def linear(x, w, b):
+    """x @ w + b as one node, with the bias added into the matmul's output.
+
+    `x` is (..., n, d_in) with at least one leading axis, `w` (d_in, d_out)
+    and `b` (d_out,). Forward and backward compute the arrays of the chain
+    `matmul` then `add` in its order.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeMismatch(f"linear: {x.shape} @ {w.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def bw(g):
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, b.shape))
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
+
+    return _make(out, (x, w, b), bw)
+
+
 # -- elementwise nonlinearities ---------------------------------------------
 
 def exp(a):
@@ -459,6 +486,21 @@ def take(a, idx):
     return _make(out, (a,), bw)
 
 
+def pad(a, widths):
+    """Zero-pad `a` by (before, after) counts per axis; backward slices.
+
+    `widths` has one (before, after) pair per axis, as in `np.pad`.
+    """
+    a = as_tensor(a)
+    out = np.pad(a.data, widths)
+    inner = tuple(slice(lo, lo + n) for (lo, _), n in zip(widths, a.shape))
+
+    def bw(g):
+        a._accum(g[inner])
+
+    return _make(out, (a,), bw)
+
+
 def where(cond, a, b):
     """cond is a constant boolean array; gradients flow to both branches."""
     a, b = as_tensor(a), as_tensor(b)
@@ -502,24 +544,36 @@ def log_softmax(a, axis=-1):
     return _make(out, (a,), bw)
 
 
-def layernorm(a, eps=LAYERNORM_EPS):
-    """Normalize the trailing axis to zero mean, unit variance (pre-affine).
+def layernorm(a, gamma, beta, eps=LAYERNORM_EPS):
+    """Normalize the trailing axis to zero mean and unit variance, then
+    scale by `gamma` and shift by `beta`, as one node.
 
-    Constant rows map to zeros: variance 0 plus eps avoids division by zero.
+    `gamma` and `beta` broadcast against the output: (d,) for a learned
+    affine, (L, d) for a per-row modulation. Constant rows normalize to
+    zeros: variance 0 plus eps avoids division by zero. Forward and backward
+    compute the arrays of the chain `normalize * gamma + beta` in its order.
     """
-    a = as_tensor(a)
+    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = a.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    out = xc * inv
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def bw(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gxm = (g * out).mean(axis=-1, keepdims=True)
-        a._accum(inv * (g - gm - out * gxm))
+        if beta.requires_grad:
+            beta._accum(_unbroadcast(g, beta.shape))
+        if gamma.requires_grad:
+            gamma._accum(_unbroadcast(g * xhat, gamma.shape))
+        if a.requires_grad:
+            gn = g * gamma.data
+            gm = gn.mean(axis=-1, keepdims=True)
+            gxm = (gn * xhat).mean(axis=-1, keepdims=True)
+            a._accum(inv * (gn - gm - xhat * gxm))
 
-    return _make(out, (a,), bw)
+    return _make(out, (a, gamma, beta), bw)
 
 
 # -- fused attention --------------------------------------------------------
@@ -738,15 +792,15 @@ class Linear(Module):
         self.b = zeros_param(d_out)
 
     def __call__(self, x):
-        return matmul(x, self.w) + self.b
+        return linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
-    """`layernorm` over the last axis, then a learnable scale and shift."""
+    """`layernorm` over the last axis with a learnable scale and shift."""
 
     def __init__(self, d):
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = zeros_param(d)
 
     def __call__(self, x):
-        return layernorm(x) * self.gamma + self.beta
+        return layernorm(x, self.gamma, self.beta)

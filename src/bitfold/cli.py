@@ -33,7 +33,7 @@ from . import resdiff as rd
 from . import tokenizer as tok
 from . import training
 from .config import check_architecture, format_config, load_config
-from .errors import BitfoldError, DegenerateInput, LengthMismatch, ModeInputMissing
+from .errors import BitfoldError, DegenerateInput, InvalidConfig, LengthMismatch, ModeInputMissing
 
 
 # -- dataset layout -----------------------------------------------------------
@@ -77,7 +77,10 @@ def _load(path, module, cfg, component):
     on `component`'s keys."""
     tensors, stored, _, _ = ckpt.load_checkpoint(path)
     check_architecture(path, stored, cfg, component)
-    ckpt.restore_parameters(module, tensors)
+    try:
+        ckpt.restore_parameters(module, tensors)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
     return module
 
 

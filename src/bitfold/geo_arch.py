@@ -62,17 +62,25 @@ class BlockConfig:
 # -- pair-representation sub-layers ------------------------------------------
 
 class PairInit(Module):
-    """pair[i][j] = MLP3(concat(h[i], h[j]))."""
+    """pair[i][j] = MLP3(concat(h[i], h[j])).
+
+    The first layer is linear, so concat(h_i, h_j) @ W + b equals
+    (h @ W[:d] + b)_i + (h @ W[d:])_j: two (L, d_pair) projections added by
+    broadcasting, with no (L^2, 2 d_model) gather. Exact up to rounding.
+    """
 
     def __init__(self, rng, d_model, d_pair):
         self.mlp = nn.MLP(rng, (2 * d_model, d_pair, d_pair, d_pair))
 
     def __call__(self, h):
-        length = h.shape[0]
-        rows = h[np.repeat(np.arange(length), length)]
-        cols = h[np.tile(np.arange(length), length)]
-        flat = ad.concat([rows, cols], axis=1)
-        return ad.reshape(self.mlp(flat), (length, length, -1))
+        length, d = h.shape
+        first, *rest = self.mlp.layers
+        rows = ad.linear(h, first.w[:d], first.b)
+        cols = ad.matmul(h, first.w[d:])
+        x = ad.reshape(rows, (length, 1, -1)) + ad.reshape(cols, (1, length, -1))
+        for layer in rest:
+            x = layer(ad.swish(x))
+        return x
 
 
 class PairBias(Module):
@@ -181,9 +189,7 @@ class EncoderBlock(Module):
         bias = self.rel(joint_pos)
         if cfg.pair_bias:
             pb = self.pair_bias(pair)  # (H, L, L) on the struct-struct quadrant
-            zeros_r = Tensor(np.zeros((cfg.heads, length, length)))
-            zeros_b = Tensor(np.zeros((cfg.heads, length, 2 * length)))
-            bias = bias + ad.concat([ad.concat([pb, zeros_r], axis=2), zeros_b], axis=1)
+            bias = bias + ad.pad(pb, ((0, 0), (0, length), (0, length)))
         h = h + self.attn(self.attn_norm(h), bias=bias)
         if cfg.seqstruct_attention:
             h_struct, h_seq = h[:length], h[length:]
@@ -191,7 +197,7 @@ class EncoderBlock(Module):
             h = h + ad.concat([d_struct, d_seq], axis=0)
         if cfg.struct_transition:
             delta = self.struct_trans(h[:length])
-            h = h + ad.concat([delta, Tensor(np.zeros((length, cfg.d_model)))], axis=0)
+            h = h + ad.pad(delta, ((0, length), (0, 0)))
         h = h + self.transition(h)
         if cfg.pair_bias:
             if cfg.triangle_update:

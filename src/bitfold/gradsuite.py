@@ -3,7 +3,8 @@
 Each entry builds a tiny instance of one loss (token cross-entropies,
 representation alignment, residual diffusion, transitions, pair-biased
 attention, relative-value attention, triangle operations, SeqStruct
-attention) and compares backpropagated gradients against central finite
+attention) or of one fused primitive (`linear`, modulated `layernorm`,
+`pad`) and compares backpropagated gradients against central finite
 differences.
 """
 
@@ -200,6 +201,43 @@ def _loss_seqstruct(seed):
     return fn, params
 
 
+def _linear(seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)  # pair-shaped: w's grad sums rows
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+
+    def fn():
+        return (ad.linear(x, w, b) ** 2).mean()
+
+    return fn, {"x": x, "w": w, "b": b}
+
+
+def _layernorm_modulated(seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    scale = Tensor(rng.normal(size=(4, 6)) * 0.3, requires_grad=True)
+    shift = Tensor(rng.normal(size=(4, 6)) * 0.3, requires_grad=True)
+    weights = rng.normal(size=(4, 6))
+
+    def fn():  # per-row scale and shift, as the residual-diffusion adaLN passes them
+        out = ad.layernorm(x, 1.0 + scale, shift)
+        return (out * weights).sum() + (out ** 2).mean()
+
+    return fn, {"x": x, "scale": scale, "shift": shift}
+
+
+def _pad(seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    weights = rng.normal(size=(6, 7))
+
+    def fn():
+        return ((ad.pad(x, ((1, 2), (0, 3))) * weights) ** 2).sum()
+
+    return fn, {"x": x}
+
+
 SUITE = {
     "index-ce": _loss_index,
     "bit-ce": _loss_bit,
@@ -211,6 +249,9 @@ SUITE = {
     "triangle-update": _loss_triangle_update,
     "triangle-attention": _loss_triangle_attention,
     "seqstruct-attention": _loss_seqstruct,
+    "linear": _linear,
+    "layernorm-modulated": _layernorm_modulated,
+    "pad": _pad,
 }
 
 

@@ -5,7 +5,9 @@ along the second-to-last axis and treats any leading axes as independent
 rows, so the same module serves attention over residues (L, d) and
 triangle attention over the rows of the pair map (L, L, d). Its head width
 `d_head` defaults to `d_model // n_heads`. It takes an optional additive
-logit bias and sigmoid output gating. Every pre-norm is `autodiff.LayerNorm`.
+logit bias and sigmoid output gating. Every projection is an
+`autodiff.Linear` and every pre-norm an `autodiff.LayerNorm`; each records
+one fused graph node (`autodiff.linear`, `autodiff.layernorm`).
 
 Also here: the gated transition block, MLP stacks, relative-position bias
 tables and sinusoidal embeddings.

@@ -2,9 +2,10 @@
 them toward frozen teacher features with a negative-cosine loss.
 
 The teacher is the frozen structure-tokenizer encoder; its pre-head hidden
-states are rigid-invariant, so `training.train_lm` computes each
-structure's targets once, before its first step, and builds the head
-itself when `repa_enabled` is set.
+states are rigid-invariant, so `training.train_lm` takes each structure's
+targets once, before its first step, from the same encoder pass that gives
+its structure tokens, and builds the head itself when `repa_enabled` is
+set.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import tokenizer as tok
 from .autodiff import Module, Tensor
 from .nn import MLP
 
@@ -45,10 +45,3 @@ def repa_loss(hidden_layers, head: RepaHead, targets, eps=1e-8):
     p_norm = ad.sqrt((proj * proj).sum(axis=1) + eps * eps)
     cos = (proj * targets).sum(axis=1) / (p_norm * np.maximum(t_norm, eps))
     return -cos.mean()
-
-
-def teacher_targets(structure, params: tok.TokenizerParams):
-    """Frozen-encoder hidden states (L, width) for one structure."""
-    with ad.no_grad():
-        _, hidden = params.encoder(tok.invariant_features(structure))
-    return hidden.data.copy()

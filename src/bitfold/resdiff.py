@@ -33,7 +33,7 @@ class AdaLN(Module):
         mod = self.mod(cond)
         d = x.shape[-1]
         scale, shift = mod[:, :d], mod[:, d:]
-        return ad.layernorm(x) * (1.0 + scale) + shift
+        return ad.layernorm(x, 1.0 + scale, shift)
 
 
 class ResDiffHead(Module):

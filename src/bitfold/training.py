@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from . import diffusion as dfn
 from . import geo_arch
 from . import repa
@@ -37,6 +38,21 @@ def sample_mode(rng, folding_sft=False):
     return names[int(rng.choice(len(names), p=list(MODE_PROBS.values())))]
 
 
+def encode_dataset(dataset, tokenizer_params, with_targets=False):
+    """Token states of the (structure, sequence) items under the frozen
+    tokenizer encoder and, with `with_targets`, the encoder's hidden states
+    of each structure (the REPA teacher targets), from one encoder pass per
+    item."""
+    states, targets = [], []
+    with ad.no_grad():
+        for structure, seq in dataset:
+            z, hidden = tokenizer_params.encoder(tok.invariant_features(structure))
+            states.append(dfn.TokenState.observed(np.asarray(seq), np.where(z.data >= 0.0, 1.0, -1.0)))
+            if with_targets:
+                targets.append(hidden.data)
+    return states, targets
+
+
 def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, position_indices=None,
              log_every=0):
     """Train in place; returns the per-step loss list.
@@ -50,14 +66,10 @@ def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, position_indices=N
     trained = dict(lm.parameters())
     rng = np.random.default_rng(cfg.seed)
     loss_fn = dfn.loss_bit if cfg.head == "bit" else dfn.loss_index
-    states = [
-        dfn.TokenState.observed(np.asarray(seq), tok.structure_bits(structure, tokenizer_params))
-        for structure, seq in dataset
-    ]
+    states, targets = encode_dataset(dataset, tokenizer_params, with_targets=cfg.repa_enabled)
     if cfg.repa_enabled:
         repa_head = repa.RepaHead(cfg.d_model, cfg.tok_width, cfg.n_blocks, seed=cfg.seed)
         trained.update(repa_head.parameters(prefix="repa."))
-        targets = [repa.teacher_targets(structure, tokenizer_params) for structure, _ in dataset]
 
     def step_loss(i):
         x0 = states[i]

@@ -26,13 +26,13 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_layernorm_constant_rows_map_to_zero():
-    out = ad.layernorm(ad.Tensor(np.full((3, 8), 4.2)))
+    out = ad.layernorm(ad.Tensor(np.full((3, 8), 4.2)), 1.0, 0.0)
     np.testing.assert_array_equal(out.data, np.zeros((3, 8)))
 
 
 def test_layernorm_row_mean_tiny():
     rng = np.random.default_rng(1)
-    out = ad.layernorm(ad.Tensor(rng.normal(size=(4, 16))))
+    out = ad.layernorm(ad.Tensor(rng.normal(size=(4, 16))), 1.0, 0.0)
     assert np.abs(out.data.mean(axis=-1)).max() < 1e-10
 
 
@@ -76,8 +76,8 @@ def test_matmul_shape_mismatch():
 def test_forward_deterministic():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 6))
-    a = ad.softmax(ad.layernorm(ad.Tensor(x))).data
-    b = ad.softmax(ad.layernorm(ad.Tensor(x))).data
+    a = ad.softmax(ad.layernorm(ad.Tensor(x), 1.0, 0.0)).data
+    b = ad.softmax(ad.layernorm(ad.Tensor(x), 1.0, 0.0)).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -104,7 +104,7 @@ def test_grad_check_primitive_soup(seed):
     def fn():
         w, m, b, p, x = (params[k] for k in "wmbpx")
         h = ad.matmul(w, m) + b
-        h = ad.layernorm(h)
+        h = ad.layernorm(h, 1.0, 0.0)
         h = ad.swish(h) + ad.tanh(h) * ad.sigmoid(h)
         h = ad.softmax(h, axis=-1)
         h = ad.log(h + 1.0) + ad.exp(h * 0.1) + ad.sqrt(h + 2.0)
@@ -273,3 +273,100 @@ def test_attention_nonfinite_logits_raise():
         ad.attention(q, q, v, 0.5)  # 1e200 * 1e200 overflows the logits
     assert "attention" in str(info.value)
     assert "logits shape (2, 4, 4)" in str(info.value)
+
+
+# -- fused linear, layernorm and pad against the op chains they replace ---------
+
+def _run_both(fused, chain, shapes, weights_shape, seed):
+    """Forward data and input gradients of `fused` and `chain` on one input."""
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=s) for s in shapes]
+    weights = rng.normal(size=weights_shape)
+    results = []
+    for fn in (fused, chain):
+        leaves = [ad.Tensor(v.copy(), requires_grad=True) for v in values]
+        out = fn(*leaves)
+        (out * ad.Tensor(weights)).sum().backward()
+        results.append((out.data, [t.grad for t in leaves]))
+    return results
+
+
+def _assert_bit_identical(results):
+    (got, got_grads), (want, want_grads) = results
+    np.testing.assert_array_equal(got, want)
+    assert len(got_grads) == len(want_grads)
+    for g, w in zip(got_grads, want_grads):
+        assert g is not None and w is not None
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (3, 3, 4)], ids=["2d", "pair"])
+def test_linear_matches_matmul_add(x_shape):
+    results = _run_both(ad.linear, lambda x, w, b: ad.matmul(x, w) + b,
+                        [x_shape, (4, 6), (6,)], x_shape[:-1] + (6,), seed=20)
+    _assert_bit_identical(results)
+
+
+LAYERNORM_CASES = [
+    pytest.param((5, 6), (6,), (6,), id="2d-affine"),
+    pytest.param((3, 3, 6), (6,), (6,), id="pair-affine"),
+    pytest.param((5, 6), (5, 6), (5, 6), id="2d-modulated"),
+]
+
+
+@pytest.mark.parametrize("x_shape,gamma_shape,beta_shape", LAYERNORM_CASES)
+def test_layernorm_matches_normalize_mul_add(x_shape, gamma_shape, beta_shape):
+    results = _run_both(ad.layernorm,
+                        lambda x, gamma, beta: ad.layernorm(x, 1.0, 0.0) * gamma + beta,
+                        [x_shape, gamma_shape, beta_shape], x_shape, seed=21)
+    _assert_bit_identical(results)
+
+
+def _pad_chain(a, widths):
+    """Zero padding as the concatenation of zero blocks it replaces."""
+    for axis, (lo, hi) in enumerate(widths):
+        shape = list(a.shape)
+        parts = []
+        if lo:
+            shape[axis] = lo
+            parts.append(ad.Tensor(np.zeros(shape)))
+        parts.append(a)
+        if hi:
+            shape[axis] = hi
+            parts.append(ad.Tensor(np.zeros(shape)))
+        a = ad.concat(parts, axis=axis)
+    return a
+
+
+@pytest.mark.parametrize("shape,widths", [
+    pytest.param((3, 4), ((1, 2), (0, 3)), id="2d"),
+    pytest.param((2, 3, 3), ((0, 0), (0, 3), (0, 3)), id="bias-quadrant"),
+])
+def test_pad_matches_zero_concat(shape, widths):
+    out_shape = tuple(n + lo + hi for n, (lo, hi) in zip(shape, widths))
+    results = _run_both(lambda a: ad.pad(a, widths), lambda a: _pad_chain(a, widths),
+                        [shape], out_shape, seed=22)
+    _assert_bit_identical(results)
+
+
+@pytest.mark.parametrize("x_shape,w_shape", [((2, 3), (4, 2)), ((3,), (3, 2))], ids=["width", "1d"])
+def test_linear_shape_mismatch(x_shape, w_shape):
+    with pytest.raises(ShapeMismatch):
+        ad.linear(ad.Tensor(np.ones(x_shape)), ad.Tensor(np.ones(w_shape)), ad.Tensor(np.zeros(2)))
+
+
+def test_linear_and_layernorm_nonfinite_raise():
+    big = ad.Tensor(np.full((2, 3), 1e200))
+    with pytest.raises(NonFiniteValue, match=r"linear, output shape \(2, 4\)"):
+        ad.linear(big, ad.Tensor(np.full((3, 4), 1e200)), ad.Tensor(np.zeros(4)))
+    x = ad.Tensor([[0.0, 1.0, 2.0]])
+    with pytest.raises(NonFiniteValue, match=r"layernorm, output shape \(1, 3\)"):
+        ad.layernorm(x, ad.Tensor(np.full(3, 1e308)), ad.Tensor(np.full(3, 1e308)))
+
+
+def test_linear_and_layernorm_modules_record_one_node():
+    rng = np.random.default_rng(23)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    lin, norm = ad.Linear(rng, 4, 5), ad.LayerNorm(4)
+    assert lin(x)._parents == (x, lin.w, lin.b)
+    assert norm(x)._parents == (x, norm.gamma, norm.beta)

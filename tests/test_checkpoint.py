@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from bitfold import checkpoint as ckpt
+from bitfold import cli
+from bitfold.config import ModelConfig, format_config
 from bitfold.errors import InvalidConfig, ParseError
 from bitfold.nn import MLP
 
@@ -72,3 +74,14 @@ def test_restore_rejects_a_shape_mismatch(saved):
     tensors = ckpt.load_checkpoint(path)[0]
     with pytest.raises(InvalidConfig, match=r"shape \(5, 7\) vs \(5, 8\)"):
         ckpt.restore_parameters(_mlp(0, (5, 8, 3)), tensors)
+
+
+def test_load_names_the_checkpoint_on_a_parameter_mismatch(tmp_path):
+    """A checkpoint whose config matches but whose tensors belong to another
+    module is refused with its own path in the message."""
+    path = tmp_path / "other.ckpt"
+    cfg = ModelConfig()
+    ckpt.save_checkpoint(path, _mlp(1).parameters(), format_config(cfg))
+    with pytest.raises(InvalidConfig, match="parameter names mismatch") as info:
+        cli.load_tokenizer(str(path), cfg)
+    assert str(info.value).startswith(f"{path}: ")

@@ -149,7 +149,7 @@ class ReferenceTriangleAttention:
     def __call__(self, pair):
         pair_in = ad.transpose(pair, (1, 0, 2)) if self.mode == "ending" else pair
         length = pair_in.shape[0]
-        z = ad.layernorm(pair_in) * self.gamma + self.beta
+        z = ad.layernorm(pair_in, 1.0, 0.0) * self.gamma + self.beta
 
         def split(x):  # (L, L, H*dh) -> (L, H, L, dh)
             return ad.transpose(ad.reshape(x, (length, length, self.n_heads, self.d_head)), (0, 2, 1, 3))
@@ -226,6 +226,91 @@ def test_init_pair_single_residue():
     pair_init = ga.PairInit(rng, 8, 6)
     with ad.no_grad():
         assert pair_init(Tensor(rng.normal(size=(1, 8)))).shape == (1, 1, 6)
+
+
+def _gather_concat_pair_init(pair_init, h):
+    """`PairInit` as first written: gather rows and columns of h into an
+    (L^2, 2 d_model) array and run the whole MLP on it."""
+    length = h.shape[0]
+    rows = h[np.repeat(np.arange(length), length)]
+    cols = h[np.tile(np.arange(length), length)]
+    return ad.reshape(pair_init.mlp(ad.concat([rows, cols], axis=1)), (length, length, -1))
+
+
+def test_init_pair_matches_gather_concat_reference():
+    """The split first layer is exact algebra: forward and every gradient
+    agree with the gather-concat form to rounding, under the same names."""
+    rng = np.random.default_rng(8)
+    pair_init = ga.PairInit(rng, 8, 6)
+    params = pair_init.parameters()
+    assert sorted(params) == [f"mlp.layers.{i}.{p}" for i in range(3) for p in "bw"]
+    for tensor in params.values():
+        tensor.data[...] = rng.normal(size=tensor.shape)
+    h_data, weights = rng.normal(size=(5, 8)), rng.normal(size=(5, 5, 6))
+    results = []
+    for layer in (pair_init, lambda h: _gather_concat_pair_init(pair_init, h)):
+        pair_init.zero_grad()
+        h = Tensor(h_data.copy(), requires_grad=True)
+        out = layer(h)
+        (out * Tensor(weights)).sum().backward()
+        results.append((out.data, h.grad, {name: t.grad.copy() for name, t in params.items()}))
+    (out_new, gh_new, grads_new), (out_ref, gh_ref, grads_ref) = results
+    np.testing.assert_allclose(out_new, out_ref, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(gh_new, gh_ref, atol=1e-12, rtol=0)
+    for name in params:
+        np.testing.assert_allclose(grads_new[name], grads_ref[name], atol=1e-12, rtol=0,
+                                   err_msg=name)
+
+
+def _zero_concat_block(block, h, pair, positions):
+    """`EncoderBlock.__call__` as first written, placing the pair bias and
+    the structure-track transition by concatenating zero tensors."""
+    cfg = block.cfg
+    length = len(positions)
+    bias = block.rel(np.concatenate([positions, positions]))
+    pb = block.pair_bias(pair)
+    zeros_r = Tensor(np.zeros((cfg.heads, length, length)))
+    zeros_b = Tensor(np.zeros((cfg.heads, length, 2 * length)))
+    bias = bias + ad.concat([ad.concat([pb, zeros_r], axis=2), zeros_b], axis=1)
+    h = h + block.attn(block.attn_norm(h), bias=bias)
+    d_seq, d_struct = block.seqstruct(h[length:], h[:length], pair)
+    h = h + ad.concat([d_struct, d_seq], axis=0)
+    delta = block.struct_trans(h[:length])
+    h = h + ad.concat([delta, Tensor(np.zeros((length, cfg.d_model)))], axis=0)
+    h = h + block.transition(h)
+    pair = pair + block.tri_out(pair)
+    pair = pair + block.tri_in(pair)
+    pair = pair + block.tri_start(pair)
+    pair = pair + block.tri_end(pair)
+    pair = pair + block.pair_transition(pair)
+    return h, pair
+
+
+def test_full_geo_block_matches_zero_concat_reference():
+    """Zero padding gives the zero-concat forward and gradients bit for bit."""
+    rng = np.random.default_rng(9)
+    cfg = small_cfg(pair_bias=True, struct_transition=True, triangle_update=True,
+                    triangle_attention=True, seqstruct_attention=True)
+    block = ga.EncoderBlock(rng, cfg)
+    params = block.parameters()
+    for tensor in params.values():  # no zero-initialized projection hides a term
+        tensor.data[...] = rng.normal(scale=0.3, size=tensor.shape)
+    length = 5
+    positions = np.arange(length)
+    h_data = rng.normal(size=(2 * length, cfg.d_model))
+    pair_data = rng.normal(size=(length, length, cfg.d_pair))
+    w_h, w_pair = rng.normal(size=h_data.shape), rng.normal(size=pair_data.shape)
+    results = []
+    for layer in (block, lambda h, pair, pos: _zero_concat_block(block, h, pair, pos)):
+        block.zero_grad()
+        h, pair = Tensor(h_data.copy(), requires_grad=True), Tensor(pair_data.copy(), requires_grad=True)
+        h_out, pair_out = layer(h, pair, positions)
+        ((h_out * Tensor(w_h)).sum() + (pair_out * Tensor(w_pair)).sum()).backward()
+        grads = [h.grad, pair.grad] + [params[name].grad for name in sorted(params)]
+        assert all(g is not None for g in grads)
+        results.append([h_out.data, pair_out.data] + grads)
+    for name, got, want in zip(["h", "pair", "h.grad", "pair.grad"] + sorted(params), *results):
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def test_seqstruct_shapes_preserved():

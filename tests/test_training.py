@@ -49,6 +49,14 @@ class CountingList(list):
 
 # -- train_lm against the loop it replaced ------------------------------------
 
+def _teacher_targets(structure, tokenizer_params):
+    """Frozen-encoder hidden states of one structure, from an encoder pass of
+    their own: the REPA targets as they were first computed."""
+    with ad.no_grad():
+        _, hidden = tokenizer_params.encoder(tok.invariant_features(structure))
+    return hidden.data.copy()
+
+
 def _loop_train_lm(lm, tokenizer_params, dataset, cfg):
     """The LM training loop as it stood before `optim.fit`, with the REPA
     head seeded by `cfg.seed` and teacher targets indexed by item."""
@@ -56,7 +64,7 @@ def _loop_train_lm(lm, tokenizer_params, dataset, cfg):
     if cfg.repa_enabled:
         repa_head = repa_mod.RepaHead(cfg.d_model, cfg.tok_width, cfg.n_blocks, seed=cfg.seed)
         trained.update(repa_head.parameters(prefix="repa."))
-        targets = [repa_mod.teacher_targets(s, tokenizer_params) for s, _ in dataset]
+        targets = [_teacher_targets(s, tokenizer_params) for s, _ in dataset]
     opt = optim.Adam(trained)
     rng = np.random.default_rng(cfg.seed)
     loss_fn = dfn.loss_bit if cfg.head == "bit" else dfn.loss_index
@@ -122,7 +130,7 @@ def test_repa_is_on_by_config_and_aligns_to_the_drawn_item(tok_params, monkeypat
     dataset = [geo.synth_backbone(geo.SynthSpec(length=n), seed=n) for n in (12, 16)]
     for structure, _ in dataset:
         structure.source_id = "shared"
-    want = {len(s): repa_mod.teacher_targets(s, tok_params) for s, _ in dataset}
+    want = {len(s): _teacher_targets(s, tok_params) for s, _ in dataset}
     seen = []
 
     def recording_repa_loss(hidden_layers, head, targets):
@@ -136,6 +144,28 @@ def test_repa_is_on_by_config_and_aligns_to_the_drawn_item(tok_params, monkeypat
     cfg = small_cfg(repa_enabled=True)
     training.train_lm(training.build_lm(cfg), tok_params, dataset, cfg)
     assert set(seen) == {12, 16}
+
+
+def test_repa_encodes_each_item_once(pairs, tok_params, monkeypatch):
+    """One encoder pass per item gives the tokens and the teacher targets of
+    two separate passes, bit for bit."""
+    states, targets = training.encode_dataset(pairs, tok_params, with_targets=True)
+    for (structure, seq), state, target in zip(pairs, states, targets):
+        want = dfn.TokenState.observed(np.asarray(seq), tok.structure_bits(structure, tok_params))
+        np.testing.assert_array_equal(state.struct_bits, want.struct_bits)
+        np.testing.assert_array_equal(state.seq, want.seq)
+        np.testing.assert_array_equal(target, _teacher_targets(structure, tok_params))
+    calls = []
+    encoder = tok_params.encoder
+
+    def counting_encoder(*args):
+        calls.append(1)
+        return encoder(*args)
+
+    monkeypatch.setattr(tok_params, "encoder", counting_encoder)
+    cfg = small_cfg(repa_enabled=True, steps=2)
+    training.train_lm(training.build_lm(cfg), tok_params, pairs, cfg)
+    assert len(calls) == len(pairs)
 
 
 # -- the benchmark's step clock -------------------------------------------------
