@@ -354,7 +354,10 @@ def tanh(a):
 
 def sigmoid(a):
     a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    out = np.negative(a.data)  # 1 / (1 + exp(-x)) in one buffer
+    np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
 
     def bw(g):
         a._accum(g * out * (1.0 - out))

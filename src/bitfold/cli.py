@@ -66,6 +66,21 @@ def load_dataset(directory):
     return items
 
 
+def load_samples(directory):
+    """Every `<id>.bkb` backbone in `directory`, sorted by name, all of one length."""
+    paths = [os.path.join(directory, name) for name in sorted(os.listdir(directory))
+             if name.endswith(".bkb")]
+    if not paths:
+        raise DegenerateInput(f"no samples: --data {directory} has no .bkb files")
+    samples = [geo.load_backbone(path) for path in paths]
+    for path, structure in zip(paths, samples):
+        if len(structure) != len(samples[0]):
+            raise LengthMismatch(
+                f"{path}: {len(structure)} residues, but {paths[0]} has {len(samples[0])}"
+            )
+    return samples
+
+
 # -- checkpoint helpers -------------------------------------------------------
 
 def _save_model(path, module, cfg, step=0):
@@ -215,29 +230,29 @@ def cmd_sample(args):
 
 
 def cmd_eval(args):
-    if args.mode == "folding" and args.ckpt is None:
-        raise ModeInputMissing("eval --mode folding needs --ckpt, the LM checkpoint to fold with")
-    cfg = load_config(args.config, args.set or [])
-    tokenizer_params = load_tokenizer(args.tokenizer, cfg)
     if args.mode == "folding":
-        dataset = load_dataset(args.data)
-        lm = load_lm(args.ckpt, cfg)
-        head = None
-        if args.resdiff:
-            head = _load(args.resdiff, _resdiff_head(cfg, args.seed), cfg, "resdiff")
-        report = evalsuite.folding_eval(
-            lm, tokenizer_params, dataset, steps=args.steps, seed=args.seed, resdiff_head=head,
-        )
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write(report.to_csv())
-        print(report.summary())
-    elif args.mode == "diversity":
-        samples = [geo.load_backbone(os.path.join(args.data, name))
-                   for name in sorted(os.listdir(args.data)) if name.endswith(".bkb")]
+        if args.ckpt is None:
+            raise ModeInputMissing("eval --mode folding needs --ckpt, the LM checkpoint to fold with")
+        if args.tokenizer is None:
+            raise ModeInputMissing("eval --mode folding needs --tokenizer, the tokenizer checkpoint")
+    cfg = load_config(args.config, args.set or [])
+    if args.mode == "diversity":
+        samples = load_samples(args.data)
         print(f"diversity: {evalsuite.diversity(samples):.4f} over {len(samples)} samples")
-    else:
-        raise ValueError(f"unknown eval mode {args.mode!r}")
+        return 0
+    tokenizer_params = load_tokenizer(args.tokenizer, cfg)
+    dataset = load_dataset(args.data)
+    lm = load_lm(args.ckpt, cfg)
+    head = None
+    if args.resdiff:
+        head = _load(args.resdiff, _resdiff_head(cfg, args.seed), cfg, "resdiff")
+    report = evalsuite.folding_eval(
+        lm, tokenizer_params, dataset, steps=args.steps, seed=args.seed, resdiff_head=head,
+    )
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(report.to_csv())
+    print(report.summary())
     return 0
 
 
@@ -321,7 +336,7 @@ def build_parser():
     p = common(sub.add_parser("eval"))
     p.add_argument("--mode", required=True, choices=("folding", "diversity"))
     p.add_argument("--data", required=True)
-    p.add_argument("--tokenizer", required=True)
+    p.add_argument("--tokenizer", default=None, help="needed for --mode folding")
     p.add_argument("--ckpt", default=None)
     p.add_argument("--resdiff", default=None)
     p.add_argument("--csv", default=None)

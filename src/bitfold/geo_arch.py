@@ -13,6 +13,13 @@ position bias, plus the pair bias when the pair track is on), SeqStruct
 attention (pair bias), and triangle attention over each row of the pair
 map (each column for "ending"), biased by a projection of the pair map.
 
+Each block's residue part (`EncoderBlock.__call__`) reads the pair track
+and returns the residue stream; `EncoderBlock.update_pair` then updates the
+pair track for the next block. No output reads the pair after the last
+block, so `ProteinLM.forward` leaves the pair track alone there. The last
+block keeps its pair-update parameters (checkpoint names and the init RNG
+stream stay as they were), but they get no gradient and are never trained.
+
 With every flag off the model reduces exactly to the plain two-modality
 transformer; pair-bias projections are zero-initialized so a zeroed pair
 representation also reproduces the plain forward bit-for-bit.
@@ -161,6 +168,9 @@ class SeqStructAttention(Module):
 # -- trunk block -------------------------------------------------------------
 
 class EncoderBlock(Module):
+    """One trunk block: `__call__` updates the residue stream, reading the
+    pair track for its biases; `update_pair` updates the pair track."""
+
     def __init__(self, rng, cfg: BlockConfig):
         d = cfg.d_model
         self.cfg = cfg
@@ -198,16 +208,18 @@ class EncoderBlock(Module):
         if cfg.struct_transition:
             delta = self.struct_trans(h[:length])
             h = h + ad.pad(delta, ((0, length), (0, 0)))
-        h = h + self.transition(h)
-        if cfg.pair_bias:
-            if cfg.triangle_update:
-                pair = pair + self.tri_out(pair)
-                pair = pair + self.tri_in(pair)
-            if cfg.triangle_attention:
-                pair = pair + self.tri_start(pair)
-                pair = pair + self.tri_end(pair)
-            pair = pair + self.pair_transition(pair)
-        return h, pair
+        return h + self.transition(h)
+
+    def update_pair(self, pair):
+        """Triangle updates, triangle attention and the pair transition."""
+        cfg = self.cfg
+        if cfg.triangle_update:
+            pair = pair + self.tri_out(pair)
+            pair = pair + self.tri_in(pair)
+        if cfg.triangle_attention:
+            pair = pair + self.tri_start(pair)
+            pair = pair + self.tri_end(pair)
+        return pair + self.pair_transition(pair)
 
 
 # -- full language model -----------------------------------------------------
@@ -260,9 +272,11 @@ class ProteinLM(Module):
         h = ad.concat([h_struct, h_seq], axis=0)
         pair = self.pair_init(h[:length]) if self.cfg.pair_bias else None
         hidden_layers = []
-        for block in self.blocks:
-            h, pair = block(h, pair, positions)
+        for i, block in enumerate(self.blocks):
+            h = block(h, pair, positions)
             hidden_layers.append(h[:length])
+            if pair is not None and i + 1 < len(self.blocks):
+                pair = block.update_pair(pair)
         h = self.final_norm(h)
         return dfn.LMOutput(
             seq_logits=self.seq_out(h[length:]),

@@ -5,8 +5,6 @@ Kernel set:
                          multiplicative update and its backward pass
   pdist / pdist_grad     smoothed pairwise Calpha distance matrix used by
                          the tokenizer reconstruction loss
-  so3_grid_min_rmsd      brute-force rigid-fit oracle over an Euler-angle
-                         grid (verification only)
 
 `autodiff` calls these through the module (`kernels.<name>`) so that a
 profiler can wrap them in place.
@@ -49,33 +47,3 @@ def pdist_grad(x, d, g, eps=1e-8):
     gx = (w[:, :, None] * diff).sum(axis=1)
     gx -= (w[:, :, None] * diff).sum(axis=0)
     return gx
-
-
-def so3_grid_min_rmsd(p, q, step_deg=2.0):
-    """Minimum RMSD(R p, q) over a ZYZ Euler grid, after centering p and q."""
-    p = p - p.mean(axis=0)
-    q = q - q.mean(axis=0)
-    step = np.deg2rad(float(step_deg))
-    alphas = np.arange(0.0, 2.0 * np.pi, step)
-    betas = np.arange(0.0, np.pi + 1e-12, step)
-    gammas = np.arange(0.0, 2.0 * np.pi, step)
-    n = p.shape[0]
-    best = np.inf
-    for b in betas:
-        cb, sb = np.cos(b), np.sin(b)
-        for a in alphas:
-            ca, sa = np.cos(a), np.sin(a)
-            # fold gamma loop into a vectorized sweep
-            cg, sg = np.cos(gammas), np.sin(gammas)
-            r00 = ca * cb * cg - sa * sg
-            r01 = -ca * cb * sg - sa * cg
-            r10 = sa * cb * cg + ca * sg
-            r11 = -sa * cb * sg + ca * cg
-            r20 = -sb * cg
-            r21 = sb * sg
-            rx = np.outer(r00, p[:, 0]) + np.outer(r01, p[:, 1]) + ca * sb * p[None, :, 2]
-            ry = np.outer(r10, p[:, 0]) + np.outer(r11, p[:, 1]) + sa * sb * p[None, :, 2]
-            rz = np.outer(r20, p[:, 0]) + np.outer(r21, p[:, 1]) + cb * p[None, :, 2]
-            sq = (rx - q[None, :, 0]) ** 2 + (ry - q[None, :, 1]) ** 2 + (rz - q[None, :, 2]) ** 2
-            best = min(best, sq.sum(axis=1).min() / n)
-    return float(np.sqrt(best))

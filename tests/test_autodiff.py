@@ -50,6 +50,17 @@ def test_unreached_parameter_gets_no_grad():
     assert p.grad is None  # treated as zero by callers
 
 
+def test_sigmoid_matches_formula_bit_for_bit():
+    """The one-buffer sigmoid equals 1 / (1 + exp(-x)), saturated tails included."""
+    tails = [-800.0, -710.0, -700.0, 700.0, 710.0, 800.0, 0.0]
+    x = np.concatenate([np.random.default_rng(0).normal(scale=20.0, size=200), tails])
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-x))
+        got = ad.sigmoid(ad.Tensor(x)).data
+    np.testing.assert_array_equal(got, want)
+    assert got[-7] == 0.0 and got[-2] == 1.0
+
+
 def test_backward_rejects_nonscalar():
     w = ad.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(NotScalar):

@@ -105,3 +105,29 @@ def test_pipeline_subcommands_run(tmp_path):
                    for name in ckpt.load_checkpoint(grid["3-geo-bit-repa"])[0])
     plain, hot = ckpt.load_checkpoint(rd_ckpt)[0], ckpt.load_checkpoint(rd_hot_ckpt)[0]
     assert any(not np.array_equal(plain[name], hot[name]) for name in plain)
+
+
+def test_eval_errors_name_their_inputs(tmp_path, capsys):
+    """Diversity needs no tokenizer and names a bad --data dir or file;
+    folding without --tokenizer fails before it loads anything."""
+    empty, one, mixed = (tmp_path / name for name in ("empty", "one", "mixed"))
+    for directory in (empty, one, mixed):
+        directory.mkdir()
+    for i, length in enumerate((20, 24)):
+        structure, seq = geo.synth_backbone(geo.SynthSpec(length=length), seed=i)
+        structure.source_id = f"s{i}"
+        for directory in (one, mixed)[i:]:
+            cli.write_sample(str(directory), structure, seq)
+    runs = [
+        ["eval", "--mode", "diversity", "--data", str(one)],
+        ["eval", "--mode", "diversity", "--data", str(empty)],
+        ["eval", "--mode", "diversity", "--data", str(mixed)],
+        ["eval", "--mode", "folding", "--data", str(one), "--ckpt", str(tmp_path / "absent.ckpt")],
+    ]
+    assert [cli.main(argv) for argv in runs] == [0, 1, 1, 1]
+    out, err = capsys.readouterr()
+    assert "diversity: 1.0000 over 1 samples" in out
+    assert f"no samples: --data {empty} has no .bkb files" in err
+    assert f"{mixed / 's1.bkb'}: 24 residues, but {mixed / 's0.bkb'} has 20" in err
+    assert "eval --mode folding needs --tokenizer" in err
+    assert "absent.ckpt" not in err

@@ -301,7 +301,8 @@ def test_full_geo_block_matches_zero_concat_reference():
     pair_data = rng.normal(size=(length, length, cfg.d_pair))
     w_h, w_pair = rng.normal(size=h_data.shape), rng.normal(size=pair_data.shape)
     results = []
-    for layer in (block, lambda h, pair, pos: _zero_concat_block(block, h, pair, pos)):
+    split = lambda h, pair, pos: (block(h, pair, pos), block.update_pair(pair))  # noqa: E731
+    for layer in (split, lambda h, pair, pos: _zero_concat_block(block, h, pair, pos)):
         block.zero_grad()
         h, pair = Tensor(h_data.copy(), requires_grad=True), Tensor(pair_data.copy(), requires_grad=True)
         h_out, pair_out = layer(h, pair, positions)
@@ -311,6 +312,63 @@ def test_full_geo_block_matches_zero_concat_reference():
         results.append([h_out.data, pair_out.data] + grads)
     for name, got, want in zip(["h", "pair", "h.grad", "pair.grad"] + sorted(params), *results):
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class _PairUpdatedToo:
+    """Stands in for the last block and updates the pair track after its
+    residue part, as every block did before the last one stopped."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def __call__(self, h, pair, positions):
+        out = self.block(h, pair, positions)
+        self.block.update_pair(pair)
+        return out
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_last_block_leaves_pair_alone(monkeypatch, n_blocks):
+    """Skipping the last block's pair update moves no output and no gradient."""
+    calls = {"TriangleUpdate": 0, "TriangleAttention": 0}
+    for name in calls:
+        def counted(self, pair, _call=getattr(ga, name).__call__, _name=name):
+            calls[_name] += 1
+            return _call(self, pair)
+
+        monkeypatch.setattr(getattr(ga, name), "__call__", counted)
+    cfg = small_cfg(pair_bias=True, struct_transition=True, triangle_update=True,
+                    triangle_attention=True, seqstruct_attention=True)
+    lm = ga.ProteinLM(cfg, n_blocks, k=4, seed=0)
+    rng = np.random.default_rng(n_blocks)
+    params = lm.parameters()
+    for tensor in params.values():  # no zero-initialized projection hides a term
+        tensor.data[...] = rng.normal(scale=0.3, size=tensor.shape)
+    pair_update = ("tri_out", "tri_in", "tri_start", "tri_end", "pair_transition")
+    unused = [name for name in params
+              if name.startswith(f"blocks.{n_blocks - 1}.") and name.split(".")[2] in pair_update]
+    assert len(unused) > len(pair_update)
+    state = make_state(rng)
+    last = lm.blocks[-1]
+    results = []
+    for reference in (False, True):
+        lm.zero_grad()
+        calls.update(dict.fromkeys(calls, 0))
+        lm.blocks[-1] = _PairUpdatedToo(last) if reference else last
+        out = lm.forward(state)
+        lm.blocks[-1] = last
+        outputs = [out.seq_logits, out.struct_logits, *out.hidden_layers]
+        weights = np.random.default_rng(0)
+        sum((t * Tensor(weights.normal(size=t.shape))).sum() for t in outputs).backward()
+        assert calls == dict.fromkeys(calls, 2 * (n_blocks - 1 + reference))
+        assert all(params[name].grad is None for name in unused)
+        results.append([t.data for t in outputs] + [params[name].grad for name in sorted(params)])
+    labels = ["seq_logits", "struct_logits"] + [f"hidden_layers[{i}]" for i in range(n_blocks)]
+    for name, got, want in zip(labels + sorted(params), *results):
+        if want is None:
+            assert got is None, name
+        else:
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def test_seqstruct_shapes_preserved():
