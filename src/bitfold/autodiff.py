@@ -471,19 +471,34 @@ def concat(tensors, axis=0):
     return _make(out, tuple(tensors), bw)
 
 
+def _gather(idx):
+    """The function x -> x[idx]. When `idx` is full slices followed by one
+    integer array it is `np.take` along that array's axis: the same
+    elements in the same layout, without the generic fancy-indexing path."""
+    lead, arr = (), idx
+    if isinstance(idx, tuple) and idx:
+        *lead, arr = idx
+    if (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"
+            and all(isinstance(s, slice) and s == slice(None) for s in lead)):
+        return lambda x: np.take(x, arr, axis=len(lead))
+    return lambda x: x[idx]
+
+
 def take(a, idx):
     """Basic slicing or integer-array gather; backward scatters-adds.
 
     Backward gathers the flat source position of every output element and
     sums the gradient per position with one bincount. That serves every
     kind of index, and repeated positions add in output order, exactly as
-    an unbuffered scatter-add does.
+    an unbuffered scatter-add does. Both passes gather through `_gather`,
+    so an index like `[:, arr]` runs on numpy's `take` fast path.
     """
     a = as_tensor(a)
-    out = a.data[idx]
+    gather = _gather(idx)
+    out = gather(a.data)
 
     def bw(g):
-        pos = np.arange(a.size).reshape(a.shape)[idx]
+        pos = gather(np.arange(a.size).reshape(a.shape))
         a._accum(np.bincount(pos.ravel(), weights=g.ravel(), minlength=a.size).reshape(a.shape))
 
     return _make(out, (a,), bw)
@@ -584,11 +599,14 @@ def layernorm(a, gamma, beta, eps=LAYERNORM_EPS):
 def attention(q, k, v, scale, bias=None, rel=None):
     """softmax(q @ k^T * scale + bias) @ v over the last two axes, as one node.
 
+    `q` may have fewer rows than `k` and `v` (Lq <= Lk): each query row
+    attends over all Lk keys, and `bias` then has Lq rows.
+
     `rel = (table, diff)` adds Shaw relative values, out[h, i] += sum_j
-    a[h, i, j] * table[diff[i, j], h], for (H, L, d) inputs: `table` is an
-    (R, H, d_v) Tensor and `diff` an (L, L) int array of bins. Summing the
+    a[h, i, j] * table[diff[i, j], h], for (H, Lq, d) queries: `table` is an
+    (R, H, d_v) Tensor and `diff` an (Lq, Lk) int array of bins. Summing the
     attention per bin, B[h, i, r] = sum_{j: diff[i, j] = r} a[h, i, j], makes
-    that term B @ table, so no (H, L, L, d_v) array is built in either pass.
+    that term B @ table, so no (H, Lq, Lk, d_v) array is built in either pass.
     The forward runs in the order of the unfused op chain and without `rel`
     gives the same bits.
     """
@@ -609,11 +627,12 @@ def attention(q, k, v, scale, bias=None, rel=None):
     if rel is not None:
         table, diff = rel
         parents.append(table)
-        n_bins, length = table.shape[0], diff.shape[0]
-        rows = a.size // length
-        bins = np.arange(rows).reshape(-1, length, 1) * n_bins + diff
-        per_bin = np.bincount(bins.ravel(), weights=a.ravel(), minlength=rows * n_bins)
-        per_bin = per_bin.reshape(a.shape[:-1] + (n_bins,))  # (H, L, R)
+        n_bins, block = table.shape[0], diff.shape[0] * table.shape[0]
+        cells = np.arange(diff.shape[0])[:, None] * n_bins + diff  # bins in one (Lq, R) block
+        heads = a.size // diff.size
+        bins = np.arange(heads).reshape(-1, 1, 1) * block + cells
+        per_bin = np.bincount(bins.ravel(), weights=a.ravel(), minlength=heads * block)
+        per_bin = per_bin.reshape(a.shape[:-1] + (n_bins,))  # (H, Lq, R)
         tv = np.swapaxes(table.data, 0, 1)  # (H, R, d_v)
         out += per_bin @ tv
 
@@ -624,7 +643,8 @@ def attention(q, k, v, scale, bias=None, rel=None):
         if rel is not None:
             if table.requires_grad:
                 table._accum(np.swapaxes(np.swapaxes(per_bin, -1, -2) @ g, 0, 1))
-            ga += (g @ np.swapaxes(tv, -1, -2))[..., np.arange(length)[:, None], diff]
+            g_bin = g @ np.swapaxes(tv, -1, -2)  # (H, Lq, R), gathered per (i, j) at diff[i, j]
+            ga += np.take(g_bin.reshape(g_bin.shape[:-2] + (-1,)), cells, axis=-1)
         ga -= (ga * a).sum(axis=-1, keepdims=True)
         ga *= a
         if bias is not None and bias.requires_grad:

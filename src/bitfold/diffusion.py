@@ -116,7 +116,7 @@ class TokenState:
 
 @dataclass
 class LMOutput:
-    seq_logits: object  # Tensor (L, 20)
+    seq_logits: object  # Tensor (L, 20); None when no sequence position is masked
     struct_logits: object  # Tensor (L, 2^K) for index head or (L, 2K) for bit head
     hidden_layers: list = field(default_factory=list)  # per-layer (L, D) Tensors
     head: str = "bit"
@@ -144,17 +144,19 @@ def forward_mask(x0: TokenState, schedule: NoiseSchedule, t, rng,
 
 # -- losses ------------------------------------------------------------------
 
-def _masked_ce(log_probs, targets, mask):
+def _masked_ce(logits, targets, mask):
     """Mean negative log-likelihood over masked positions (0 if none)."""
     idx = np.flatnonzero(mask)
     if len(idx) == 0:
         return ad.Tensor(0.0)
-    picked = log_probs[idx, targets[idx]]
+    picked = ad.log_softmax(logits, axis=-1)[idx, targets[idx]]
     return -picked.mean()
 
 
 def seq_ce(output: LMOutput, x0: TokenState, xt: TokenState):
-    return _masked_ce(ad.log_softmax(output.seq_logits, axis=-1), x0.seq, xt.mask_seq & ~xt.pad)
+    """Sequence CE; 0 when no sequence position is masked, as then the
+    model returns no `seq_logits`."""
+    return _masked_ce(output.seq_logits, x0.seq, xt.mask_seq & ~xt.pad)
 
 
 def loss_index(output: LMOutput, x0: TokenState, xt: TokenState, t, schedule: NoiseSchedule):
@@ -163,9 +165,7 @@ def loss_index(output: LMOutput, x0: TokenState, xt: TokenState, t, schedule: No
         raise HeadMismatch(f"index loss on head {output.head!r}")
     lam = schedule.lambda_w[t]
     struct_targets = bits_to_index(x0.struct_bits)
-    struct = _masked_ce(
-        ad.log_softmax(output.struct_logits, axis=-1), struct_targets, xt.mask_struct & ~xt.pad
-    )
+    struct = _masked_ce(output.struct_logits, struct_targets, xt.mask_struct & ~xt.pad)
     return (seq_ce(output, x0, xt) + struct) * lam
 
 
@@ -229,9 +229,11 @@ def sample_prediction(output: LMOutput, xt: TokenState, temperature, rng, greedy
     state = xt.copy()
     state.mask_seq = np.zeros(length, dtype=bool)
     state.mask_struct = np.zeros(length, dtype=bool)
-    seq_p = _temperature_softmax(output.seq_logits.data, temperature)
     conf_seq = np.zeros(length)
-    for i in np.flatnonzero(xt.mask_seq):
+    seq_masked = np.flatnonzero(xt.mask_seq)
+    if len(seq_masked):
+        seq_p = _temperature_softmax(output.seq_logits.data, temperature)
+    for i in seq_masked:
         choice = int(np.argmax(seq_p[i])) if greedy else int(rng.choice(N_AA, p=seq_p[i]))
         state.seq[i] = choice
         conf_seq[i] = seq_p[i, choice]
@@ -274,12 +276,15 @@ def generate(model, length, mode="unconditional", steps=25, strategy="stochastic
 
     mode: 'unconditional' | 'folding' (seq given, struct generated) |
     'inverse_folding' (struct given, seq generated). `model` exposes
-    .forward(TokenState) -> LMOutput, .schedule, .k.
+    .forward(TokenState, position_indices=...) -> LMOutput, .schedule and
+    .k. The output's `seq_logits` are read only when the state masks some
+    sequence position, and may be None otherwise, as in folding. `steps`
+    is in [1, T].
     """
     rng = np.random.default_rng() if rng is None else rng
     schedule = model.schedule
-    if steps > schedule.T:
-        raise BadT(f"steps={steps} exceeds T={schedule.T}")
+    if not 1 <= steps <= schedule.T:
+        raise BadT(f"steps={steps} outside [1, T={schedule.T}]")
     k = model.k
     state = TokenState.all_masked(length, k, pad=pad)
     if mode == "folding":

@@ -20,6 +20,15 @@ block, so `ProteinLM.forward` leaves the pair track alone there. The last
 block keeps its pair-update parameters (checkpoint names and the init RNG
 stream stay as they were), but they get no gradient and are never trained.
 
+Likewise no output reads the sequence rows after the last block when no
+sequence position is masked: folding, struct-only training steps and every
+forward on an observed state. `ProteinLM.forward` derives that from the
+state, and the last block then drops the sequence rows as early as its
+config allows: before the attention queries (keys and values still come
+from all 2L rows), or after SeqStruct attention, which needs the updated
+sequence rows. Its transitions and the final norm run on L rows, and
+`LMOutput.seq_logits` is None. The structure rows get the same bits.
+
 With every flag off the model reduces exactly to the plain two-modality
 transformer; pair-bias projections are zero-initialized so a zeroed pair
 representation also reproduces the plain forward bit-for-bit.
@@ -169,7 +178,8 @@ class SeqStructAttention(Module):
 
 class EncoderBlock(Module):
     """One trunk block: `__call__` updates the residue stream, reading the
-    pair track for its biases; `update_pair` updates the pair track."""
+    pair track for its biases; `update_pair` updates the pair track. With
+    `struct_only` it returns only the L structure rows."""
 
     def __init__(self, rng, cfg: BlockConfig):
         d = cfg.d_model
@@ -192,7 +202,7 @@ class EncoderBlock(Module):
         if cfg.seqstruct_attention:
             self.seqstruct = SeqStructAttention(rng, d, cfg.d_pair, cfg.heads_seqstruct)
 
-    def __call__(self, h, pair, positions):
+    def __call__(self, h, pair, positions, struct_only=False):
         cfg = self.cfg
         length = len(positions)
         joint_pos = np.concatenate([positions, positions])
@@ -200,14 +210,16 @@ class EncoderBlock(Module):
         if cfg.pair_bias:
             pb = self.pair_bias(pair)  # (H, L, L) on the struct-struct quadrant
             bias = bias + ad.pad(pb, ((0, 0), (0, length), (0, length)))
-        h = h + self.attn(self.attn_norm(h), bias=bias)
+        # SeqStruct attention reads the updated sequence rows, so they stay until then
+        rows = length if struct_only and not cfg.seqstruct_attention else None
+        h = (h if rows is None else h[:rows]) + self.attn(self.attn_norm(h), bias=bias, rows=rows)
         if cfg.seqstruct_attention:
             h_struct, h_seq = h[:length], h[length:]
             d_seq, d_struct = self.seqstruct(h_seq, h_struct, pair)
-            h = h + ad.concat([d_struct, d_seq], axis=0)
+            h = h_struct + d_struct if struct_only else h + ad.concat([d_struct, d_seq], axis=0)
         if cfg.struct_transition:
             delta = self.struct_trans(h[:length])
-            h = h + ad.pad(delta, ((0, length), (0, 0)))
+            h = h + (delta if struct_only else ad.pad(delta, ((0, length), (0, 0))))
         return h + self.transition(h)
 
     def update_pair(self, pair):
@@ -264,7 +276,10 @@ class ProteinLM(Module):
         return self.struct_embed[state.struct_index_view()]
 
     def forward(self, state: dfn.TokenState, position_indices=None):
+        """LMOutput for `state`; `seq_logits` is None when no sequence
+        position is masked, since nothing then reads them."""
         length = len(state)
+        seq_read = bool((state.mask_seq & ~state.pad).any())
         positions = np.arange(length) if position_indices is None else np.asarray(position_indices)
         pos_emb = nn.sinusoidal_embedding(positions, self.cfg.d_model)
         h_struct = self._embed_struct(state) + pos_emb + self.modality[np.zeros(length, dtype=int)]
@@ -272,14 +287,15 @@ class ProteinLM(Module):
         h = ad.concat([h_struct, h_seq], axis=0)
         pair = self.pair_init(h[:length]) if self.cfg.pair_bias else None
         hidden_layers = []
+        last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            h = block(h, pair, positions)
+            h = block(h, pair, positions, struct_only=i == last and not seq_read)
             hidden_layers.append(h[:length])
-            if pair is not None and i + 1 < len(self.blocks):
+            if pair is not None and i < last:
                 pair = block.update_pair(pair)
         h = self.final_norm(h)
         return dfn.LMOutput(
-            seq_logits=self.seq_out(h[length:]),
+            seq_logits=self.seq_out(h[length:]) if seq_read else None,
             struct_logits=self.struct_out(h[:length]),
             hidden_layers=hidden_layers,
             head=self.head,

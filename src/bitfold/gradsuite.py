@@ -2,10 +2,10 @@
 
 Each entry builds a tiny instance of one loss (token cross-entropies,
 representation alignment, residual diffusion, transitions, pair-biased
-attention, relative-value attention, triangle operations, SeqStruct
-attention) or of one fused primitive (`linear`, modulated `layernorm`,
-`pad`) and compares backpropagated gradients against central finite
-differences.
+attention, relative-value attention, attention with fewer queries than
+keys, triangle operations, SeqStruct attention) or of one fused primitive
+(`linear`, modulated `layernorm`, `pad`) and compares backpropagated
+gradients against central finite differences.
 """
 
 from __future__ import annotations
@@ -141,6 +141,24 @@ def _loss_relpos_value_attention(seed):
     return fn, params
 
 
+def _loss_fewer_queries_attention(seed):
+    rng = np.random.default_rng(seed)
+    attn = nn.MultiHeadAttention(rng, 8, 2, gated=True)
+    attn.out.w.data[:] = rng.normal(size=attn.out.w.data.shape) * 0.3
+    rel_bias = nn.RelPosBias(rng, 2, clip=3, d_value=4)
+    x = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+    positions = np.array([0, 1, 2, 5, 6, 40])
+
+    def fn():  # the first 4 of 6 rows as queries, as the last trunk block runs when folding
+        bias, rel = rel_bias(positions)
+        return (attn(x, bias=bias, rel=rel, rows=4) ** 2).mean()
+
+    params = {"x": x}
+    params.update(attn.parameters(prefix="attn."))
+    params.update(rel_bias.parameters(prefix="rel."))
+    return fn, params
+
+
 def _loss_triangle_update(seed):
     rng = np.random.default_rng(seed)
     pair = Tensor(rng.normal(size=(4, 4, 5)), requires_grad=True)
@@ -246,6 +264,7 @@ SUITE = {
     "transition": _loss_transition,
     "pair-bias-attention": _loss_pair_bias_attention,
     "relpos-value-attention": _loss_relpos_value_attention,
+    "fewer-queries-attention": _loss_fewer_queries_attention,
     "triangle-update": _loss_triangle_update,
     "triangle-attention": _loss_triangle_attention,
     "seqstruct-attention": _loss_seqstruct,

@@ -85,7 +85,7 @@ class RelPosBias(Module):
 
     def __call__(self, position_indices):
         diff = self._diff(position_indices)
-        bias = ad.transpose(self.table[diff], (2, 0, 1))  # (H, L, L)
+        bias = ad.transpose(self.table)[:, diff]  # (H, L, L), gathered head-major: contiguous
         if not self.d_value:
             return bias
         table = ad.reshape(self.value_table, (2 * self.clip + 1, self.n_heads, self.d_value))
@@ -102,6 +102,11 @@ class MultiHeadAttention(Module):
     `RelPosBias`; `gated` applies a sigmoid gate computed from the input to
     each head's output, as in pair-biased and triangle attention. The
     heads are `d_head` wide, `d_model // n_heads` by default.
+
+    `rows` keeps only the first `rows` positions as queries: the queries
+    and the gate come from those rows, the keys and values from all of
+    them, `bias` and `rel` are cut to those query rows, and the output has
+    `rows` positions. Each kept row gets the same bits as without `rows`.
     """
 
     def __init__(self, rng, d_model, n_heads, d_head=None, gated=False, zero_init_out=False):
@@ -125,12 +130,17 @@ class MultiHeadAttention(Module):
     def _split(self, y):  # (..., L, H*dh) -> (..., H, L, dh)
         return self._swap_heads(ad.reshape(y, y.shape[:-1] + (self.n_heads, self.d_head)))
 
-    def __call__(self, x, bias=None, rel=None):
-        q, k, v = self._split(self.q(x)), self._split(self.k(x)), self._split(self.v(x))
+    def __call__(self, x, bias=None, rel=None, rows=None):
+        xq = x
+        if rows is not None:
+            xq = x[..., :rows, :]
+            bias = None if bias is None else bias[..., :rows, :]
+            rel = None if rel is None else (rel[0], rel[1][:rows])
+        q, k, v = self._split(self.q(xq)), self._split(self.k(x)), self._split(self.v(x))
         ctx = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_head), bias=bias, rel=rel)
-        merged = ad.reshape(self._swap_heads(ctx), x.shape[:-1] + (-1,))
+        merged = ad.reshape(self._swap_heads(ctx), xq.shape[:-1] + (-1,))
         if self.gate is not None:
-            merged = merged * ad.sigmoid(self.gate(x))
+            merged = merged * ad.sigmoid(self.gate(xq))
         return self.out(merged)
 
 

@@ -190,6 +190,40 @@ def test_take_backward_matches_add_at(shape, idx):
     np.testing.assert_array_equal(a.grad, want)
 
 
+GATHER_CASES = [  # (shape, index, on the np.take fast path)
+    pytest.param((6,), np.array([4, 0, 0, 5]), True, id="1d-on-1d"),
+    pytest.param((6, 3), np.array([[0, 5], [-1, 2], [5, 5]]), True, id="2d-negative"),
+    pytest.param((3, 9), (slice(None), _TAKE_RNG.integers(-9, 9, size=(5, 5))), True,
+                 id="lead-slice-2d"),
+    pytest.param((2, 3, 7), (slice(None), slice(None), np.array([6, -7, 3])), True,
+                 id="two-lead-slices"),
+    pytest.param((5, 4), _TAKE_RNG.random((5, 4)) < 0.5, False, id="bool-mask"),
+    pytest.param((5, 4), (slice(None), _TAKE_RNG.random(4) < 0.5), False, id="lead-slice-bool"),
+    pytest.param((4, 3), (np.array([0, 3, 3]), np.array([2, 0, 1])), False, id="two-arrays"),
+    pytest.param((4, 3), (slice(1, None), np.array([2, 0])), False, id="partial-slice"),
+]
+
+
+@pytest.mark.parametrize("shape,idx,fast", GATHER_CASES)
+def test_take_fast_path_matches_fancy_indexing(monkeypatch, shape, idx, fast):
+    """Full slices then one integer array go through `np.take` in both
+    passes, with the bits of fancy indexing; other indices do not."""
+    calls = []
+    np_take = np.take
+    monkeypatch.setattr(np, "take", lambda *a, **kw: calls.append(1) or np_take(*a, **kw))
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=shape)
+    a = ad.Tensor(data, requires_grad=True)
+    out = ad.take(a, idx)
+    np.testing.assert_array_equal(out.data, data[idx])
+    g = rng.normal(size=out.shape)
+    (out * ad.Tensor(g)).sum().backward()
+    want = np.zeros(shape)
+    np.add.at(want, idx, g)
+    np.testing.assert_array_equal(a.grad, want)
+    assert len(calls) == (2 if fast else 0)
+
+
 def test_gradient_aliasing_one_leaf_both_add_operands():
     rng = np.random.default_rng(8)
     x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -274,6 +308,31 @@ def test_attention_matches_op_chain(shape, bias_shape, with_rel):
         np.testing.assert_array_equal(got, want)
         for g, w in zip(got_grads, want_grads):
             np.testing.assert_array_equal(g, w)
+
+
+def test_attention_fewer_queries_match_leading_rows():
+    """Lq < Lk queries give the first Lq rows of the square attention, bit
+    for bit, with bias and relative values cut to those rows; gradients
+    agree to rounding (the square run also sums zero rows)."""
+    rng = np.random.default_rng(13)
+    heads, length, rows, d = 2, 6, 4, 3
+    data = [rng.normal(size=(heads, length, d)) for _ in range(3)]
+    bias_data = rng.normal(size=(heads, length, length))
+    table_data = rng.normal(size=(7, heads, d))
+    weights = rng.normal(size=(heads, rows, d))
+    results = []
+    for n in (rows, length):
+        q, k, v = (ad.Tensor(x.copy(), requires_grad=True) for x in data)
+        bias = ad.Tensor(bias_data.copy(), requires_grad=True)
+        table = ad.Tensor(table_data.copy(), requires_grad=True)
+        out = ad.attention(q[:, :n], k, v, 1.0 / np.sqrt(d), bias=bias[:, :n],
+                           rel=(table, _REPEATED_BINS[:n]))[:, :rows]
+        (out * ad.Tensor(weights)).sum().backward()
+        results.append([out.data] + [t.grad for t in (q, k, v, bias, table)])
+    (got, *got_grads), (want, *want_grads) = results
+    np.testing.assert_array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, atol=1e-12, rtol=0)
 
 
 def test_attention_nonfinite_logits_raise():

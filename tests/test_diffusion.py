@@ -147,6 +147,24 @@ def test_loss_zero_when_nothing_masked():
     assert dfn.loss_bit(out, x0, x0, 3, schedule).item() == 0.0
 
 
+def test_struct_only_loss_needs_no_seq_logits():
+    """With no sequence position masked the model returns no sequence
+    logits; both losses then count only the structure term."""
+    rng = np.random.default_rng(21)
+    k = 3
+    x0 = make_state(rng, k=k)
+    schedule = dfn.make_schedule(10)
+    xt = x0.copy()
+    xt.mask_struct[[0, 5]] = True
+    length = len(x0)
+    for head, width, loss in (("bit", 2 * k, dfn.loss_bit), ("index", 2**k, dfn.loss_index)):
+        struct = Tensor(rng.normal(size=(length, width)))
+        with_seq = dfn.LMOutput(Tensor(rng.normal(size=(length, 20))), struct, head=head)
+        without = dfn.LMOutput(None, struct, head=head)
+        assert dfn.seq_ce(without, x0, xt).item() == 0.0
+        assert loss(without, x0, xt, 3, schedule).item() == loss(with_seq, x0, xt, 3, schedule).item()
+
+
 def test_head_mismatch():
     rng = np.random.default_rng(7)
     x0 = make_state(rng)
@@ -310,6 +328,33 @@ def test_generate_single_step_unmasks_everything():
     model = OracleModel(x0)
     out = dfn.generate(model, 5, steps=1, rng=rng)
     assert out.fully_unmasked()
+
+
+def test_generate_folding_reads_no_seq_logits():
+    """Folding masks no sequence position, so a model may leave
+    `seq_logits` out, as `ProteinLM` does."""
+    rng = np.random.default_rng(22)
+    x0 = make_state(rng, length=6)
+    model = OracleModel(x0)
+    oracle_forward = model.forward
+
+    def forward(state, position_indices=None):
+        assert not state.mask_seq.any()
+        out = oracle_forward(state, position_indices)
+        out.seq_logits = None
+        return out
+
+    model.forward = forward
+    out = dfn.generate(model, 6, mode="folding", steps=5, strategy="confidence", rng=rng,
+                       seq=x0.seq)
+    np.testing.assert_array_equal(out.struct_bits, x0.struct_bits)
+
+
+@pytest.mark.parametrize("steps", [0, -3, 11])
+def test_generate_steps_outside_range(steps):
+    model = OracleModel(make_state(np.random.default_rng(23), length=4))
+    with pytest.raises(BadT, match=rf"steps={steps} outside \[1, T=10\]"):
+        dfn.generate(model, 4, steps=steps, rng=np.random.default_rng(0))
 
 
 def test_generate_mode_input_missing():

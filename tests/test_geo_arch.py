@@ -30,6 +30,14 @@ def make_state(rng, length=6, k=4):
     return dfn.TokenState.observed(seq, bits)
 
 
+def seq_masked(state, position=0):
+    """`state` with one sequence position masked, so the model computes
+    the sequence rows and `seq_logits` through to the end."""
+    state = state.copy()
+    state.mask_seq[position] = True
+    return state
+
+
 def copy_shared_parameters(src, dst):
     """Copy every parameter whose name exists in both models."""
     src_params = src.parameters()
@@ -60,7 +68,7 @@ def test_fresh_geo_model_equals_plain_forward():
     full-featured model forward-matches the plain transformer with the
     same shared weights."""
     rng = np.random.default_rng(0)
-    state = make_state(rng)
+    state = seq_masked(make_state(rng))
     plain = ga.ProteinLM(small_cfg(), 2, k=4, seed=3)
     geo_full = ga.ProteinLM(
         small_cfg(pair_bias=True, struct_transition=True, triangle_update=True,
@@ -321,8 +329,8 @@ class _PairUpdatedToo:
     def __init__(self, block):
         self.block = block
 
-    def __call__(self, h, pair, positions):
-        out = self.block(h, pair, positions)
+    def __call__(self, h, pair, positions, struct_only=False):
+        out = self.block(h, pair, positions, struct_only)
         self.block.update_pair(pair)
         return out
 
@@ -348,7 +356,7 @@ def test_last_block_leaves_pair_alone(monkeypatch, n_blocks):
     unused = [name for name in params
               if name.startswith(f"blocks.{n_blocks - 1}.") and name.split(".")[2] in pair_update]
     assert len(unused) > len(pair_update)
-    state = make_state(rng)
+    state = seq_masked(make_state(rng))
     last = lm.blocks[-1]
     results = []
     for reference in (False, True):
@@ -369,6 +377,102 @@ def test_last_block_leaves_pair_alone(monkeypatch, n_blocks):
             assert got is None, name
         else:
             np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class _FullPathSliced:
+    """Stands in for the last block: runs its full 2L-row path and keeps
+    the first L rows where the block is asked for the structure rows only."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def __call__(self, h, pair, positions, struct_only=False):
+        out = self.block(h, pair, positions)
+        return out[:len(positions)] if struct_only else out
+
+
+STRUCT_ONLY_CONFIGS = {
+    "plain": {},
+    "pair-bias": dict(pair_bias=True),
+    "full-geo": dict(pair_bias=True, struct_transition=True, triangle_update=True,
+                     triangle_attention=True, seqstruct_attention=True),
+}
+
+
+def _struct_only_lm(flags, n_blocks):
+    lm = ga.ProteinLM(small_cfg(**flags), n_blocks, k=4, seed=n_blocks)
+    rng = np.random.default_rng(n_blocks)
+    for tensor in lm.parameters().values():  # no zero-initialized projection hides a term
+        tensor.data[...] = rng.normal(scale=0.3, size=tensor.shape)
+    state = make_state(rng, length=7)
+    state.mask_struct[[1, 4]] = True
+    return lm, state
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+@pytest.mark.parametrize("config", sorted(STRUCT_ONLY_CONFIGS))
+def test_last_block_drops_unread_sequence_rows(monkeypatch, config, n_blocks):
+    """With no sequence position masked the last block works on the L
+    structure rows, and the outputs equal its full path's bit for bit."""
+    lm, state = _struct_only_lm(STRUCT_ONLY_CONFIGS[config], n_blocks)
+    length = len(state)
+    rows_seen = []
+    transition_call = nn.Transition.__call__
+
+    def counted(self, x):
+        rows_seen.append(x.shape[0])
+        return transition_call(self, x)
+
+    monkeypatch.setattr(nn.Transition, "__call__", counted)
+    last = lm.blocks[-1]
+    outputs = []
+    for reference in (False, True):
+        lm.blocks[-1] = _FullPathSliced(last) if reference else last
+        rows_seen.clear()
+        with ad.no_grad():
+            out = lm.forward(state)
+        lm.blocks[-1] = last
+        assert out.seq_logits is None
+        outputs.append([out.struct_logits, *out.hidden_layers])
+    assert rows_seen[-1] == 2 * length  # the reference's last transition
+    labels = ["struct_logits"] + [f"hidden_layers[{i}]" for i in range(n_blocks)]
+    for name, got, want in zip(labels, *outputs):
+        np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+    with ad.no_grad():
+        lm.forward(state)
+        assert rows_seen[-1] == length
+        masked = lm.forward(seq_masked(state, 3))
+    assert rows_seen[-1] == 2 * length
+    assert masked.seq_logits.shape == (length, 20)
+
+
+@pytest.mark.parametrize("config", sorted(STRUCT_ONLY_CONFIGS))
+def test_struct_only_step_gradients_match_full_path(config):
+    """A struct-only training step's gradients do not depend on whether the
+    last block also carried the sequence rows, up to summation order."""
+    lm, x0 = _struct_only_lm(STRUCT_ONLY_CONFIGS[config], 2)
+    xt = x0.copy()
+    x0.mask_struct[:] = False
+    params = lm.parameters()
+    last = lm.blocks[-1]
+    grads = []
+    for reference in (False, True):
+        lm.zero_grad()
+        lm.blocks[-1] = _FullPathSliced(last) if reference else last
+        out = lm.forward(xt)
+        lm.blocks[-1] = last
+        dfn.loss_bit(out, x0, xt, 3, lm.schedule).backward()
+        grads.append({name: t.grad for name, t in params.items()})
+    got, want = grads
+    assert sum(g is not None for g in want.values()) > len(params) // 2
+    # the atol covers rounding in gradients that are exactly 0: the key and logit-bias biases
+    scale = max(np.abs(g).max() for g in want.values() if g is not None)
+    for name in sorted(params):
+        if want[name] is None:
+            assert got[name] is None, name
+        else:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=1e-13 * scale,
+                                       err_msg=name)
 
 
 def test_seqstruct_shapes_preserved():
@@ -409,7 +513,7 @@ def test_parameter_count_ordering():
 
 def test_heads_and_hidden_layers():
     rng = np.random.default_rng(9)
-    state = make_state(rng, length=5, k=4)
+    state = seq_masked(make_state(rng, length=5, k=4))
     for head, width in (("bit", 8), ("index", 16)):
         model = ga.ProteinLM(small_cfg(), 2, k=4, head=head, seed=0)
         with ad.no_grad():
@@ -436,7 +540,7 @@ def test_forward_respects_struct_mask():
 
 def test_position_indices_shift_invariance():
     rng = np.random.default_rng(11)
-    state = make_state(rng, length=6, k=4)
+    state = seq_masked(make_state(rng, length=6, k=4))
     model = ga.ProteinLM(small_cfg(), 1, k=4, seed=2)
     base = np.arange(6)
     joint = np.concatenate([base, base])  # the trunk's 2L tokens share residue indices
