@@ -15,9 +15,10 @@ Besides elementwise, reduction, shape and normalization primitives, the
 module has fused primitives with hand-written backward passes: `linear`
 (matmul plus bias), `layernorm` (normalization plus its affine scale and
 shift), `pad` (zero padding), `attention` (every softmax attention in the
-package, with optional bias and Shaw relative values), `tri_contract` and
-`pair_dist`. Each records one graph node where the op chain it replaces
-recorded several, so fewer intermediate arrays stay alive until backward.
+package, on packed heads, with optional bias and Shaw relative values),
+`tri_contract` and `pair_dist`. Each records one graph node where the op
+chain it replaces recorded several, so fewer intermediate arrays stay
+alive until backward.
 
 Gradient ownership: no gradient array is ever written in place. A tensor
 keeps the first gradient it receives as it is (a broadcast view if its
@@ -596,23 +597,38 @@ def layernorm(a, gamma, beta, eps=LAYERNORM_EPS):
 
 # -- fused attention --------------------------------------------------------
 
-def attention(q, k, v, scale, bias=None, rel=None):
-    """softmax(q @ k^T * scale + bias) @ v over the last two axes, as one node.
+def attention(q, k, v, n_heads, scale, bias=None, rel=None):
+    """softmax(q @ k^T * scale + bias) @ v per head, as one node.
+
+    `q`, `k` and `v` hold `n_heads` heads packed along the last axis,
+    (..., L, H * d); attention runs along the second-to-last axis and any
+    leading axes are independent rows. The output is packed the same way,
+    (..., Lq, H * d_v). The head split and merge are numpy views in both
+    passes: the per-head arrays are (..., H, L, d).
 
     `q` may have fewer rows than `k` and `v` (Lq <= Lk): each query row
-    attends over all Lk keys, and `bias` then has Lq rows.
+    attends over all Lk keys. `bias` broadcasts against the (..., H, Lq, Lk)
+    logits.
 
     `rel = (table, diff)` adds Shaw relative values, out[h, i] += sum_j
-    a[h, i, j] * table[diff[i, j], h], for (H, Lq, d) queries: `table` is an
-    (R, H, d_v) Tensor and `diff` an (Lq, Lk) int array of bins. Summing the
-    attention per bin, B[h, i, r] = sum_{j: diff[i, j] = r} a[h, i, j], makes
-    that term B @ table, so no (H, Lq, Lk, d_v) array is built in either pass.
+    a[h, i, j] * table[diff[i, j], h]: `table` is an (R, H, d_v) Tensor and
+    `diff` an (Lq, Lk) int array of bins. Summing the attention per bin,
+    B[h, i, r] = sum_{j: diff[i, j] = r} a[h, i, j], makes that term
+    B @ table, so no (H, Lq, Lk, d_v) array is built in either pass.
     The forward runs in the order of the unfused op chain and without `rel`
     gives the same bits.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     parents = [q, k, v]
-    a = q.data @ np.swapaxes(k.data, -1, -2)  # logits, turned into weights in place
+
+    def split(x):  # (..., L, H*d) -> (..., H, L, d), a view when x is contiguous
+        return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, -1)), -2, -3)
+
+    def merge(x, shape):  # (..., H, L, d) -> (..., L, H*d)
+        return np.swapaxes(x, -2, -3).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    a = qh @ np.swapaxes(kh, -1, -2)  # logits, turned into weights in place
     a *= scale
     if bias is not None:
         bias = as_tensor(bias)
@@ -623,7 +639,7 @@ def attention(q, k, v, scale, bias=None, rel=None):
     a -= a.max(axis=-1, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
-    out = a @ v.data
+    out = a @ vh
     if rel is not None:
         table, diff = rel
         parents.append(table)
@@ -637,9 +653,10 @@ def attention(q, k, v, scale, bias=None, rel=None):
         out += per_bin @ tv
 
     def bw(g):
+        g = split(g)
         if v.requires_grad:
-            v._accum(np.swapaxes(a, -1, -2) @ g)
-        ga = g @ np.swapaxes(v.data, -1, -2)
+            v._accum(merge(np.swapaxes(a, -1, -2) @ g, v.shape))
+        ga = g @ np.swapaxes(vh, -1, -2)
         if rel is not None:
             if table.requires_grad:
                 table._accum(np.swapaxes(np.swapaxes(per_bin, -1, -2) @ g, 0, 1))
@@ -654,11 +671,11 @@ def attention(q, k, v, scale, bias=None, rel=None):
                 ga = ga.copy()
         ga *= scale
         if q.requires_grad:
-            q._accum(ga @ k.data)
+            q._accum(merge(ga @ kh, q.shape))
         if k.requires_grad:
-            k._accum(np.swapaxes(np.swapaxes(q.data, -1, -2) @ ga, -1, -2))
+            k._accum(merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ ga, -1, -2), k.shape))
 
-    return _make(out, parents, bw)
+    return _make(merge(out, q.shape[:-1] + (-1,)), parents, bw)
 
 
 # -- pair-tensor contractions (hot kernels) ---------------------------------

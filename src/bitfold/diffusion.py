@@ -276,10 +276,12 @@ def generate(model, length, mode="unconditional", steps=25, strategy="stochastic
 
     mode: 'unconditional' | 'folding' (seq given, struct generated) |
     'inverse_folding' (struct given, seq generated). `model` exposes
-    .forward(TokenState, position_indices=...) -> LMOutput, .schedule and
-    .k. The output's `seq_logits` are read only when the state masks some
-    sequence position, and may be None otherwise, as in folding. `steps`
-    is in [1, T].
+    .positional(length, position_indices), .forward(TokenState,
+    positional=...) -> LMOutput, .schedule and .k. The positional record
+    is built once, under `no_grad`, and passed to every forward, since
+    positions do not change between steps. The output's `seq_logits` are
+    read only when the state masks some sequence position, and may be None
+    otherwise, as in folding. `steps` is in [1, T].
     """
     rng = np.random.default_rng() if rng is None else rng
     schedule = model.schedule
@@ -300,12 +302,14 @@ def generate(model, length, mode="unconditional", steps=25, strategy="stochastic
     elif mode != "unconditional":
         raise ValueError(f"unknown mode {mode!r}")
 
+    with ad.no_grad():
+        positional = model.positional(length, position_indices)
     grid = np.unique(np.round(np.linspace(0, schedule.T, steps + 1)).astype(int))[::-1]
     for t, s in zip(grid[:-1], grid[1:]):
         if state.fully_unmasked():
             break
         with ad.no_grad():
-            output = model.forward(state, position_indices=position_indices)
+            output = model.forward(state, positional=positional)
         pred = sample_prediction(output, state, temperature, rng)
         if strategy == "stochastic":
             state = posterior_step(state, pred.state, t, rng, schedule, s=s)

@@ -29,6 +29,12 @@ from all 2L rows), or after SeqStruct attention, which needs the updated
 sequence rows. Its transitions and the final norm run on L rows, and
 `LMOutput.seq_logits` is None. The structure rows get the same bits.
 
+What depends only on the positions and the parameters (the sinusoidal
+embedding, the two modality rows and each block's relative-position bias)
+is one `Positional` record. `ProteinLM.forward` builds it unless it is
+given one; `diffusion.generate` builds it once per call and hands it to
+each of its forwards.
+
 With every flag off the model reduces exactly to the plain two-modality
 transformer; pair-bias projections are zero-initialized so a zeroed pair
 representation also reproduces the plain forward bit-for-bit.
@@ -44,7 +50,7 @@ from . import autodiff as ad
 from . import diffusion as dfn
 from . import nn
 from .autodiff import LayerNorm, Linear, Module, Tensor
-from .errors import InvalidConfig
+from .errors import InvalidConfig, ShapeMismatch
 
 
 @dataclass
@@ -177,9 +183,11 @@ class SeqStructAttention(Module):
 # -- trunk block -------------------------------------------------------------
 
 class EncoderBlock(Module):
-    """One trunk block: `__call__` updates the residue stream, reading the
-    pair track for its biases; `update_pair` updates the pair track. With
-    `struct_only` it returns only the L structure rows."""
+    """One trunk block: `__call__` updates the 2L-row residue stream,
+    reading the pair track and its (H, 2L, 2L) relative-position bias
+    `rel_bias` (from `ProteinLM.positional`) for its attention bias;
+    `update_pair` updates the pair track. With `struct_only` it returns
+    only the L structure rows."""
 
     def __init__(self, rng, cfg: BlockConfig):
         d = cfg.d_model
@@ -202,11 +210,10 @@ class EncoderBlock(Module):
         if cfg.seqstruct_attention:
             self.seqstruct = SeqStructAttention(rng, d, cfg.d_pair, cfg.heads_seqstruct)
 
-    def __call__(self, h, pair, positions, struct_only=False):
+    def __call__(self, h, pair, rel_bias, struct_only=False):
         cfg = self.cfg
-        length = len(positions)
-        joint_pos = np.concatenate([positions, positions])
-        bias = self.rel(joint_pos)
+        length = h.shape[0] // 2
+        bias = rel_bias
         if cfg.pair_bias:
             pb = self.pair_bias(pair)  # (H, L, L) on the struct-struct quadrant
             bias = bias + ad.pad(pb, ((0, 0), (0, length), (0, length)))
@@ -235,6 +242,19 @@ class EncoderBlock(Module):
 
 
 # -- full language model -----------------------------------------------------
+
+@dataclass
+class Positional:
+    """What a forward reads that depends only on the positions and the
+    parameters. `generate` builds it once per call under `no_grad` and
+    passes it to every forward; a forward without it builds its own, so
+    training records these ops in its graph as before."""
+
+    positions: np.ndarray  # (L,) residue indices
+    pos_emb: np.ndarray  # (L, d_model) sinusoidal embedding, a constant
+    modality: tuple  # (structure rows, sequence rows), two (L, d_model) Tensors
+    rel_bias: list  # per block, its (H, 2L, 2L) relative-position bias
+
 
 class ProteinLM(Module):
     """Joint masked language model over sequence and structure tokens."""
@@ -275,21 +295,42 @@ class ProteinLM(Module):
             return emb * gate + absorbed
         return self.struct_embed[state.struct_index_view()]
 
-    def forward(self, state: dfn.TokenState, position_indices=None):
-        """LMOutput for `state`; `seq_logits` is None when no sequence
-        position is masked, since nothing then reads them."""
-        length = len(state)
-        seq_read = bool((state.mask_seq & ~state.pad).any())
+    def positional(self, length, position_indices=None):
+        """The `Positional` record of `length` residues at
+        `position_indices` (0..L-1 by default)."""
         positions = np.arange(length) if position_indices is None else np.asarray(position_indices)
-        pos_emb = nn.sinusoidal_embedding(positions, self.cfg.d_model)
-        h_struct = self._embed_struct(state) + pos_emb + self.modality[np.zeros(length, dtype=int)]
-        h_seq = self.seq_embed[state.seq_view()] + pos_emb + self.modality[np.ones(length, dtype=int)]
+        joint = np.concatenate([positions, positions])  # both tracks share residue indices
+        return Positional(
+            positions=positions,
+            pos_emb=nn.sinusoidal_embedding(positions, self.cfg.d_model),
+            modality=(self.modality[np.zeros(length, dtype=int)],
+                      self.modality[np.ones(length, dtype=int)]),
+            rel_bias=[block.rel(joint) for block in self.blocks],
+        )
+
+    def forward(self, state: dfn.TokenState, position_indices=None, positional=None):
+        """LMOutput for `state`; `seq_logits` is None when no sequence
+        position is masked, since nothing then reads them.
+
+        `positional` is a record from `self.positional` for this state's
+        length, built here from `position_indices` when not given; with it,
+        `position_indices` is not read."""
+        length = len(state)
+        if positional is None:
+            positional = self.positional(length, position_indices)
+        elif len(positional.positions) != length:
+            raise ShapeMismatch(f"positional record of length {len(positional.positions)} "
+                                f"for a state of length {length}")
+        seq_read = bool((state.mask_seq & ~state.pad).any())
+        struct_rows, seq_rows = positional.modality
+        h_struct = self._embed_struct(state) + positional.pos_emb + struct_rows
+        h_seq = self.seq_embed[state.seq_view()] + positional.pos_emb + seq_rows
         h = ad.concat([h_struct, h_seq], axis=0)
         pair = self.pair_init(h[:length]) if self.cfg.pair_bias else None
         hidden_layers = []
         last = len(self.blocks) - 1
-        for i, block in enumerate(self.blocks):
-            h = block(h, pair, positions, struct_only=i == last and not seq_read)
+        for i, (block, rel_bias) in enumerate(zip(self.blocks, positional.rel_bias)):
+            h = block(h, pair, rel_bias, struct_only=i == last and not seq_read)
             hidden_layers.append(h[:length])
             if pair is not None and i < last:
                 pair = block.update_pair(pair)

@@ -61,11 +61,13 @@ class HybridModels:
             )
 
 
-def denoise(state: FlowState, models: HybridModels, position_indices=None):
+def denoise(state: FlowState, models: HybridModels, position_indices=None, positional=None):
     """The composed denoiser decoder(LM(encoder(x_t))): encode and quantize
     the noisy structure, one LM forward with the corrupted bits observed
     (sequence clamped to the conditioning if present, masked otherwise),
-    greedy bit readout, decode to centered coordinates."""
+    greedy bit readout, decode to centered coordinates. `positional` is the
+    LM's record for these positions (`ProteinLM.positional`); the LM builds
+    it from `position_indices` when it is not given."""
     structure = state.structure
     bits_t = tok.structure_bits(structure, models.tokenizer)
     if state.conditioning is not None:
@@ -75,7 +77,8 @@ def denoise(state: FlowState, models: HybridModels, position_indices=None):
     lm_state = dfn.TokenState.observed(seq, bits_t)
     lm_state.mask_seq = np.full(len(structure), state.conditioning is None)
     with ad.no_grad():
-        out = models.lm.forward(lm_state, position_indices=position_indices)
+        out = models.lm.forward(lm_state, position_indices=position_indices,
+                                positional=positional)
     length, k = bits_t.shape
     bit_logits = out.struct_logits.data.reshape(length, k, 2)
     pred_bits = np.where(bit_logits[:, :, 1] >= bit_logits[:, :, 0], 1.0, -1.0)
@@ -108,12 +111,15 @@ def fm_generate(models, length, rng, conditioning=None, n_steps=FM_STEPS_DEFAULT
     chain_ids = np.zeros(length, dtype=int) if chain_ids is None else np.asarray(chain_ids)
     x0 = _centered(rng.normal(0.0, PRIOR_SIGMA, size=(length, 4, 3)))
     state = FlowState(geo.BackboneStructure(x0, chain_ids), 0.0, conditioning)
+    if denoiser is None:
+        with ad.no_grad():  # positions do not change between flow steps
+            positional = models.lm.positional(length, position_indices)
+
+        def denoiser(flow_state):
+            return denoise(flow_state, models, position_indices, positional)
+
     for k in range(n_steps):
-        if denoiser is not None:
-            x_hat = denoiser(state)
-        else:
-            x_hat = denoise(state, models, position_indices=position_indices)
-        state = euler_step(state, x_hat, (k + 1) / n_steps)
+        state = euler_step(state, denoiser(state), (k + 1) / n_steps)
     coords = _centered(state.structure.coords)
     return geo.BackboneStructure(coords, chain_ids, state.structure.source_id)
 

@@ -101,7 +101,9 @@ class MultiHeadAttention(Module):
     the rows; `rel` is the `(table, diff)` pair of relative values from
     `RelPosBias`; `gated` applies a sigmoid gate computed from the input to
     each head's output, as in pair-biased and triangle attention. The
-    heads are `d_head` wide, `d_model // n_heads` by default.
+    heads are `d_head` wide, `d_model // n_heads` by default. The
+    projections stay packed, (..., L, H * d_head): `ad.attention` splits
+    and merges the heads itself, as numpy views.
 
     `rows` keeps only the first `rows` positions as queries: the queries
     and the gate come from those rows, the keys and values from all of
@@ -123,25 +125,17 @@ class MultiHeadAttention(Module):
         self.gate = Linear(rng, d_model, d_inner) if gated else None
         self.out = Linear(rng, d_inner, d_model, zero_init=zero_init_out)
 
-    def _swap_heads(self, y):  # (..., L, H, dh) <-> (..., H, L, dh)
-        n = y.ndim
-        return ad.transpose(y, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
-
-    def _split(self, y):  # (..., L, H*dh) -> (..., H, L, dh)
-        return self._swap_heads(ad.reshape(y, y.shape[:-1] + (self.n_heads, self.d_head)))
-
     def __call__(self, x, bias=None, rel=None, rows=None):
         xq = x
         if rows is not None:
             xq = x[..., :rows, :]
             bias = None if bias is None else bias[..., :rows, :]
             rel = None if rel is None else (rel[0], rel[1][:rows])
-        q, k, v = self._split(self.q(xq)), self._split(self.k(x)), self._split(self.v(x))
-        ctx = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_head), bias=bias, rel=rel)
-        merged = ad.reshape(self._swap_heads(ctx), xq.shape[:-1] + (-1,))
+        ctx = ad.attention(self.q(xq), self.k(x), self.v(x), self.n_heads,
+                           1.0 / np.sqrt(self.d_head), bias=bias, rel=rel)
         if self.gate is not None:
-            merged = merged * ad.sigmoid(self.gate(xq))
-        return self.out(merged)
+            ctx = ctx * ad.sigmoid(self.gate(xq))
+        return self.out(ctx)
 
 
 def sinusoidal_embedding(positions, dim):

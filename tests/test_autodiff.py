@@ -254,8 +254,24 @@ def test_gradient_aliasing_shared_upstream():
     np.testing.assert_array_equal(b.grad, c)
 
 
-def _attention_chain(q, k, v, scale, bias=None, rel=None):
-    """The unfused op chain `attention` replaces, kept as its reference."""
+def _split_heads(x, n_heads):
+    """(..., L, H*d) -> (..., H, L, d) as reshape and transpose nodes."""
+    x = ad.reshape(x, x.shape[:-1] + (n_heads, -1))
+    n = x.ndim
+    return ad.transpose(x, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
+
+
+def _merge_heads(x):
+    """(..., H, L, d) -> (..., L, H*d) as transpose and reshape nodes."""
+    n = x.ndim
+    x = ad.transpose(x, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
+    return ad.reshape(x, x.shape[:-2] + (-1,))
+
+
+def _attention_chain(q, k, v, n_heads, scale, bias=None, rel=None):
+    """The unfused op chain `attention` replaces, kept as its reference:
+    the heads split and merged by graph nodes around it."""
+    q, k, v = (_split_heads(x, n_heads) for x in (q, k, v))
     axes = list(range(q.ndim))
     axes[-2], axes[-1] = axes[-1], axes[-2]
     logits = ad.matmul(q, ad.transpose(k, tuple(axes))) * scale
@@ -268,7 +284,26 @@ def _attention_chain(q, k, v, scale, bias=None, rel=None):
         heads, length = attn.shape[0], attn.shape[1]
         relv = ad.transpose(table[diff], (2, 0, 1, 3))  # (H, L, L, dv)
         ctx = ctx + (ad.reshape(attn, (heads, length, length, 1)) * relv).sum(axis=2)
-    return ctx
+    return _merge_heads(ctx)
+
+
+def _attention_head_by_head(q, k, v, n_heads, scale, bias=None, rel=None):
+    """The chain packed heads replace, on (L, H*d) inputs: split the heads
+    (reshape, transpose), run each head alone as single-head attention,
+    merge them back (transpose, reshape)."""
+    q, k, v = (_split_heads(x, n_heads) for x in (q, k, v))
+    heads = []
+    for h in range(n_heads):
+        out = ad.attention(q[h], k[h], v[h], 1, scale, bias=None if bias is None else bias[h],
+                           rel=None if rel is None else (rel[0][:, h:h + 1], rel[1]))
+        heads.append(ad.reshape(out, (1,) + out.shape))
+    return _merge_heads(ad.concat(heads, axis=0))
+
+
+def _packed(shape):
+    """The packed (..., L, H*d) shape of head-major (..., H, L, d)."""
+    *lead, heads, length, d = shape
+    return (*lead, length, heads * d)
 
 
 _REPEATED_BINS = np.clip(np.subtract.outer([0, 1, 2, 5, 6, 40], [0, 1, 2, 5, 6, 40]), -3, 3) + 3
@@ -281,21 +316,23 @@ ATTENTION_CASES = [
 
 @pytest.mark.parametrize("shape,bias_shape,with_rel", ATTENTION_CASES)
 def test_attention_matches_op_chain(shape, bias_shape, with_rel):
-    weights = np.random.default_rng(10).normal(size=shape)
+    """`shape` is the head-major (..., H, L, d) shape; q, k and v are packed."""
+    heads = shape[-3]
+    weights = np.random.default_rng(10).normal(size=_packed(shape))
 
     def run(fn):
         rng = np.random.default_rng(11)
-        q, k, v = (ad.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3))
+        q, k, v = (ad.Tensor(rng.normal(size=_packed(shape)), requires_grad=True) for _ in range(3))
         leaves = [q, k, v]
         bias = rel = None
         if bias_shape is not None:
             bias = ad.Tensor(rng.normal(size=bias_shape), requires_grad=True)
             leaves.append(bias)
         if with_rel:  # 7 bins over (H, d_v); the clipped bins 0 and 6 repeat
-            table = ad.Tensor(rng.normal(size=(7, shape[0], shape[-1])), requires_grad=True)
+            table = ad.Tensor(rng.normal(size=(7, heads, shape[-1])), requires_grad=True)
             leaves.append(table)
             rel = (table, _REPEATED_BINS)
-        out = fn(q, k, v, 1.0 / np.sqrt(shape[-1]), bias=bias, rel=rel)
+        out = fn(q, k, v, heads, 1.0 / np.sqrt(shape[-1]), bias=bias, rel=rel)
         (out * ad.Tensor(weights)).sum().backward()
         return out.data, [t.grad for t in leaves]
 
@@ -313,34 +350,41 @@ def test_attention_matches_op_chain(shape, bias_shape, with_rel):
 def test_attention_fewer_queries_match_leading_rows():
     """Lq < Lk queries give the first Lq rows of the square attention, bit
     for bit, with bias and relative values cut to those rows; gradients
-    agree to rounding (the square run also sums zero rows)."""
+    agree to rounding (the square run also sums zero rows). At both query
+    counts the packed heads give the head-by-head chain's output bit for
+    bit, and its gradients to rounding."""
     rng = np.random.default_rng(13)
     heads, length, rows, d = 2, 6, 4, 3
-    data = [rng.normal(size=(heads, length, d)) for _ in range(3)]
+    data = [rng.normal(size=(length, heads * d)) for _ in range(3)]
     bias_data = rng.normal(size=(heads, length, length))
     table_data = rng.normal(size=(7, heads, d))
-    weights = rng.normal(size=(heads, rows, d))
-    results = []
+    weights = rng.normal(size=(rows, heads * d))
+    results = {}
+    for fn in (ad.attention, _attention_head_by_head):
+        for n in (rows, length):
+            q, k, v = (ad.Tensor(x.copy(), requires_grad=True) for x in data)
+            bias = ad.Tensor(bias_data.copy(), requires_grad=True)
+            table = ad.Tensor(table_data.copy(), requires_grad=True)
+            out = fn(q[:n], k, v, heads, 1.0 / np.sqrt(d), bias=bias[:, :n],
+                     rel=(table, _REPEATED_BINS[:n]))
+            (out[:rows] * ad.Tensor(weights)).sum().backward()
+            results[fn, n] = [out.data] + [t.grad for t in (q, k, v, bias, table)]
+    comparisons = [((ad.attention, rows), (ad.attention, length), slice(rows))]
     for n in (rows, length):
-        q, k, v = (ad.Tensor(x.copy(), requires_grad=True) for x in data)
-        bias = ad.Tensor(bias_data.copy(), requires_grad=True)
-        table = ad.Tensor(table_data.copy(), requires_grad=True)
-        out = ad.attention(q[:, :n], k, v, 1.0 / np.sqrt(d), bias=bias[:, :n],
-                           rel=(table, _REPEATED_BINS[:n]))[:, :rows]
-        (out * ad.Tensor(weights)).sum().backward()
-        results.append([out.data] + [t.grad for t in (q, k, v, bias, table)])
-    (got, *got_grads), (want, *want_grads) = results
-    np.testing.assert_array_equal(got, want)
-    for g, w in zip(got_grads, want_grads):
-        np.testing.assert_allclose(g, w, atol=1e-12, rtol=0)
+        comparisons.append(((ad.attention, n), (_attention_head_by_head, n), slice(None)))
+    for got_key, want_key, kept in comparisons:
+        (got, *got_grads), (want, *want_grads) = results[got_key], results[want_key]
+        np.testing.assert_array_equal(got, want[kept])
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, atol=1e-12, rtol=0)
 
 
 def test_attention_nonfinite_logits_raise():
     rng = np.random.default_rng(12)
-    q = ad.Tensor(np.full((2, 4, 3), 1e200))
-    v = ad.Tensor(rng.normal(size=(2, 4, 3)))
+    q = ad.Tensor(np.full((4, 6), 1e200))
+    v = ad.Tensor(rng.normal(size=(4, 6)))
     with pytest.raises(NonFiniteValue) as info:
-        ad.attention(q, q, v, 0.5)  # 1e200 * 1e200 overflows the logits
+        ad.attention(q, q, v, 2, 0.5)  # 1e200 * 1e200 overflows the logits
     assert "attention" in str(info.value)
     assert "logits shape (2, 4, 4)" in str(info.value)
 

@@ -290,7 +290,10 @@ class OracleModel:
         self.k = x0.k
         self.schedule = dfn.make_schedule(T)
 
-    def forward(self, state, position_indices=None):
+    def positional(self, length, position_indices=None):
+        return None  # positions do not reach this model
+
+    def forward(self, state, position_indices=None, positional=None):
         length = len(state)
         seq_logits = np.full((length, 20), -30.0)
         seq_logits[np.arange(length), self.x0.seq] = 30.0
@@ -338,9 +341,9 @@ def test_generate_folding_reads_no_seq_logits():
     model = OracleModel(x0)
     oracle_forward = model.forward
 
-    def forward(state, position_indices=None):
+    def forward(state, position_indices=None, positional=None):
         assert not state.mask_seq.any()
-        out = oracle_forward(state, position_indices)
+        out = oracle_forward(state, position_indices, positional)
         out.seq_logits = None
         return out
 
@@ -439,7 +442,10 @@ class NoisyModel:
         self.schedule = dfn.make_schedule(T)
         self.rng = np.random.default_rng(18)
 
-    def forward(self, state, position_indices=None):
+    def positional(self, length, position_indices=None):
+        return None  # positions do not reach this model
+
+    def forward(self, state, position_indices=None, positional=None):
         length = len(state)
         return dfn.LMOutput(Tensor(self.rng.normal(size=(length, 20)) * 2.0),
                             Tensor(self.rng.normal(size=(length, 2 * self.k)) * 2.0), head="bit")

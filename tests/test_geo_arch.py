@@ -14,7 +14,7 @@ from bitfold import diffusion as dfn
 from bitfold import geo_arch as ga
 from bitfold import nn
 from bitfold.autodiff import Tensor
-from bitfold.errors import InvalidConfig
+from bitfold.errors import InvalidConfig, ShapeMismatch
 
 
 def small_cfg(**flags):
@@ -105,8 +105,8 @@ def test_saturated_bias_concentrates_attention():
     bias = np.zeros((h, length, length))
     bias[:, :, 2] = 1e9
     with ad.no_grad():
-        q = attn._split(attn.q(x))
-        k = attn._split(attn.k(x))
+        q, k = (ad.transpose(ad.reshape(proj(x), (length, h, -1)), (1, 0, 2))
+                for proj in (attn.q, attn.k))
         logits = ad.matmul(q, ad.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(attn.d_head)) + Tensor(bias)
         weights = ad.softmax(logits, axis=-1).data
     assert np.all(weights[:, :, 2] > 1 - 1e-6)
@@ -140,7 +140,9 @@ def test_pair_sublayer_permutation_equivariance(builder):
 
 class ReferenceTriangleAttention:
     """Triangle attention as its own module, with its own projections, head
-    split and gating; the reference for `ga.TriangleAttention`."""
+    split and gating; the reference for `ga.TriangleAttention`. Its heads
+    are split by graph nodes and run as a leading axis of single-head
+    attention."""
 
     def __init__(self, rng, d_pair, d_head, n_heads, mode):
         self.mode, self.n_heads, self.d_head = mode, n_heads, d_head
@@ -163,8 +165,8 @@ class ReferenceTriangleAttention:
             return ad.transpose(ad.reshape(x, (length, length, self.n_heads, self.d_head)), (0, 2, 1, 3))
 
         q, k, v = split(self.q(z)), split(self.k(z)), split(self.v(z))
-        bias = ad.transpose(self.bias(z), (2, 0, 1))
-        ctx = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_head), bias=bias)
+        bias = ad.reshape(ad.transpose(self.bias(z), (2, 0, 1)), (self.n_heads, 1, length, length))
+        ctx = ad.attention(q, k, v, 1, 1.0 / np.sqrt(self.d_head), bias=bias)
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (length, length, -1))
         delta = self.out(merged * ad.sigmoid(self.gate(z)))
         return ad.transpose(delta, (1, 0, 2)) if self.mode == "ending" else delta
@@ -271,8 +273,9 @@ def test_init_pair_matches_gather_concat_reference():
 
 
 def _zero_concat_block(block, h, pair, positions):
-    """`EncoderBlock.__call__` as first written, placing the pair bias and
-    the structure-track transition by concatenating zero tensors."""
+    """`EncoderBlock.__call__` as first written, building its own
+    relative-position bias and placing the pair bias and the
+    structure-track transition by concatenating zero tensors."""
     cfg = block.cfg
     length = len(positions)
     bias = block.rel(np.concatenate([positions, positions]))
@@ -309,7 +312,11 @@ def test_full_geo_block_matches_zero_concat_reference():
     pair_data = rng.normal(size=(length, length, cfg.d_pair))
     w_h, w_pair = rng.normal(size=h_data.shape), rng.normal(size=pair_data.shape)
     results = []
-    split = lambda h, pair, pos: (block(h, pair, pos), block.update_pair(pair))  # noqa: E731
+
+    def split(h, pair, pos):
+        rel_bias = block.rel(np.concatenate([pos, pos]))
+        return block(h, pair, rel_bias), block.update_pair(pair)
+
     for layer in (split, lambda h, pair, pos: _zero_concat_block(block, h, pair, pos)):
         block.zero_grad()
         h, pair = Tensor(h_data.copy(), requires_grad=True), Tensor(pair_data.copy(), requires_grad=True)
@@ -328,9 +335,10 @@ class _PairUpdatedToo:
 
     def __init__(self, block):
         self.block = block
+        self.rel = block.rel  # read by `ProteinLM.positional`
 
-    def __call__(self, h, pair, positions, struct_only=False):
-        out = self.block(h, pair, positions, struct_only)
+    def __call__(self, h, pair, rel_bias, struct_only=False):
+        out = self.block(h, pair, rel_bias, struct_only)
         self.block.update_pair(pair)
         return out
 
@@ -385,10 +393,11 @@ class _FullPathSliced:
 
     def __init__(self, block):
         self.block = block
+        self.rel = block.rel  # read by `ProteinLM.positional`
 
-    def __call__(self, h, pair, positions, struct_only=False):
-        out = self.block(h, pair, positions)
-        return out[:len(positions)] if struct_only else out
+    def __call__(self, h, pair, rel_bias, struct_only=False):
+        out = self.block(h, pair, rel_bias)
+        return out[:h.shape[0] // 2] if struct_only else out
 
 
 STRUCT_ONLY_CONFIGS = {
@@ -552,6 +561,60 @@ def test_position_indices_shift_invariance():
     # model only through the absolute sinusoids
     np.testing.assert_array_equal(rel_a, rel_b)
     assert not np.allclose(a, b)
+
+
+class _RebuildEachStep:
+    """Hands `generate` no positional record: each forward is
+    `lm.forward(state, position_indices)`, which builds its own."""
+
+    def __init__(self, lm, position_indices):
+        self.lm, self.k, self.schedule = lm, lm.k, lm.schedule
+        self.position_indices = position_indices
+
+    def positional(self, length, position_indices=None):
+        return None
+
+    def forward(self, state, position_indices=None, positional=None):
+        return self.lm.forward(state, position_indices=self.position_indices)
+
+
+@pytest.mark.parametrize("mode", ["folding", "unconditional"])
+@pytest.mark.parametrize("config", ["plain", "full-geo"])
+def test_generate_builds_positional_terms_once(monkeypatch, config, mode):
+    """`generate` builds the relative-position biases once per call, one
+    per block, and samples the same states bit for bit as when every step
+    builds them again."""
+    calls = []
+    rel_call = nn.RelPosBias.__call__
+
+    def counted(self, position_indices):
+        calls.append(self)
+        return rel_call(self, position_indices)
+
+    monkeypatch.setattr(nn.RelPosBias, "__call__", counted)
+    lm, state = _struct_only_lm(STRUCT_ONLY_CONFIGS[config], 2)
+    length = len(state)
+    for position_indices in (None, np.arange(length) * 3 + 5):
+        states = []
+        for model in (lm, _RebuildEachStep(lm, position_indices)):
+            calls.clear()
+            states.append(dfn.generate(model, length, mode=mode, steps=4, strategy="confidence",
+                                       rng=np.random.default_rng(7), seq=state.seq,
+                                       position_indices=position_indices))
+            want_calls = 1 if model is lm else 4  # the reference: once per step
+            assert calls == [block.rel for block in lm.blocks] * want_calls
+        got, want = states
+        np.testing.assert_array_equal(got.struct_bits, want.struct_bits)
+        np.testing.assert_array_equal(got.seq, want.seq)
+
+
+def test_forward_rejects_positional_of_other_length():
+    lm = ga.ProteinLM(small_cfg(), 1, k=4, seed=0)
+    state = make_state(np.random.default_rng(14), length=5)
+    with ad.no_grad():
+        positional = lm.positional(6)
+        with pytest.raises(ShapeMismatch, match="length 6 for a state of length 5"):
+            lm.forward(state, positional=positional)
 
 
 # The timing body of the scaling test. It runs in a fresh interpreter: once

@@ -4,8 +4,11 @@ oracle denoiser that always returns the target."""
 import numpy as np
 import pytest
 
+from bitfold import geo_arch as ga
 from bitfold import geometry as geo
 from bitfold import hybrid_fm as fm
+from bitfold import nn
+from bitfold import tokenizer as tok
 from bitfold.errors import TimeOrder
 
 
@@ -45,3 +48,33 @@ def test_time_order_violations_raise():
     with pytest.raises(TimeOrder):
         fm.fm_generate(None, len(target), np.random.default_rng(0), n_steps=0,
                        denoiser=lambda state: target)
+
+
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_fm_generate_builds_positional_terms_once(monkeypatch, conditioned):
+    """The sampler builds the LM's relative-position biases once per call
+    and gives the same structure bit for bit as a denoiser whose LM forward
+    builds them on every flow step."""
+    calls = []
+    rel_call = nn.RelPosBias.__call__
+
+    def counted(self, position_indices):
+        calls.append(self)
+        return rel_call(self, position_indices)
+
+    monkeypatch.setattr(nn.RelPosBias, "__call__", counted)
+    tokenizer = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=16, blocks=1, heads=2), seed=0)
+    models = fm.HybridModels(tokenizer, ga.ProteinLM(ga.BlockConfig(d_model=16, heads=2), 2, k=4))
+    lm_rels = [block.rel for block in models.lm.blocks]
+    target = make_target(seed=5, length=9)
+    conditioning = np.arange(9) % 20 if conditioned else None
+    position_indices = np.arange(9) + 4
+    outs = []
+    for denoiser in (None, lambda state: fm.denoise(state, models, position_indices)):
+        calls.clear()
+        outs.append(fm.fm_generate(models, len(target), np.random.default_rng(6), conditioning,
+                                   n_steps=3, denoiser=denoiser, position_indices=position_indices))
+        outs.append([rel for rel in calls if any(rel is r for r in lm_rels)])
+    got, got_calls, want, want_calls = outs
+    np.testing.assert_array_equal(got.coords, want.coords)
+    assert len(got_calls) == len(lm_rels) and len(want_calls) == 3 * len(lm_rels)
