@@ -125,10 +125,8 @@ def cmd_gen_data(args):
     rng = np.random.default_rng(args.seed)
     for i in range(args.n):
         length = int(rng.integers(args.min_len, args.max_len + 1))
-        chains = 2 if (args.chains == 2 or (args.chains == 0 and rng.random() < 0.2)) else 1
-        structure, seq = geo.synth_backbone(
-            geo.SynthSpec(length=length, chains=chains), seed=args.seed * 100003 + i
-        )
+        structure, seq = geo.synth_backbone(geo.SynthSpec(length=length),
+                                            seed=args.seed * 100003 + i)
         structure.source_id = f"synth{i:05d}"
         write_sample(args.out, structure, seq)
     print(f"wrote {args.n} samples to {args.out}")
@@ -285,8 +283,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--min-len", type=int, default=16)
     p.add_argument("--max-len", type=int, default=48)
-    p.add_argument("--chains", type=int, default=1, choices=(0, 1, 2),
-                   help="1 or 2 chains; 0 mixes in 20%% two-chain samples")
     p.set_defaults(func=cmd_gen_data)
 
     p = common(sub.add_parser("train-tokenizer"))

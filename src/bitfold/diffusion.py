@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BadT, HeadMismatch, ModeInputMissing
+from .errors import BadT, HeadMismatch, ModeInputMissing, ShapeMismatch
 from .tokenizer import bits_to_index, index_to_bits, mask_id, pad_id
 
 N_AA = 20
@@ -270,13 +270,12 @@ def _temperature_softmax(logits, temperature):
 # -- generation --------------------------------------------------------------
 
 def generate(model, length, mode="unconditional", steps=25, strategy="stochastic",
-             temperature=1.0, rng=None, seq=None, struct_bits=None, pad=None,
-             position_indices=None):
+             temperature=1.0, rng=None, seq=None, struct_bits=None, pad=None):
     """Iterative mask-predict generation.
 
-    mode: 'unconditional' | 'folding' (seq given, struct generated) |
-    'inverse_folding' (struct given, seq generated). `model` exposes
-    .positional(length, position_indices), .forward(TokenState,
+    mode: 'unconditional' | 'folding' (seq of `length` tokens given, struct
+    generated) | 'inverse_folding' (`length` rows of struct bits given, seq
+    generated). `model` exposes .positional(length), .forward(TokenState,
     positional=...) -> LMOutput, .schedule and .k. The positional record
     is built once, under `no_grad`, and passed to every forward, since
     positions do not change between steps. The output's `seq_logits` are
@@ -292,18 +291,23 @@ def generate(model, length, mode="unconditional", steps=25, strategy="stochastic
     if mode == "folding":
         if seq is None:
             raise ModeInputMissing("folding mode requires seq")
+        if len(seq) != length:
+            raise ShapeMismatch(f"folding seq has {len(seq)} tokens for length {length}")
         state.seq = np.asarray(seq, dtype=np.int64).copy()
         state.mask_seq[:] = False
     elif mode == "inverse_folding":
         if struct_bits is None:
             raise ModeInputMissing("inverse_folding mode requires struct_bits")
+        if len(struct_bits) != length:
+            raise ShapeMismatch(f"inverse_folding struct_bits has {len(struct_bits)} rows "
+                                f"for length {length}")
         state.struct_bits = np.asarray(struct_bits, dtype=np.float64).copy()
         state.mask_struct[:] = False
     elif mode != "unconditional":
         raise ValueError(f"unknown mode {mode!r}")
 
     with ad.no_grad():
-        positional = model.positional(length, position_indices)
+        positional = model.positional(length)
     grid = np.unique(np.round(np.linspace(0, schedule.T, steps + 1)).astype(int))[::-1]
     for t, s in zip(grid[:-1], grid[1:]):
         if state.fully_unmasked():

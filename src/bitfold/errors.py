@@ -74,11 +74,6 @@ class TimeOrder(BitfoldError):
     pass
 
 
-# multimer
-class LayoutMismatch(BitfoldError):
-    pass
-
-
 # architecture / config
 class InvalidConfig(BitfoldError):
     pass

@@ -29,7 +29,7 @@ from all 2L rows), or after SeqStruct attention, which needs the updated
 sequence rows. Its transitions and the final norm run on L rows, and
 `LMOutput.seq_logits` is None. The structure rows get the same bits.
 
-What depends only on the positions and the parameters (the sinusoidal
+What depends only on the length and the parameters (the sinusoidal
 embedding, the two modality rows and each block's relative-position bias)
 is one `Positional` record. `ProteinLM.forward` builds it unless it is
 given one; `diffusion.generate` builds it once per call and hands it to
@@ -245,12 +245,12 @@ class EncoderBlock(Module):
 
 @dataclass
 class Positional:
-    """What a forward reads that depends only on the positions and the
+    """What a forward reads that depends only on the length and the
     parameters. `generate` builds it once per call under `no_grad` and
     passes it to every forward; a forward without it builds its own, so
     training records these ops in its graph as before."""
 
-    positions: np.ndarray  # (L,) residue indices
+    length: int  # residues, at positions 0..L-1
     pos_emb: np.ndarray  # (L, d_model) sinusoidal embedding, a constant
     modality: tuple  # (structure rows, sequence rows), two (L, d_model) Tensors
     rel_bias: list  # per block, its (H, 2L, 2L) relative-position bias
@@ -295,31 +295,29 @@ class ProteinLM(Module):
             return emb * gate + absorbed
         return self.struct_embed[state.struct_index_view()]
 
-    def positional(self, length, position_indices=None):
-        """The `Positional` record of `length` residues at
-        `position_indices` (0..L-1 by default)."""
-        positions = np.arange(length) if position_indices is None else np.asarray(position_indices)
+    def positional(self, length):
+        """The `Positional` record of `length` residues at positions 0..L-1."""
+        positions = np.arange(length)
         joint = np.concatenate([positions, positions])  # both tracks share residue indices
         return Positional(
-            positions=positions,
+            length=length,
             pos_emb=nn.sinusoidal_embedding(positions, self.cfg.d_model),
             modality=(self.modality[np.zeros(length, dtype=int)],
                       self.modality[np.ones(length, dtype=int)]),
             rel_bias=[block.rel(joint) for block in self.blocks],
         )
 
-    def forward(self, state: dfn.TokenState, position_indices=None, positional=None):
+    def forward(self, state: dfn.TokenState, positional=None):
         """LMOutput for `state`; `seq_logits` is None when no sequence
         position is masked, since nothing then reads them.
 
         `positional` is a record from `self.positional` for this state's
-        length, built here from `position_indices` when not given; with it,
-        `position_indices` is not read."""
+        length, built here when not given."""
         length = len(state)
         if positional is None:
-            positional = self.positional(length, position_indices)
-        elif len(positional.positions) != length:
-            raise ShapeMismatch(f"positional record of length {len(positional.positions)} "
+            positional = self.positional(length)
+        elif positional.length != length:
+            raise ShapeMismatch(f"positional record of length {positional.length} "
                                 f"for a state of length {length}")
         seq_read = bool((state.mask_seq & ~state.pad).any())
         struct_rows, seq_rows = positional.modality

@@ -232,9 +232,8 @@ def load_backbone(path):
 
 @dataclass
 class SynthSpec:
-    length: int  # residues per chain
+    length: int  # residues
     segments: list = field(default_factory=list)  # [(kind, n)] or empty for random plan
-    chains: int = 1
 
 
 def _random_plan(length, rng):
@@ -341,48 +340,15 @@ def synth_backbone(spec: SynthSpec, seed: int):
     """
     if not 8 <= spec.length <= 512:
         raise SpecInvalid(f"length {spec.length} outside [8, 512]")
-    if spec.chains < 1:
-        raise SpecInvalid("chains must be >= 1")
     rng = np.random.default_rng(seed)
-    all_coords, all_chain_ids, all_seq = [], [], []
-    prev_ca_sets = []
-    for chain in range(spec.chains):
-        plan = list(spec.segments) if spec.segments else _random_plan(spec.length, rng)
-        if sum(n for _, n in plan) != spec.length:
-            raise SpecInvalid("segment plan does not sum to length")
-        ca = _chain_trace(plan, rng)
-        jitter = np.clip(rng.normal(0.0, JITTER_SIGMA, size=ca.shape), -JITTER_CLIP, JITTER_CLIP)
-        ca = ca + jitter
-        if prev_ca_sets:
-            ca = _place_chain(ca, np.vstack(prev_ca_sets), rng)
-        prev_ca_sets.append(ca)
-        coords = _backbone_from_ca(ca)
-        all_coords.append(coords)
-        all_chain_ids.append(np.full(spec.length, chain, dtype=np.int64))
-        all_seq.append(_sequence_from_ss(_plan_labels(plan), rng))
+    plan = list(spec.segments) if spec.segments else _random_plan(spec.length, rng)
+    if sum(n for _, n in plan) != spec.length:
+        raise SpecInvalid("segment plan does not sum to length")
+    ca = _chain_trace(plan, rng)
+    ca = ca + np.clip(rng.normal(0.0, JITTER_SIGMA, size=ca.shape), -JITTER_CLIP, JITTER_CLIP)
     structure = BackboneStructure(
-        np.round(np.concatenate(all_coords), 6),  # 6 decimals: native-format roundtrips bit-exact
-        np.concatenate(all_chain_ids),
+        np.round(_backbone_from_ca(ca), 6),  # 6 decimals: native-format roundtrips bit-exact
+        np.zeros(spec.length, dtype=np.int64),
         source_id=f"synth-{seed}",
     )
-    return structure, np.concatenate(all_seq)
-
-
-def _place_chain(ca, others, rng, min_gap=5.0, max_gap=15.0):
-    """Rigid-place a chain so its minimum CA distance to `others` is in band."""
-    rot = random_rotation(rng)
-    ca = (ca - ca.mean(axis=0)) @ rot.T
-    direction = _unit(rng.normal(size=3))
-    center = others.mean(axis=0)
-    lo, hi = 0.0, 400.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cand = ca + center + direction * mid
-        gap = np.linalg.norm(cand[:, None, :] - others[None, :, :], axis=-1).min()
-        if gap < min_gap:
-            lo = mid
-        elif gap > max_gap:
-            hi = mid
-        else:
-            return cand
-    return ca + center + direction * hi
+    return structure, _sequence_from_ss(_plan_labels(plan), rng)

@@ -61,13 +61,13 @@ class HybridModels:
             )
 
 
-def denoise(state: FlowState, models: HybridModels, position_indices=None, positional=None):
+def denoise(state: FlowState, models: HybridModels, positional=None):
     """The composed denoiser decoder(LM(encoder(x_t))): encode and quantize
     the noisy structure, one LM forward with the corrupted bits observed
     (sequence clamped to the conditioning if present, masked otherwise),
     greedy bit readout, decode to centered coordinates. `positional` is the
-    LM's record for these positions (`ProteinLM.positional`); the LM builds
-    it from `position_indices` when it is not given."""
+    LM's record for this length (`ProteinLM.positional`); the LM builds it
+    when it is not given."""
     structure = state.structure
     bits_t = tok.structure_bits(structure, models.tokenizer)
     if state.conditioning is not None:
@@ -77,13 +77,12 @@ def denoise(state: FlowState, models: HybridModels, position_indices=None, posit
     lm_state = dfn.TokenState.observed(seq, bits_t)
     lm_state.mask_seq = np.full(len(structure), state.conditioning is None)
     with ad.no_grad():
-        out = models.lm.forward(lm_state, position_indices=position_indices,
-                                positional=positional)
+        out = models.lm.forward(lm_state, positional=positional)
     length, k = bits_t.shape
     bit_logits = out.struct_logits.data.reshape(length, k, 2)
     pred_bits = np.where(bit_logits[:, :, 1] >= bit_logits[:, :, 0], 1.0, -1.0)
     with ad.no_grad():
-        coords = tok.decode(tok.Tensor(pred_bits), models.tokenizer, position_indices).data
+        coords = tok.decode(tok.Tensor(pred_bits), models.tokenizer).data
     return geo.BackboneStructure(_centered(coords), structure.chain_ids, structure.source_id)
 
 
@@ -101,22 +100,23 @@ def euler_step(state: FlowState, x_hat: geo.BackboneStructure, s):
 
 
 def fm_generate(models, length, rng, conditioning=None, n_steps=FM_STEPS_DEFAULT,
-                chain_ids=None, denoiser=None, position_indices=None):
-    """Euler-integrate the flow from the Gaussian prior at t=0 to t=1.
+                denoiser=None):
+    """Euler-integrate the flow from the Gaussian prior at t=0 to t=1; the
+    result is one chain of `length` residues.
 
     `denoiser` overrides the composed model (used by exactness checks with
     an oracle that always returns the target)."""
     if n_steps < 1:
         raise TimeOrder(f"n_steps must be >= 1, got {n_steps}")
-    chain_ids = np.zeros(length, dtype=int) if chain_ids is None else np.asarray(chain_ids)
+    chain_ids = np.zeros(length, dtype=np.int64)
     x0 = _centered(rng.normal(0.0, PRIOR_SIGMA, size=(length, 4, 3)))
     state = FlowState(geo.BackboneStructure(x0, chain_ids), 0.0, conditioning)
     if denoiser is None:
         with ad.no_grad():  # positions do not change between flow steps
-            positional = models.lm.positional(length, position_indices)
+            positional = models.lm.positional(length)
 
         def denoiser(flow_state):
-            return denoise(flow_state, models, position_indices, positional)
+            return denoise(flow_state, models, positional)
 
     for k in range(n_steps):
         state = euler_step(state, denoiser(state), (k + 1) / n_steps)

@@ -79,12 +79,12 @@ class RelPosBias(Module):
                 rng.normal(0.0, 0.1, size=(2 * clip + 1, n_heads * d_value)), requires_grad=True
             )
 
-    def _diff(self, position_indices):
-        pos = np.asarray(position_indices, dtype=np.int64)
+    def _diff(self, positions):
+        pos = np.asarray(positions, dtype=np.int64)
         return np.clip(pos[None, :] - pos[:, None], -self.clip, self.clip) + self.clip
 
-    def __call__(self, position_indices):
-        diff = self._diff(position_indices)
+    def __call__(self, positions):
+        diff = self._diff(positions)
         bias = ad.transpose(self.table)[:, diff]  # (H, L, L), gathered head-major: contiguous
         if not self.d_value:
             return bias

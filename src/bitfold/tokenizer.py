@@ -153,8 +153,9 @@ class Decoder(Module):
         self.norm = LayerNorm(w)
         self.out = Linear(rng, w, 12)
 
-    def __call__(self, tokens, positions):
+    def __call__(self, tokens):
         x = self.embed(tokens if isinstance(tokens, Tensor) else Tensor(tokens))
+        positions = np.arange(x.shape[0])
         for block in self.blocks:
             x = block(x, positions)
         coords = ad.reshape(self.out(self.norm(x)), (-1, 4, 3))
@@ -182,12 +183,9 @@ def structure_bits(structure, params: TokenizerParams):
     return np.where(z.data >= 0.0, 1.0, -1.0)
 
 
-def decode(tokens, params: TokenizerParams, position_indices=None):
+def decode(tokens, params: TokenizerParams):
     """Coordinates (L, 4, 3), CA-centroid centered, from cont or bit tokens."""
-    length = tokens.shape[0]
-    if position_indices is None:
-        position_indices = np.arange(length)
-    return params.decoder(tokens, position_indices)
+    return params.decoder(tokens)
 
 
 # -- lookup-free quantization ------------------------------------------------
@@ -268,16 +266,15 @@ class ReconReport:
         }
 
 
-def reconstruction_report(params, dataset, position_indices=None):
+def reconstruction_report(params, dataset):
     """Per-sample Kabsch RMSD and TM on both token paths."""
     report = ReconReport()
-    for i, structure in enumerate(dataset):
-        pos = None if position_indices is None else position_indices[i]
+    for structure in dataset:
         with ad.no_grad():
             z = encode(structure, params)
-            pred_c = decode(z, params, pos)
+            pred_c = decode(z, params)
             bits = Tensor(np.where(z.data >= 0.0, 1.0, -1.0))
-            pred_q = decode(bits, params, pos)
+            pred_q = decode(bits, params)
         for pred, rs, ts in (
             (pred_c, report.cont_rmsd, report.cont_tm),
             (pred_q, report.quant_rmsd, report.quant_tm),
@@ -288,8 +285,7 @@ def reconstruction_report(params, dataset, position_indices=None):
     return report
 
 
-def train_tokenizer(dataset, cfg: TokenizerConfig, seed, steps, position_indices=None,
-                    log_every=0):
+def train_tokenizer(dataset, cfg: TokenizerConfig, seed, steps, log_every=0):
     """Returns (params, ReconReport). Loss: 0.5*(cont + quant reconstruction)
     + 0.25*commitment + 0.1*entropy regularizer."""
     params = TokenizerParams(cfg, seed=seed)
@@ -298,11 +294,10 @@ def train_tokenizer(dataset, cfg: TokenizerConfig, seed, steps, position_indices
 
     def step_loss(i):
         structure = dataset[i]
-        pos = np.arange(len(structure)) if position_indices is None else position_indices[i]
         z, _ = params.encoder(feats[i])
         bits, q_losses = lfq_quantize(z)
-        pred_q = params.decoder(bits, pos)
-        pred_c = params.decoder(z, pos)
+        pred_q = params.decoder(bits)
+        pred_c = params.decoder(z)
         loss = (
             0.5 * (reconstruction_loss(pred_q, structure) + reconstruction_loss(pred_c, structure))
             + COMMIT_WEIGHT * q_losses["commitment"]

@@ -53,8 +53,7 @@ def encode_dataset(dataset, tokenizer_params, with_targets=False):
     return states, targets
 
 
-def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, position_indices=None,
-             log_every=0):
+def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, log_every=0):
     """Train in place; returns the per-step loss list.
 
     `dataset` is a list of (structure, sequence) pairs; structure tokens
@@ -82,8 +81,7 @@ def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, position_indices=N
         )
         if not (xt.mask_seq.any() or xt.mask_struct.any()):
             return None  # nothing masked: the loss is identically zero
-        pos = None if position_indices is None else position_indices[i]
-        out = lm.forward(xt, position_indices=pos)
+        out = lm.forward(xt)
         loss = loss_fn(out, x0, xt, t, lm.schedule)
         if cfg.repa_enabled and cfg.repa_weight != 0.0:
             loss = loss + cfg.repa_weight * repa.repa_loss(

@@ -6,7 +6,7 @@ import pytest
 from bitfold import diffusion as dfn
 from bitfold import tokenizer as tok
 from bitfold.autodiff import Tensor
-from bitfold.errors import BadT, HeadMismatch, ModeInputMissing
+from bitfold.errors import BadT, HeadMismatch, ModeInputMissing, ShapeMismatch
 
 
 def make_state(rng, length=8, k=3):
@@ -290,10 +290,10 @@ class OracleModel:
         self.k = x0.k
         self.schedule = dfn.make_schedule(T)
 
-    def positional(self, length, position_indices=None):
+    def positional(self, length):
         return None  # positions do not reach this model
 
-    def forward(self, state, position_indices=None, positional=None):
+    def forward(self, state, positional=None):
         length = len(state)
         seq_logits = np.full((length, 20), -30.0)
         seq_logits[np.arange(length), self.x0.seq] = 30.0
@@ -341,9 +341,9 @@ def test_generate_folding_reads_no_seq_logits():
     model = OracleModel(x0)
     oracle_forward = model.forward
 
-    def forward(state, position_indices=None, positional=None):
+    def forward(state, positional=None):
         assert not state.mask_seq.any()
-        out = oracle_forward(state, position_indices, positional)
+        out = oracle_forward(state, positional)
         out.seq_logits = None
         return out
 
@@ -367,6 +367,16 @@ def test_generate_mode_input_missing():
         dfn.generate(model, 4, mode="folding", steps=5, rng=rng)
     with pytest.raises(ModeInputMissing):
         dfn.generate(model, 4, mode="inverse_folding", steps=5, rng=rng)
+
+
+@pytest.mark.parametrize("mode", ["folding", "inverse_folding"])
+def test_generate_rejects_given_track_of_other_length(mode):
+    """The given track must have `length` rows; the state would otherwise
+    take the track's length while its masks keep `length`."""
+    x0 = make_state(np.random.default_rng(23), length=5)
+    with pytest.raises(ShapeMismatch, match="has 5 .* for length 6"):
+        dfn.generate(OracleModel(x0), 6, mode=mode, steps=5, seq=x0.seq,
+                     struct_bits=x0.struct_bits)
 
 
 def test_generate_inverse_folding_preserves_struct():
@@ -442,10 +452,10 @@ class NoisyModel:
         self.schedule = dfn.make_schedule(T)
         self.rng = np.random.default_rng(18)
 
-    def positional(self, length, position_indices=None):
+    def positional(self, length):
         return None  # positions do not reach this model
 
-    def forward(self, state, position_indices=None, positional=None):
+    def forward(self, state, positional=None):
         length = len(state)
         return dfn.LMOutput(Tensor(self.rng.normal(size=(length, 20)) * 2.0),
                             Tensor(self.rng.normal(size=(length, 2 * self.k)) * 2.0), head="bit")

@@ -547,35 +547,29 @@ def test_forward_respects_struct_mask():
     np.testing.assert_array_equal(a, b)
 
 
-def test_position_indices_shift_invariance():
-    rng = np.random.default_rng(11)
-    state = seq_masked(make_state(rng, length=6, k=4))
-    model = ga.ProteinLM(small_cfg(), 1, k=4, seed=2)
+def test_rel_pos_bias_shift_invariance():
+    """The bias reads only index differences, so shifted positions give it
+    bit for bit; the trunk's absolute positions come from the sinusoids."""
+    rel = nn.RelPosBias(np.random.default_rng(11), 2)
     base = np.arange(6)
     joint = np.concatenate([base, base])  # the trunk's 2L tokens share residue indices
     with ad.no_grad():
-        a = model.forward(state, position_indices=base).seq_logits.data
-        b = model.forward(state, position_indices=base + 7).seq_logits.data
-        rel_a, rel_b = (model.blocks[0].rel(joint + shift).data for shift in (0, 7))
-    # relative attention bias is shift invariant, so positions reach the
-    # model only through the absolute sinusoids
+        rel_a, rel_b = (rel(joint + shift).data for shift in (0, 7))
     np.testing.assert_array_equal(rel_a, rel_b)
-    assert not np.allclose(a, b)
 
 
 class _RebuildEachStep:
     """Hands `generate` no positional record: each forward is
-    `lm.forward(state, position_indices)`, which builds its own."""
+    `lm.forward(state)`, which builds its own."""
 
-    def __init__(self, lm, position_indices):
+    def __init__(self, lm):
         self.lm, self.k, self.schedule = lm, lm.k, lm.schedule
-        self.position_indices = position_indices
 
-    def positional(self, length, position_indices=None):
+    def positional(self, length):
         return None
 
-    def forward(self, state, position_indices=None, positional=None):
-        return self.lm.forward(state, position_indices=self.position_indices)
+    def forward(self, state, positional=None):
+        return self.lm.forward(state)
 
 
 @pytest.mark.parametrize("mode", ["folding", "unconditional"])
@@ -587,25 +581,23 @@ def test_generate_builds_positional_terms_once(monkeypatch, config, mode):
     calls = []
     rel_call = nn.RelPosBias.__call__
 
-    def counted(self, position_indices):
+    def counted(self, positions):
         calls.append(self)
-        return rel_call(self, position_indices)
+        return rel_call(self, positions)
 
     monkeypatch.setattr(nn.RelPosBias, "__call__", counted)
     lm, state = _struct_only_lm(STRUCT_ONLY_CONFIGS[config], 2)
     length = len(state)
-    for position_indices in (None, np.arange(length) * 3 + 5):
-        states = []
-        for model in (lm, _RebuildEachStep(lm, position_indices)):
-            calls.clear()
-            states.append(dfn.generate(model, length, mode=mode, steps=4, strategy="confidence",
-                                       rng=np.random.default_rng(7), seq=state.seq,
-                                       position_indices=position_indices))
-            want_calls = 1 if model is lm else 4  # the reference: once per step
-            assert calls == [block.rel for block in lm.blocks] * want_calls
-        got, want = states
-        np.testing.assert_array_equal(got.struct_bits, want.struct_bits)
-        np.testing.assert_array_equal(got.seq, want.seq)
+    states = []
+    for model in (lm, _RebuildEachStep(lm)):
+        calls.clear()
+        states.append(dfn.generate(model, length, mode=mode, steps=4, strategy="confidence",
+                                   rng=np.random.default_rng(7), seq=state.seq))
+        want_calls = 1 if model is lm else 4  # the reference: once per step
+        assert calls == [block.rel for block in lm.blocks] * want_calls
+    got, want = states
+    np.testing.assert_array_equal(got.struct_bits, want.struct_bits)
+    np.testing.assert_array_equal(got.seq, want.seq)
 
 
 def test_forward_rejects_positional_of_other_length():

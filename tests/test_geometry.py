@@ -37,8 +37,8 @@ def so3_grid_min_rmsd(p, q, step_deg=2.0):
     return float(np.sqrt(best))
 
 
-def make_structure(seed=0, length=20, chains=1):
-    s, _ = geo.synth_backbone(geo.SynthSpec(length=length, chains=chains), seed=seed)
+def make_structure(seed=0, length=20):
+    s, _ = geo.synth_backbone(geo.SynthSpec(length=length), seed=seed)
     return s
 
 
@@ -209,7 +209,7 @@ def test_pdb_chain_ids_honored():
 # -- synthetic data ---------------------------------------------------------
 
 def test_synth_deterministic():
-    spec = geo.SynthSpec(length=30, chains=1)
+    spec = geo.SynthSpec(length=30)
     a, seq_a = geo.synth_backbone(spec, seed=7)
     b, seq_b = geo.synth_backbone(spec, seed=7)
     np.testing.assert_array_equal(a.coords, b.coords)
@@ -228,15 +228,6 @@ def test_synth_consecutive_ca_within_band():
         s, _ = geo.synth_backbone(geo.SynthSpec(length=60), seed=seed)
         d = np.linalg.norm(np.diff(s.ca(), axis=0), axis=1)
         assert d.min() >= 2.0 and d.max() <= 4.5
-
-
-def test_synth_two_chains():
-    s, seq = geo.synth_backbone(geo.SynthSpec(length=15, chains=2), seed=3)
-    assert len(s) == 30
-    assert set(s.chain_ids) == {0, 1}
-    assert len(seq) == 30
-    inter = np.linalg.norm(s.ca()[:15, None] - s.ca()[None, 15:], axis=-1).min()
-    assert 5.0 <= inter <= 15.0
 
 
 def test_synth_spec_invalid():

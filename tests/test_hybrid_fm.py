@@ -58,9 +58,9 @@ def test_fm_generate_builds_positional_terms_once(monkeypatch, conditioned):
     calls = []
     rel_call = nn.RelPosBias.__call__
 
-    def counted(self, position_indices):
+    def counted(self, positions):
         calls.append(self)
-        return rel_call(self, position_indices)
+        return rel_call(self, positions)
 
     monkeypatch.setattr(nn.RelPosBias, "__call__", counted)
     tokenizer = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=16, blocks=1, heads=2), seed=0)
@@ -68,12 +68,11 @@ def test_fm_generate_builds_positional_terms_once(monkeypatch, conditioned):
     lm_rels = [block.rel for block in models.lm.blocks]
     target = make_target(seed=5, length=9)
     conditioning = np.arange(9) % 20 if conditioned else None
-    position_indices = np.arange(9) + 4
     outs = []
-    for denoiser in (None, lambda state: fm.denoise(state, models, position_indices)):
+    for denoiser in (None, lambda state: fm.denoise(state, models)):
         calls.clear()
         outs.append(fm.fm_generate(models, len(target), np.random.default_rng(6), conditioning,
-                                   n_steps=3, denoiser=denoiser, position_indices=position_indices))
+                                   n_steps=3, denoiser=denoiser))
         outs.append([rel for rel in calls if any(rel is r for r in lm_rels)])
     got, got_calls, want, want_calls = outs
     np.testing.assert_array_equal(got.coords, want.coords)

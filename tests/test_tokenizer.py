@@ -11,8 +11,8 @@ from bitfold.autodiff import Tensor
 from bitfold.errors import IndexOutOfRange
 
 
-def make_structure(seed=0, length=16, chains=1):
-    s, _ = geo.synth_backbone(geo.SynthSpec(length=length, chains=chains), seed=seed)
+def make_structure(seed=0, length=16):
+    s, _ = geo.synth_backbone(geo.SynthSpec(length=length), seed=seed)
     return s
 
 
@@ -98,7 +98,11 @@ def _autodiff_backbone_dihedrals(coords, chain_ids):
 @pytest.mark.parametrize("chains", [1, 2])
 def test_dihedral_features_match_autodiff_reference(chains):
     for seed in range(4):
-        s = make_structure(seed, length=20 + seed, chains=chains)
+        length = 20 + seed
+        # a loaded file may hold several chains: join single-chain backbones
+        parts = [make_structure(seed + 100 * c, length=length) for c in range(chains)]
+        s = geo.BackboneStructure(np.concatenate([p.coords for p in parts]),
+                                  np.repeat(np.arange(chains), length))
         assert len(set(s.chain_ids)) == chains
         np.testing.assert_array_equal(
             tok.invariant_features(s)[:, 8:14], _autodiff_backbone_dihedrals(s.coords, s.chain_ids)
