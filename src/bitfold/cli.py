@@ -170,8 +170,7 @@ def cmd_finetune_fm(args):
     models = hybrid_fm.HybridModels(tokenizer=tokenizer_params, lm=lm)
     hybrid_fm.fm_finetune(
         models, dataset, steps=args.steps, seed=args.seed,
-        peak=cfg.lr_peak, warmup=min(cfg.warmup, max(args.steps // 10, 1)),
-        log_every=args.log_every,
+        peak=cfg.lr_peak, warmup=cfg.warmup, log_every=args.log_every,
     )
     _save_model(args.out, lm, cfg, step=args.steps)
     return 0
@@ -195,8 +194,7 @@ def cmd_train_resdiff(args):
         samples.append((rd.residual(z.data, bits), bits, hidden))
     rd.train_resdiff(
         samples, head, steps=args.steps, seed=args.seed,
-        peak=cfg.lr_peak, warmup=min(cfg.warmup, max(args.steps // 10, 1)),
-        log_every=args.log_every,
+        peak=cfg.lr_peak, warmup=cfg.warmup, log_every=args.log_every,
     )
     _save_model(args.out, head, cfg, step=args.steps)
     return 0

@@ -13,12 +13,11 @@ position bias, plus the pair bias when the pair track is on), SeqStruct
 attention (pair bias), and triangle attention over each row of the pair
 map (each column for "ending"), biased by a projection of the pair map.
 
-Each block's residue part (`EncoderBlock.__call__`) reads the pair track
-and returns the residue stream; `EncoderBlock.update_pair` then updates the
-pair track for the next block. No output reads the pair after the last
-block, so `ProteinLM.forward` leaves the pair track alone there. The last
-block keeps its pair-update parameters (checkpoint names and the init RNG
-stream stay as they were), but they get no gradient and are never trained.
+Each `EncoderBlock` reads the pair track and returns the residue stream;
+a `PairUpdate` (triangle updates, triangle attention, pair transition) then
+updates the pair track for the next block. No output reads the pair after
+the last block, so `ProteinLM` builds one `PairUpdate` fewer than it has
+blocks: `pair_updates[i]` runs between block i and block i + 1.
 
 Likewise no output reads the sequence rows after the last block when no
 sequence position is masked: folding, struct-only training steps and every
@@ -108,15 +107,17 @@ class PairInit(Module):
 class PairBias(Module):
     """Per-head attention logit bias from the pair representation.
 
-    Zero-initialized: a freshly built geometric model reproduces the plain
-    transformer forward exactly.
+    The projection `proj` is a bare weight: a bias on it would add one
+    constant per head to every logit, which the softmax cancels, so no loss
+    could train it. Zero-initialized: a freshly built geometric model
+    reproduces the plain transformer forward exactly.
     """
 
-    def __init__(self, rng, d_pair, n_heads):
-        self.proj = Linear(rng, d_pair, n_heads, zero_init=True)
+    def __init__(self, d_pair, n_heads):
+        self.proj = ad.zeros_param(d_pair, n_heads)
 
     def __call__(self, pair):
-        return ad.transpose(self.proj(pair), (2, 0, 1))  # (H, L, L)
+        return ad.transpose(ad.matmul(pair, self.proj), (2, 0, 1))  # (H, L, L)
 
 
 class TriangleUpdate(Module):
@@ -144,12 +145,16 @@ class TriangleUpdate(Module):
 
 class TriangleAttention(Module):
     """Gated attention along each row (starting) or column (ending) of the
-    pair map, with logits biased by the pair representation itself."""
+    pair map, with logits biased by the pair representation itself.
+
+    The logit-bias projection `bias` is a bare weight, as `PairBias.proj`
+    is: a bias on it would shift every logit of a query row by one
+    constant, which the softmax cancels."""
 
     def __init__(self, rng, d_pair, d_head, n_heads, mode):
         self.mode = mode
         self.norm = LayerNorm(d_pair)
-        self.bias = Linear(rng, d_pair, n_heads)
+        self.bias = ad.param(rng, d_pair, n_heads)
         self.attn = nn.MultiHeadAttention(rng, d_pair, n_heads, d_head=d_head, gated=True,
                                           zero_init_out=True)
 
@@ -157,7 +162,8 @@ class TriangleAttention(Module):
         if self.mode == "ending":
             pair = ad.transpose(pair, (1, 0, 2))
         z = self.norm(pair)
-        bias = ad.transpose(self.bias(z), (2, 0, 1))  # (H, j, k) from pair[j][k], shared by rows i
+        # (H, j, k) from pair[j][k], shared by rows i
+        bias = ad.transpose(ad.matmul(z, self.bias), (2, 0, 1))
         delta = self.attn(z, bias=bias)
         if self.mode == "ending":
             delta = ad.transpose(delta, (1, 0, 2))
@@ -171,7 +177,7 @@ class SeqStructAttention(Module):
     def __init__(self, rng, d_model, d_pair, n_heads):
         self.norm = LayerNorm(2 * d_model)
         self.attn = nn.MultiHeadAttention(rng, 2 * d_model, n_heads, gated=True, zero_init_out=True)
-        self.bias = PairBias(rng, d_pair, n_heads)
+        self.bias = PairBias(d_pair, n_heads)
 
     def __call__(self, h_seq, h_struct, pair):
         d = h_seq.shape[1]
@@ -183,11 +189,11 @@ class SeqStructAttention(Module):
 # -- trunk block -------------------------------------------------------------
 
 class EncoderBlock(Module):
-    """One trunk block: `__call__` updates the 2L-row residue stream,
-    reading the pair track and its (H, 2L, 2L) relative-position bias
-    `rel_bias` (from `ProteinLM.positional`) for its attention bias;
-    `update_pair` updates the pair track. With `struct_only` it returns
-    only the L structure rows."""
+    """One trunk block: updates the 2L-row residue stream, reading the pair
+    track and its (H, 2L, 2L) relative-position bias `rel_bias` (from
+    `ProteinLM.positional`) for its attention bias. It leaves the pair track
+    as it is; a `PairUpdate` between two blocks updates it. With
+    `struct_only` it returns only the L structure rows."""
 
     def __init__(self, rng, cfg: BlockConfig):
         d = cfg.d_model
@@ -197,16 +203,9 @@ class EncoderBlock(Module):
         self.rel = nn.RelPosBias(rng, cfg.heads)
         self.transition = nn.Transition(rng, d, cfg.transition_ratio)
         if cfg.pair_bias:
-            self.pair_bias = PairBias(rng, cfg.d_pair, cfg.heads)
-            self.pair_transition = nn.Transition(rng, cfg.d_pair, cfg.transition_ratio)
+            self.pair_bias = PairBias(cfg.d_pair, cfg.heads)
         if cfg.struct_transition:
             self.struct_trans = nn.Transition(rng, d, cfg.transition_ratio)
-        if cfg.triangle_update:
-            self.tri_out = TriangleUpdate(rng, cfg.d_pair, cfg.d_tri_update, "outgoing")
-            self.tri_in = TriangleUpdate(rng, cfg.d_pair, cfg.d_tri_update, "incoming")
-        if cfg.triangle_attention:
-            self.tri_start = TriangleAttention(rng, cfg.d_pair, cfg.d_tri_attn_head, cfg.heads_tri, "starting")
-            self.tri_end = TriangleAttention(rng, cfg.d_pair, cfg.d_tri_attn_head, cfg.heads_tri, "ending")
         if cfg.seqstruct_attention:
             self.seqstruct = SeqStructAttention(rng, d, cfg.d_pair, cfg.heads_seqstruct)
 
@@ -229,8 +228,22 @@ class EncoderBlock(Module):
             h = h + (delta if struct_only else ad.pad(delta, ((0, length), (0, 0))))
         return h + self.transition(h)
 
-    def update_pair(self, pair):
-        """Triangle updates, triangle attention and the pair transition."""
+
+class PairUpdate(Module):
+    """The pair track's update between two trunk blocks: triangle updates,
+    triangle attention and the pair transition, as each config enables."""
+
+    def __init__(self, rng, cfg: BlockConfig):
+        self.cfg = cfg
+        self.pair_transition = nn.Transition(rng, cfg.d_pair, cfg.transition_ratio)
+        if cfg.triangle_update:
+            self.tri_out = TriangleUpdate(rng, cfg.d_pair, cfg.d_tri_update, "outgoing")
+            self.tri_in = TriangleUpdate(rng, cfg.d_pair, cfg.d_tri_update, "incoming")
+        if cfg.triangle_attention:
+            self.tri_start = TriangleAttention(rng, cfg.d_pair, cfg.d_tri_attn_head, cfg.heads_tri, "starting")
+            self.tri_end = TriangleAttention(rng, cfg.d_pair, cfg.d_tri_attn_head, cfg.heads_tri, "ending")
+
+    def __call__(self, pair):
         cfg = self.cfg
         if cfg.triangle_update:
             pair = pair + self.tri_out(pair)
@@ -283,6 +296,8 @@ class ProteinLM(Module):
         if cfg.pair_bias:
             self.pair_init = PairInit(rng, d, cfg.d_pair)
         self.blocks = [EncoderBlock(rng, cfg) for _ in range(n_blocks)]
+        if cfg.pair_bias:  # no output reads the pair track after the last block
+            self.pair_updates = [PairUpdate(rng, cfg) for _ in range(n_blocks - 1)]
         self.final_norm = LayerNorm(d)
         self.seq_out = Linear(rng, d, dfn.N_AA)
 
@@ -331,7 +346,7 @@ class ProteinLM(Module):
             h = block(h, pair, rel_bias, struct_only=i == last and not seq_read)
             hidden_layers.append(h[:length])
             if pair is not None and i < last:
-                pair = block.update_pair(pair)
+                pair = self.pair_updates[i](pair)
         h = self.final_norm(h)
         return dfn.LMOutput(
             seq_logits=self.seq_out(h[length:]) if seq_read else None,

@@ -112,8 +112,8 @@ def _loss_transition(seed):
 def _loss_pair_bias_attention(seed):
     rng = np.random.default_rng(seed)
     attn = nn.MultiHeadAttention(rng, 8, 2, gated=True)
-    bias_proj = geo_arch.PairBias(rng, 4, 2)
-    bias_proj.proj.w.data[:] = rng.normal(size=bias_proj.proj.w.data.shape) * 0.2
+    bias_proj = geo_arch.PairBias(4, 2)
+    bias_proj.proj.data[:] = rng.normal(size=bias_proj.proj.shape) * 0.2
     x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     pair = Tensor(rng.normal(size=(4, 4, 4)), requires_grad=True)
 
@@ -205,7 +205,7 @@ def _loss_seqstruct(seed):
     rng = np.random.default_rng(seed)
     ss = geo_arch.SeqStructAttention(rng, 6, 4, 2)
     ss.attn.out.w.data[:] = rng.normal(size=ss.attn.out.w.data.shape) * 0.2
-    ss.bias.proj.w.data[:] = rng.normal(size=ss.bias.proj.w.data.shape) * 0.2
+    ss.bias.proj.data[:] = rng.normal(size=ss.bias.proj.shape) * 0.2
     h_seq = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     h_struct = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     pair = Tensor(rng.normal(size=(4, 4, 4)), requires_grad=True)

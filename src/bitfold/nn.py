@@ -5,9 +5,10 @@ along the second-to-last axis and treats any leading axes as independent
 rows, so the same module serves attention over residues (L, d) and
 triangle attention over the rows of the pair map (L, L, d). Its head width
 `d_head` defaults to `d_model // n_heads`. It takes an optional additive
-logit bias and sigmoid output gating. Every projection is an
-`autodiff.Linear` and every pre-norm an `autodiff.LayerNorm`; each records
-one fused graph node (`autodiff.linear`, `autodiff.layernorm`).
+logit bias and sigmoid output gating. Every projection but the bias-free
+key projection is an `autodiff.Linear` and every pre-norm an
+`autodiff.LayerNorm`; each records one fused graph node (`autodiff.linear`,
+`autodiff.layernorm`).
 
 Also here: the gated transition block, MLP stacks, relative-position bias
 tables and sinusoidal embeddings.
@@ -109,6 +110,10 @@ class MultiHeadAttention(Module):
     and the gate come from those rows, the keys and values from all of
     them, `bias` and `rel` are cut to those query rows, and the output has
     `rows` positions. Each kept row gets the same bits as without `rows`.
+
+    The key projection `k` is a bare weight with no bias: a key bias adds
+    q . b_k, one constant, to every logit of a query row, which the
+    softmax cancels, so no loss could train it.
     """
 
     def __init__(self, rng, d_model, n_heads, d_head=None, gated=False, zero_init_out=False):
@@ -120,7 +125,7 @@ class MultiHeadAttention(Module):
         self.d_head = d_head
         d_inner = n_heads * d_head
         self.q = Linear(rng, d_model, d_inner)
-        self.k = Linear(rng, d_model, d_inner)
+        self.k = ad.param(rng, d_model, d_inner)
         self.v = Linear(rng, d_model, d_inner)
         self.gate = Linear(rng, d_model, d_inner) if gated else None
         self.out = Linear(rng, d_inner, d_model, zero_init=zero_init_out)
@@ -131,7 +136,7 @@ class MultiHeadAttention(Module):
             xq = x[..., :rows, :]
             bias = None if bias is None else bias[..., :rows, :]
             rel = None if rel is None else (rel[0], rel[1][:rows])
-        ctx = ad.attention(self.q(xq), self.k(x), self.v(x), self.n_heads,
+        ctx = ad.attention(self.q(xq), ad.matmul(x, self.k), self.v(x), self.n_heads,
                            1.0 / np.sqrt(self.d_head), bias=bias, rel=rel)
         if self.gate is not None:
             ctx = ctx * ad.sigmoid(self.gate(xq))

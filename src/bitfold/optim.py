@@ -60,12 +60,16 @@ def fit(params, items, steps, rng, step_loss, name, peak, warmup, floor=1e-5, lo
     the log line, or `None` when the step has nothing to learn from; such
     a step records 0.0 and leaves the parameters and Adam untouched.
 
+    The warmup is clipped to a tenth of the run (at least one step), so a
+    run shorter than its configured warmup still reaches `peak`.
+
     `len(items)` is called exactly once per step, as the step's first
     action, and nowhere else (the empty check is a truth test): the
     benchmark counts those calls to mark step boundaries and to stop a run.
     """
     if not items:
         raise ValueError(f"no training items for {name}")
+    warmup = min(warmup, max(steps // 10, 1))
     opt = Adam(params)
     losses = []
     for step in range(steps):

@@ -285,25 +285,29 @@ def reconstruction_report(params, dataset):
     return report
 
 
+def tokenizer_loss(params: TokenizerParams, structure, feats):
+    """The training loss of one structure with invariant features `feats`:
+    0.5*(cont + quant reconstruction) + 0.25*commitment + 0.1*entropy
+    regularizer."""
+    z, _ = params.encoder(feats)
+    bits, q_losses = lfq_quantize(z)
+    pred_q = params.decoder(bits)
+    pred_c = params.decoder(z)
+    return (
+        0.5 * (reconstruction_loss(pred_q, structure) + reconstruction_loss(pred_c, structure))
+        + COMMIT_WEIGHT * q_losses["commitment"]
+        + ENTROPY_WEIGHT * q_losses["entropy"]
+    )
+
+
 def train_tokenizer(dataset, cfg: TokenizerConfig, seed, steps, log_every=0):
-    """Returns (params, ReconReport). Loss: 0.5*(cont + quant reconstruction)
-    + 0.25*commitment + 0.1*entropy regularizer."""
+    """Returns (params, ReconReport), trained on `tokenizer_loss`."""
     params = TokenizerParams(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     feats = [invariant_features(s) for s in dataset]
 
     def step_loss(i):
-        structure = dataset[i]
-        z, _ = params.encoder(feats[i])
-        bits, q_losses = lfq_quantize(z)
-        pred_q = params.decoder(bits)
-        pred_c = params.decoder(z)
-        loss = (
-            0.5 * (reconstruction_loss(pred_q, structure) + reconstruction_loss(pred_c, structure))
-            + COMMIT_WEIGHT * q_losses["commitment"]
-            + ENTROPY_WEIGHT * q_losses["entropy"]
-        )
-        return loss, ""
+        return tokenizer_loss(params, dataset[i], feats[i]), ""
 
     fit(params.parameters(), dataset, steps, rng, step_loss, "tokenizer",
         cfg.lr_peak, cfg.warmup, log_every=log_every)

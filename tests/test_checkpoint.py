@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bitfold import checkpoint as ckpt
-from bitfold import cli
+from bitfold import cli, training
 from bitfold.config import ModelConfig, format_config
 from bitfold.errors import InvalidConfig, ParseError
 from bitfold.nn import MLP
@@ -78,10 +78,19 @@ def test_restore_rejects_a_shape_mismatch(saved):
 
 def test_load_names_the_checkpoint_on_a_parameter_mismatch(tmp_path):
     """A checkpoint whose config matches but whose tensors belong to another
-    module is refused with its own path in the message."""
+    module, or to an older layout of the same one, is refused with its own
+    path in the message."""
     path = tmp_path / "other.ckpt"
     cfg = ModelConfig()
     ckpt.save_checkpoint(path, _mlp(1).parameters(), format_config(cfg))
     with pytest.raises(InvalidConfig, match="parameter names mismatch") as info:
         cli.load_tokenizer(str(path), cfg)
+    assert str(info.value).startswith(f"{path}: ")
+
+    path = tmp_path / "old-lm.ckpt"
+    params = dict(training.build_lm(cfg).parameters())
+    params["blocks.0.attn.k.b"] = np.zeros(cfg.d_model)  # the key bias the LM no longer has
+    ckpt.save_checkpoint(path, params, format_config(cfg))
+    with pytest.raises(InvalidConfig, match=r"extra \['blocks\.0\.attn\.k\.b'\]") as info:
+        cli.load_lm(str(path), cfg)
     assert str(info.value).startswith(f"{path}: ")

@@ -12,7 +12,9 @@ import bitfold
 import bitfold.autodiff as ad
 from bitfold import diffusion as dfn
 from bitfold import geo_arch as ga
+from bitfold import geometry as geo
 from bitfold import nn
+from bitfold import tokenizer as tok
 from bitfold.autodiff import Tensor
 from bitfold.errors import InvalidConfig, ShapeMismatch
 
@@ -88,7 +90,7 @@ def test_fresh_geo_model_equals_plain_forward():
 def test_zero_pair_bias_reduces_to_vanilla_attention():
     rng = np.random.default_rng(1)
     attn = nn.MultiHeadAttention(rng, 16, 4, gated=True)
-    bias_proj = ga.PairBias(rng, 8, 4)  # zero-initialized by construction
+    bias_proj = ga.PairBias(8, 4)  # zero-initialized by construction
     x = Tensor(rng.normal(size=(5, 16)))
     pair = Tensor(rng.normal(size=(5, 5, 8)))
     with ad.no_grad():
@@ -105,8 +107,8 @@ def test_saturated_bias_concentrates_attention():
     bias = np.zeros((h, length, length))
     bias[:, :, 2] = 1e9
     with ad.no_grad():
-        q, k = (ad.transpose(ad.reshape(proj(x), (length, h, -1)), (1, 0, 2))
-                for proj in (attn.q, attn.k))
+        q, k = (ad.transpose(ad.reshape(y, (length, h, -1)), (1, 0, 2))
+                for y in (attn.q(x), ad.matmul(x, attn.k)))
         logits = ad.matmul(q, ad.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(attn.d_head)) + Tensor(bias)
         weights = ad.softmax(logits, axis=-1).data
     assert np.all(weights[:, :, 2] > 1 - 1e-6)
@@ -150,9 +152,9 @@ class ReferenceTriangleAttention:
         self.gamma = Tensor(np.ones(d_pair), requires_grad=True)
         self.beta = Tensor(np.zeros(d_pair), requires_grad=True)
         self.q = ad.Linear(rng, d_pair, d_inner)
-        self.k = ad.Linear(rng, d_pair, d_inner)
+        self.k = ad.param(rng, d_pair, d_inner)  # keys and logit bias carry no bias
         self.v = ad.Linear(rng, d_pair, d_inner)
-        self.bias = ad.Linear(rng, d_pair, n_heads)
+        self.bias = ad.param(rng, d_pair, n_heads)
         self.gate = ad.Linear(rng, d_pair, d_inner)
         self.out = ad.Linear(rng, d_inner, d_pair, zero_init=True)
 
@@ -164,8 +166,9 @@ class ReferenceTriangleAttention:
         def split(x):  # (L, L, H*dh) -> (L, H, L, dh)
             return ad.transpose(ad.reshape(x, (length, length, self.n_heads, self.d_head)), (0, 2, 1, 3))
 
-        q, k, v = split(self.q(z)), split(self.k(z)), split(self.v(z))
-        bias = ad.reshape(ad.transpose(self.bias(z), (2, 0, 1)), (self.n_heads, 1, length, length))
+        q, k, v = split(self.q(z)), split(ad.matmul(z, self.k)), split(self.v(z))
+        bias = ad.reshape(ad.transpose(ad.matmul(z, self.bias), (2, 0, 1)),
+                          (self.n_heads, 1, length, length))
         ctx = ad.attention(q, k, v, 1, 1.0 / np.sqrt(self.d_head), bias=bias)
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (length, length, -1))
         delta = self.out(merged * ad.sigmoid(self.gate(z)))
@@ -173,11 +176,11 @@ class ReferenceTriangleAttention:
 
     def mapped_parameters(self):
         """(reference tensor, name of the same weight in `ga.TriangleAttention`)."""
-        pairs = [(self.gamma, "norm.gamma"), (self.beta, "norm.beta")]
-        for name in ("q", "k", "v", "bias", "gate", "out"):
-            new = name if name == "bias" else f"attn.{name}"
+        pairs = [(self.gamma, "norm.gamma"), (self.beta, "norm.beta"),
+                 (self.k, "attn.k"), (self.bias, "bias")]
+        for name in ("q", "v", "gate", "out"):
             layer = getattr(self, name)
-            pairs += [(layer.w, f"{new}.w"), (layer.b, f"{new}.b")]
+            pairs += [(layer.w, f"attn.{name}.w"), (layer.b, f"attn.{name}.b")]
         return pairs
 
 
@@ -272,10 +275,10 @@ def test_init_pair_matches_gather_concat_reference():
                                    err_msg=name)
 
 
-def _zero_concat_block(block, h, pair, positions):
-    """`EncoderBlock.__call__` as first written, building its own
-    relative-position bias and placing the pair bias and the
-    structure-track transition by concatenating zero tensors."""
+def _zero_concat_block(block, update, h, pair, positions):
+    """An `EncoderBlock` and the `PairUpdate` after it as first written, one
+    block building its own relative-position bias and placing the pair bias
+    and the structure-track transition by concatenating zero tensors."""
     cfg = block.cfg
     length = len(positions)
     bias = block.rel(np.concatenate([positions, positions]))
@@ -289,11 +292,11 @@ def _zero_concat_block(block, h, pair, positions):
     delta = block.struct_trans(h[:length])
     h = h + ad.concat([delta, Tensor(np.zeros((length, cfg.d_model)))], axis=0)
     h = h + block.transition(h)
-    pair = pair + block.tri_out(pair)
-    pair = pair + block.tri_in(pair)
-    pair = pair + block.tri_start(pair)
-    pair = pair + block.tri_end(pair)
-    pair = pair + block.pair_transition(pair)
+    pair = pair + update.tri_out(pair)
+    pair = pair + update.tri_in(pair)
+    pair = pair + update.tri_start(pair)
+    pair = pair + update.tri_end(pair)
+    pair = pair + update.pair_transition(pair)
     return h, pair
 
 
@@ -302,8 +305,8 @@ def test_full_geo_block_matches_zero_concat_reference():
     rng = np.random.default_rng(9)
     cfg = small_cfg(pair_bias=True, struct_transition=True, triangle_update=True,
                     triangle_attention=True, seqstruct_attention=True)
-    block = ga.EncoderBlock(rng, cfg)
-    params = block.parameters()
+    block, update = ga.EncoderBlock(rng, cfg), ga.PairUpdate(rng, cfg)
+    params = {**block.parameters(prefix="block."), **update.parameters(prefix="update.")}
     for tensor in params.values():  # no zero-initialized projection hides a term
         tensor.data[...] = rng.normal(scale=0.3, size=tensor.shape)
     length = 5
@@ -315,10 +318,11 @@ def test_full_geo_block_matches_zero_concat_reference():
 
     def split(h, pair, pos):
         rel_bias = block.rel(np.concatenate([pos, pos]))
-        return block(h, pair, rel_bias), block.update_pair(pair)
+        return block(h, pair, rel_bias), update(pair)
 
-    for layer in (split, lambda h, pair, pos: _zero_concat_block(block, h, pair, pos)):
+    for layer in (split, lambda h, pair, pos: _zero_concat_block(block, update, h, pair, pos)):
         block.zero_grad()
+        update.zero_grad()
         h, pair = Tensor(h_data.copy(), requires_grad=True), Tensor(pair_data.copy(), requires_grad=True)
         h_out, pair_out = layer(h, pair, positions)
         ((h_out * Tensor(w_h)).sum() + (pair_out * Tensor(w_pair)).sum()).backward()
@@ -330,22 +334,23 @@ def test_full_geo_block_matches_zero_concat_reference():
 
 
 class _PairUpdatedToo:
-    """Stands in for the last block and updates the pair track after its
-    residue part, as every block did before the last one stopped."""
+    """Stands in for the last block and runs a pair update after its
+    residue part: the update that `ProteinLM` does not build."""
 
-    def __init__(self, block):
-        self.block = block
+    def __init__(self, block, update):
+        self.block, self.update = block, update
         self.rel = block.rel  # read by `ProteinLM.positional`
 
     def __call__(self, h, pair, rel_bias, struct_only=False):
         out = self.block(h, pair, rel_bias, struct_only)
-        self.block.update_pair(pair)
+        self.update(pair)
         return out
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 3])
 def test_last_block_leaves_pair_alone(monkeypatch, n_blocks):
-    """Skipping the last block's pair update moves no output and no gradient."""
+    """The LM builds a pair update between blocks only: one after the last
+    block would move no output and no gradient."""
     calls = {"TriangleUpdate": 0, "TriangleAttention": 0}
     for name in calls:
         def counted(self, pair, _call=getattr(ga, name).__call__, _name=name):
@@ -356,28 +361,27 @@ def test_last_block_leaves_pair_alone(monkeypatch, n_blocks):
     cfg = small_cfg(pair_bias=True, struct_transition=True, triangle_update=True,
                     triangle_attention=True, seqstruct_attention=True)
     lm = ga.ProteinLM(cfg, n_blocks, k=4, seed=0)
+    assert len(lm.pair_updates) == n_blocks - 1
+    extra = ga.PairUpdate(np.random.default_rng(0), cfg)
     rng = np.random.default_rng(n_blocks)
     params = lm.parameters()
-    for tensor in params.values():  # no zero-initialized projection hides a term
-        tensor.data[...] = rng.normal(scale=0.3, size=tensor.shape)
-    pair_update = ("tri_out", "tri_in", "tri_start", "tri_end", "pair_transition")
-    unused = [name for name in params
-              if name.startswith(f"blocks.{n_blocks - 1}.") and name.split(".")[2] in pair_update]
-    assert len(unused) > len(pair_update)
+    for tensor in [*params.values(), *extra.parameters().values()]:
+        tensor.data[...] = rng.normal(scale=0.3, size=tensor.shape)  # no zero init hides a term
     state = seq_masked(make_state(rng))
     last = lm.blocks[-1]
     results = []
     for reference in (False, True):
         lm.zero_grad()
+        extra.zero_grad()
         calls.update(dict.fromkeys(calls, 0))
-        lm.blocks[-1] = _PairUpdatedToo(last) if reference else last
+        lm.blocks[-1] = _PairUpdatedToo(last, extra) if reference else last
         out = lm.forward(state)
         lm.blocks[-1] = last
         outputs = [out.seq_logits, out.struct_logits, *out.hidden_layers]
         weights = np.random.default_rng(0)
         sum((t * Tensor(weights.normal(size=t.shape))).sum() for t in outputs).backward()
         assert calls == dict.fromkeys(calls, 2 * (n_blocks - 1 + reference))
-        assert all(params[name].grad is None for name in unused)
+        assert all(t.grad is None for t in extra.parameters().values())
         results.append([t.data for t in outputs] + [params[name].grad for name in sorted(params)])
     labels = ["seq_logits", "struct_logits"] + [f"hidden_layers[{i}]" for i in range(n_blocks)]
     for name, got, want in zip(labels + sorted(params), *results):
@@ -474,14 +478,49 @@ def test_struct_only_step_gradients_match_full_path(config):
         grads.append({name: t.grad for name, t in params.items()})
     got, want = grads
     assert sum(g is not None for g in want.values()) > len(params) // 2
-    # the atol covers rounding in gradients that are exactly 0: the key and logit-bias biases
     scale = max(np.abs(g).max() for g in want.values() if g is not None)
     for name in sorted(params):
         if want[name] is None:
             assert got[name] is None, name
         else:
-            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=1e-13 * scale,
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=1e-17 * scale,
                                        err_msg=name)
+
+
+def _lm_step_loss(config, n_blocks):
+    """A step that masks both tracks: bit CE plus sequence CE."""
+    lm, xt = _struct_only_lm(STRUCT_ONLY_CONFIGS[config], n_blocks)
+    xt = seq_masked(xt, 2)
+    x0 = xt.copy()
+    x0.mask_seq[:] = x0.mask_struct[:] = False
+    return lm.parameters(), dfn.loss_bit(lm.forward(xt), x0, xt, 3, lm.schedule)
+
+
+def _tokenizer_step_loss():
+    params = tok.TokenizerParams(tok.TokenizerConfig(), seed=0)
+    rng = np.random.default_rng(0)
+    for tensor in params.parameters().values():  # no zero-initialized projection hides a term
+        tensor.data[...] = rng.normal(scale=0.3, size=tensor.shape)
+    structure, _ = geo.synth_backbone(geo.SynthSpec(length=10), seed=0)
+    return params.parameters(), tok.tokenizer_loss(params, structure,
+                                                   tok.invariant_features(structure))
+
+
+@pytest.mark.parametrize("config, n_blocks", [
+    *((config, n) for config in sorted(STRUCT_ONLY_CONFIGS) for n in (1, 2, 3)),
+    ("tokenizer", None),
+])
+def test_every_parameter_is_trained(config, n_blocks):
+    """Every parameter gets a gradient above rounding noise from one
+    training step, so none is built that no step trains."""
+    if config == "tokenizer":
+        params, loss = _tokenizer_step_loss()
+    else:
+        params, loss = _lm_step_loss(config, n_blocks)
+    loss.backward()
+    peak = {name: 0.0 if t.grad is None else np.abs(t.grad).max() for name, t in params.items()}
+    scale = max(peak.values())
+    assert [name for name, g in peak.items() if g <= 1e-9 * scale] == []
 
 
 def test_seqstruct_shapes_preserved():

@@ -97,7 +97,8 @@ def _loop_train_lm(lm, tokenizer_params, dataset, cfg):
         opt.zero_grad()
         loss.backward()
         opt.step(lr=optim.warmup_linear_decay(
-            step, cfg.steps, peak=cfg.lr_peak, warmup=cfg.warmup, floor=cfg.lr_floor,
+            step, cfg.steps, peak=cfg.lr_peak, warmup=min(cfg.warmup, max(cfg.steps // 10, 1)),
+            floor=cfg.lr_floor,
         ))
         losses.append(loss.item())
     return losses
@@ -240,6 +241,23 @@ def test_fit_skipped_step_records_zero_and_leaves_adam(monkeypatch):
     assert losses == [0.0, 0.0, 0.0]
     assert opts[1].t == 0
     np.testing.assert_array_equal(w.data, before)
+
+
+def test_fit_clips_the_warmup_to_a_tenth_of_the_run(monkeypatch):
+    """A run of 50 steps under a warmup of 2000 reaches the peak lr at step 4."""
+    lrs = []
+
+    class RecordingAdam(optim.Adam):
+        def step(self, lr=None):
+            lrs.append(lr)
+            super().step(lr)
+
+    monkeypatch.setattr(optim, "Adam", RecordingAdam)
+    w = Tensor(np.ones(2), requires_grad=True)
+    optim.fit({"w": w}, [0], 50, np.random.default_rng(0), lambda i: ((w * w).sum(), ""),
+              "toy", peak=0.1, warmup=2000)
+    assert len(lrs) == 50
+    assert lrs[3] < lrs[4] == 0.1
 
 
 def test_fit_rejects_empty_items():
