@@ -134,7 +134,7 @@ def _loss_relpos_value_attention(seed):
     positions = np.array([0, 1, 2, 5, 6, 40])  # the gap past REL_POS_CLIP repeats clipped bins
 
     def fn():
-        return (block(x, positions) ** 2).mean()
+        return (block(x, block.rel(positions)) ** 2).mean()
 
     params = {"x": x}
     params.update(block.parameters(prefix="block."))

@@ -61,13 +61,14 @@ class HybridModels:
             )
 
 
-def denoise(state: FlowState, models: HybridModels, positional=None):
+def denoise(state: FlowState, models: HybridModels, positional=None, decoder_positional=None):
     """The composed denoiser decoder(LM(encoder(x_t))): encode and quantize
     the noisy structure, one LM forward with the corrupted bits observed
     (sequence clamped to the conditioning if present, masked otherwise),
     greedy bit readout, decode to centered coordinates. `positional` is the
-    LM's record for this length (`ProteinLM.positional`); the LM builds it
-    when it is not given."""
+    LM's record for this length (`ProteinLM.positional`) and
+    `decoder_positional` the tokenizer decoder's (`Decoder.positional`);
+    each is built when it is not given."""
     structure = state.structure
     bits_t = tok.structure_bits(structure, models.tokenizer)
     if state.conditioning is not None:
@@ -82,7 +83,7 @@ def denoise(state: FlowState, models: HybridModels, positional=None):
     bit_logits = out.struct_logits.data.reshape(length, k, 2)
     pred_bits = np.where(bit_logits[:, :, 1] >= bit_logits[:, :, 0], 1.0, -1.0)
     with ad.no_grad():
-        coords = tok.decode(tok.Tensor(pred_bits), models.tokenizer).data
+        coords = tok.decode(tok.Tensor(pred_bits), models.tokenizer, decoder_positional).data
     return geo.BackboneStructure(_centered(coords), structure.chain_ids, structure.source_id)
 
 
@@ -114,9 +115,10 @@ def fm_generate(models, length, rng, conditioning=None, n_steps=FM_STEPS_DEFAULT
     if denoiser is None:
         with ad.no_grad():  # positions do not change between flow steps
             positional = models.lm.positional(length)
+            decoder_positional = models.tokenizer.decoder.positional(length)
 
         def denoiser(flow_state):
-            return denoise(flow_state, models, positional)
+            return denoise(flow_state, models, positional, decoder_positional)
 
     for k in range(n_steps):
         state = euler_step(state, denoiser(state), (k + 1) / n_steps)

@@ -63,8 +63,8 @@ def invariant_features(structure: geo.BackboneStructure) -> np.ndarray:
     feats[:, 8:14] = _backbone_dihedral_sincos(structure.coords, chain)
     n_at, ca_at, c_at, o_at = (structure.coords[:, i, :] for i in range(4))
     e1 = _unit_rows(c_at - ca_at)
-    normal = _unit_rows(np.cross(c_at - ca_at, n_at - ca_at))
-    e2 = np.cross(normal, e1)
+    normal = _unit_rows(geo.cross_rows(c_at - ca_at, n_at - ca_at))
+    e2 = geo.cross_rows(normal, e1)
     frame = np.stack([e1, e2, normal], axis=2)  # (L, 3, 3) columns are axes
     for col, atom in enumerate((n_at, c_at, o_at)):
         rel = atom - ca_at
@@ -81,10 +81,10 @@ def _dihedral_sincos(p0, p1, p2, p3, eps=1e-8):
     b0 = p1 - p0
     b1 = p2 - p1
     b2 = p3 - p2
-    n1 = np.cross(b0, b1)
-    n2 = np.cross(b1, b2)
+    n1 = geo.cross_rows(b0, b1)
+    n2 = geo.cross_rows(b1, b2)
     b1n = b1 * (1.0 / np.sqrt((b1 * b1).sum(axis=1) + eps))[:, None]
-    m1 = np.cross(n1, b1n)
+    m1 = geo.cross_rows(n1, b1n)
     x = (n1 * n2).sum(axis=1)
     y = (m1 * n2).sum(axis=1)
     r = np.sqrt(x * x + y * y + eps)
@@ -139,8 +139,8 @@ class DecoderBlock(Module):
         self.rel = nn.RelPosBias(rng, cfg.heads, d_value=w // cfg.heads)
         self.mlp = nn.Transition(rng, w, ratio=2)
 
-    def __call__(self, x, positions):
-        bias, rel = self.rel(positions)
+    def __call__(self, x, rel_terms):
+        bias, rel = rel_terms
         x = x + self.attn(self.norm(x), bias=bias, rel=rel)
         return x + self.mlp(x)
 
@@ -153,11 +153,24 @@ class Decoder(Module):
         self.norm = LayerNorm(w)
         self.out = Linear(rng, w, 12)
 
-    def __call__(self, tokens):
+    def positional(self, length):
+        """Each block's relative-position terms for `length` rows, as its
+        `RelPosBias` returns them: `(bias, (table, diff))`. A sampler that
+        decodes one length many times builds them once."""
+        positions = np.arange(length)
+        return [block.rel(positions) for block in self.blocks]
+
+    def __call__(self, tokens, positional=None):
+        """`positional` is a list from `self.positional` for this many
+        rows; it is built when not given."""
         x = self.embed(tokens if isinstance(tokens, Tensor) else Tensor(tokens))
-        positions = np.arange(x.shape[0])
-        for block in self.blocks:
-            x = block(x, positions)
+        if positional is None:
+            positional = self.positional(x.shape[0])
+        elif positional[0][0].shape[-1] != x.shape[0]:
+            raise ShapeMismatch(f"decoder terms of length {positional[0][0].shape[-1]} "
+                                f"for {x.shape[0]} tokens")
+        for block, rel_terms in zip(self.blocks, positional):
+            x = block(x, rel_terms)
         coords = ad.reshape(self.out(self.norm(x)), (-1, 4, 3))
         center = coords[:, 1, :].mean(axis=0)
         return coords - center
@@ -183,9 +196,10 @@ def structure_bits(structure, params: TokenizerParams):
     return np.where(z.data >= 0.0, 1.0, -1.0)
 
 
-def decode(tokens, params: TokenizerParams):
-    """Coordinates (L, 4, 3), CA-centroid centered, from cont or bit tokens."""
-    return params.decoder(tokens)
+def decode(tokens, params: TokenizerParams, positional=None):
+    """Coordinates (L, 4, 3), CA-centroid centered, from cont or bit tokens;
+    `positional` is the decoder's `Decoder.positional` list for L rows."""
+    return params.decoder(tokens, positional)
 
 
 # -- lookup-free quantization ------------------------------------------------

@@ -1,5 +1,7 @@
 """Geometry oracles: Kabsch, TM-score, parsers, synthetic backbones."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,99 @@ def test_synth_spec_invalid():
         geo.synth_backbone(geo.SynthSpec(length=4), seed=0)
     with pytest.raises(SpecInvalid):
         geo.synth_backbone(geo.SynthSpec(length=600), seed=0)
+
+
+# sha256 of the coordinate bytes, then the sequence bytes, of
+# synth_backbone(SynthSpec(length), seed). Every benchmark input comes from
+# this generator, so a drift shows here first; re-baseline only on purpose.
+SYNTH_DIGESTS = (
+    (8, 0, "a3d45bfe56aa0726e0412ee84cfa77e3793a9b368ad53e0e85c929d4cd513dba"),
+    (37, 1, "16a6d3f87b42a03ab07a9a9c85c77af1e4d03be8113b9d1716e86b9eb26bf9a5"),
+    (64, 7, "871c6397c59338bda162cee26a7f6e06fe36ec723a60fa6f114b3b34c1fcc743"),
+    (200, 42, "b6f34ecff989c3e28ddbf7a078fed29bb9e400f24b70fe8e0d50d381c1d523c8"),
+    (512, 3, "ab877e5734444b3c69e550c7fc321a8a970b17df0aad28c22672b8438449acc8"),
+)
+
+
+@pytest.mark.parametrize("length,seed,digest", SYNTH_DIGESTS,
+                         ids=[f"{n}-{seed}" for n, seed, _ in SYNTH_DIGESTS])
+def test_synth_backbone_digest(length, seed, digest):
+    s, seq = geo.synth_backbone(geo.SynthSpec(length=length), seed=seed)
+    data = s.coords.astype("<f8").tobytes() + seq.astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _unit(v, fallback=(1.0, 0.0, 0.0)):
+    n = np.linalg.norm(v)
+    if n < 1e-8:
+        return np.asarray(fallback, dtype=np.float64)
+    return v / n
+
+
+def backbone_from_ca_loop(ca):
+    """Reference: the per-residue loop `geometry._backbone_from_ca` replaces."""
+    n_res = len(ca)
+    coords = np.zeros((n_res, 4, 3))
+    for i in range(n_res):
+        fwd = ca[i + 1] - ca[i] if i + 1 < n_res else ca[i] - ca[i - 1]
+        prev = ca[i] - ca[i - 1] if i > 0 else fwd
+        t = _unit(ca[min(i + 1, n_res - 1)] - ca[max(i - 1, 0)])
+        normal = np.cross(_unit(fwd), _unit(prev) if i > 0 else np.array([0.0, 1.0, 0.0]))
+        if np.linalg.norm(normal) < 1e-8:
+            normal = np.cross(t, np.array([1.0, 0.0, 0.0]))
+            if np.linalg.norm(normal) < 1e-8:
+                normal = np.cross(t, np.array([0.0, 1.0, 0.0]))
+        normal = _unit(normal)
+        side = _unit(np.cross(t, normal))
+        coords[i, 0] = ca[i] - 1.16 * t + 0.89 * normal  # N
+        coords[i, 1] = ca[i]
+        coords[i, 2] = ca[i] + 1.21 * t - 0.92 * normal  # C
+        coords[i, 3] = coords[i, 2] + 1.23 * side  # O
+    return coords
+
+
+def assert_matches_loop(ca):
+    got = geo._backbone_from_ca(ca)
+    want = backbone_from_ca_loop(ca)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+    np.testing.assert_array_equal(np.round(got, 6), np.round(want, 6))
+
+
+def test_backbone_from_ca_matches_loop_on_synthetic_traces():
+    # 200 jittered chain traces at lengths spaced geometrically over
+    # [8, 512], which keeps the reference loop's run short
+    rng = np.random.default_rng(0)
+    for length in np.geomspace(8, 512, 200).round().astype(int):
+        ca = geo._chain_trace(geo._random_plan(int(length), rng), rng)
+        assert_matches_loop(ca + rng.normal(0.0, geo.JITTER_SIGMA, size=ca.shape))
+
+
+@pytest.mark.parametrize("kind", ["collinear-z", "collinear-x", "repeated", "one", "two",
+                                  "two-repeated"])
+def test_backbone_from_ca_matches_loop_on_degenerate_traces(kind):
+    rng = np.random.default_rng(1)
+    line = np.arange(10)[:, None] * 3.8
+    ca = {
+        "collinear-z": line * [0.0, 0.0, 1.0],  # normal falls back to t x (1, 0, 0)
+        "collinear-x": line * [1.0, 0.0, 0.0],  # and then to t x (0, 1, 0)
+        "repeated": np.repeat(rng.normal(size=(4, 3)), 3, axis=0),  # zero steps
+        "one": rng.normal(size=(1, 3)),
+        "two": rng.normal(size=(2, 3)),
+        "two-repeated": np.ones((2, 3)),
+    }[kind]
+    assert_matches_loop(ca)
+
+
+def test_cross_rows_bit_equal_to_np_cross():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(64, 3)) * rng.uniform(1e-6, 1e3, size=(64, 1))
+    b = rng.normal(size=(64, 3))
+    a[:5] = 0.0  # zero rows
+    b[3:8] = 0.0
+    np.testing.assert_array_equal(geo.cross_rows(a, b), np.cross(a, b))
+    np.testing.assert_array_equal(geo.cross_rows(a, b[0]), np.cross(a, b[0]))
+    np.testing.assert_array_equal(geo.cross_rows(a[7], b[9]), np.cross(a[7], b[9]))
 
 
 def _rz(t):

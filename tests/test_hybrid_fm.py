@@ -52,9 +52,9 @@ def test_time_order_violations_raise():
 
 @pytest.mark.parametrize("conditioned", [False, True])
 def test_fm_generate_builds_positional_terms_once(monkeypatch, conditioned):
-    """The sampler builds the LM's relative-position biases once per call
-    and gives the same structure bit for bit as a denoiser whose LM forward
-    builds them on every flow step."""
+    """The sampler builds the relative-position biases of the LM and of the
+    tokenizer decoder once per call, and gives the same structure bit for
+    bit as a denoiser that builds them on every flow step."""
     calls = []
     rel_call = nn.RelPosBias.__call__
 
@@ -66,6 +66,7 @@ def test_fm_generate_builds_positional_terms_once(monkeypatch, conditioned):
     tokenizer = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=16, blocks=1, heads=2), seed=0)
     models = fm.HybridModels(tokenizer, ga.ProteinLM(ga.BlockConfig(d_model=16, heads=2), 2, k=4))
     lm_rels = [block.rel for block in models.lm.blocks]
+    dec_rels = [block.rel for block in tokenizer.decoder.blocks]
     target = make_target(seed=5, length=9)
     conditioning = np.arange(9) % 20 if conditioned else None
     outs = []
@@ -73,7 +74,7 @@ def test_fm_generate_builds_positional_terms_once(monkeypatch, conditioned):
         calls.clear()
         outs.append(fm.fm_generate(models, len(target), np.random.default_rng(6), conditioning,
                                    n_steps=3, denoiser=denoiser))
-        outs.append([rel for rel in calls if any(rel is r for r in lm_rels)])
+        outs.append([sum(rel is r for rel in calls) for r in lm_rels + dec_rels])
     got, got_calls, want, want_calls = outs
     np.testing.assert_array_equal(got.coords, want.coords)
-    assert len(got_calls) == len(lm_rels) and len(want_calls) == 3 * len(lm_rels)
+    assert got_calls == [1] * len(got_calls) and want_calls == [3] * len(want_calls)

@@ -8,7 +8,7 @@ import bitfold.autodiff as ad
 from bitfold import geometry as geo
 from bitfold import tokenizer as tok
 from bitfold.autodiff import Tensor
-from bitfold.errors import IndexOutOfRange
+from bitfold.errors import IndexOutOfRange, ShapeMismatch
 
 
 def make_structure(seed=0, length=16):
@@ -159,6 +159,13 @@ def test_decode_centered_on_ca_centroid():
     with ad.no_grad():
         coords = tok.decode(Tensor(bits), params).data
     np.testing.assert_allclose(coords[:, 1, :].mean(axis=0), 0.0, atol=1e-9)
+
+
+def test_decode_rejects_positional_terms_of_another_length():
+    params = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=32, blocks=1), seed=0)
+    bits = Tensor(tok.index_to_bits(np.arange(6) % 16, 4))
+    with ad.no_grad(), pytest.raises(ShapeMismatch):
+        tok.decode(bits, params, params.decoder.positional(5))
 
 
 def test_reconstruction_loss_zero_on_rigid_copy():
