@@ -2,7 +2,9 @@
 
 One flat dataclass carries every knob: architecture flags and dims,
 tokenizer shape, noise schedule, auxiliary heads, sampler options and
-training hyperparameters. Round-trips through text losslessly.
+training hyperparameters. It is also the one description of the LM:
+`geo_arch.ProteinLM` and its blocks read their flags and sizes from it.
+Round-trips through text losslessly.
 
 Every checkpoint stores the full config text as provenance, but
 `COMPONENT_KEYS` alone says what a checkpoint is checked against: the keys
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import InvalidConfig
-from .geo_arch import BlockConfig
 
 
 @dataclass
@@ -63,23 +64,32 @@ class ModelConfig:
     seed: int = 0
     folding_sft: bool = False
 
-    def block_config(self):
-        return BlockConfig(**{f.name: getattr(self, f.name) for f in fields(BlockConfig)})
-
     def validate(self):
         if self.head not in ("bit", "index"):
             raise InvalidConfig(f"head must be 'bit' or 'index', got {self.head!r}")
-        self.block_config().validate()
+        if (self.triangle_update or self.triangle_attention) and not self.pair_bias:
+            raise InvalidConfig("triangle operations require the pair representation")
+        for name in _POSITIVE_KEYS:
+            if getattr(self, name) <= 0:
+                raise InvalidConfig(f"{name} = {getattr(self, name)} must be positive")
         splits = [("heads", self.heads, "d_model", self.d_model),
                   ("tok_heads", self.tok_heads, "tok_width", self.tok_width)]
         if self.seqstruct_attention:
             splits.append(
                 ("heads_seqstruct", self.heads_seqstruct, "2 * d_model", 2 * self.d_model))
         for heads, n_heads, width, d in splits:
-            if n_heads <= 0 or d % n_heads:
+            if d % n_heads:
                 raise InvalidConfig(f"{heads} = {n_heads} must divide {width} = {d}")
         return self
 
+
+# Sizes and counts: a zero or negative one builds a model with no layer or
+# no width.
+_POSITIVE_KEYS = (
+    "d_model", "d_pair", "d_tri_update", "d_tri_attn_head", "heads", "heads_tri",
+    "heads_seqstruct", "transition_ratio", "n_blocks", "k", "tok_width", "tok_blocks",
+    "tok_heads", "resdiff_hidden", "resdiff_layers", "fm_n_steps",
+)
 
 _SECTIONS = {
     "model": [

@@ -7,6 +7,11 @@ pair representation with pair-biased attention and pair transition,
 structure-track transition, triangle multiplicative updates, triangle
 attention, and SeqStruct attention over feature-concatenated tracks.
 
+`ProteinLM(cfg)` reads all of that from one `config.ModelConfig`: the
+flags and dims, `n_blocks`, the token width `k`, the output `head`, the
+noise schedule (`T`, `weighting`) and the init `seed`. `EncoderBlock` and
+`PairUpdate` read the same config.
+
 Every attention here is one gated `nn.MultiHeadAttention` after an
 `autodiff.LayerNorm` pre-norm: trunk attention over residues (relative
 position bias, plus the pair bias when the pair track is on), SeqStruct
@@ -49,35 +54,8 @@ from . import autodiff as ad
 from . import diffusion as dfn
 from . import nn
 from .autodiff import LayerNorm, Linear, Module, Tensor
-from .errors import InvalidConfig, ShapeMismatch
-
-
-@dataclass
-class BlockConfig:
-    # ablation flags (Table-style axes: P.Bias&Tran / S.Tran / Tri.Up / Tri.Attn / SeqStruct)
-    pair_bias: bool = False
-    struct_transition: bool = False
-    triangle_update: bool = False
-    triangle_attention: bool = False
-    seqstruct_attention: bool = False
-    # dims (desk-scale defaults; paper-scale: d_model 1280, d_pair 128,
-    # d_tri_update 128, d_tri_attn_head 32, heads_tri 4, heads 16)
-    d_model: int = 64
-    d_pair: int = 16
-    d_tri_update: int = 16
-    d_tri_attn_head: int = 8
-    heads_tri: int = 2
-    heads: int = 4
-    transition_ratio: int = 4
-    heads_seqstruct: int = 4
-
-    def validate(self):
-        if (self.triangle_update or self.triangle_attention) and not self.pair_bias:
-            raise InvalidConfig("triangle operations require the pair representation")
-        for name in ("d_model", "d_pair", "d_tri_update", "d_tri_attn_head",
-                     "heads_tri", "heads", "transition_ratio", "heads_seqstruct"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfig(f"{name} must be positive")
+from .config import ModelConfig
+from .errors import ShapeMismatch
 
 
 # -- pair-representation sub-layers ------------------------------------------
@@ -195,7 +173,7 @@ class EncoderBlock(Module):
     as it is; a `PairUpdate` between two blocks updates it. With
     `struct_only` it returns only the L structure rows."""
 
-    def __init__(self, rng, cfg: BlockConfig):
+    def __init__(self, rng, cfg: ModelConfig):
         d = cfg.d_model
         self.cfg = cfg
         self.attn_norm = LayerNorm(d)
@@ -233,7 +211,7 @@ class PairUpdate(Module):
     """The pair track's update between two trunk blocks: triangle updates,
     triangle attention and the pair transition, as each config enables."""
 
-    def __init__(self, rng, cfg: BlockConfig):
+    def __init__(self, rng, cfg: ModelConfig):
         self.cfg = cfg
         self.pair_transition = nn.Transition(rng, cfg.d_pair, cfg.transition_ratio)
         if cfg.triangle_update:
@@ -272,20 +250,15 @@ class Positional:
 class ProteinLM(Module):
     """Joint masked language model over sequence and structure tokens."""
 
-    def __init__(self, cfg: BlockConfig, n_blocks, k, head="bit", T=100,
-                 weighting="uniform", seed=0):
-        cfg.validate()
-        if head not in ("bit", "index"):
-            raise InvalidConfig(f"head must be 'bit' or 'index', got {head!r}")
-        rng = np.random.default_rng(seed)
-        d = cfg.d_model
+    def __init__(self, cfg: ModelConfig):
+        rng = np.random.default_rng(cfg.seed)
+        d, k = cfg.d_model, cfg.k
         self.cfg = cfg
-        self.n_blocks = n_blocks
-        self.k = k
-        self.head = head
-        self.schedule = dfn.make_schedule(T, weighting=weighting)
+        self.k = cfg.k
+        self.head = cfg.head
+        self.schedule = dfn.make_schedule(cfg.T, weighting=cfg.weighting)
         self.seq_embed = Tensor(rng.normal(0.0, 0.5, size=(dfn.PAD_AA + 1, d)), requires_grad=True)
-        if head == "bit":
+        if cfg.head == "bit":
             self.struct_in = Linear(rng, k, d)
             self.absorbing = Tensor(rng.normal(0.0, 0.5, size=(d,)), requires_grad=True)
             self.struct_out = Linear(rng, d, 2 * k)
@@ -295,9 +268,9 @@ class ProteinLM(Module):
         self.modality = Tensor(rng.normal(0.0, 0.5, size=(2, d)), requires_grad=True)
         if cfg.pair_bias:
             self.pair_init = PairInit(rng, d, cfg.d_pair)
-        self.blocks = [EncoderBlock(rng, cfg) for _ in range(n_blocks)]
+        self.blocks = [EncoderBlock(rng, cfg) for _ in range(cfg.n_blocks)]
         if cfg.pair_bias:  # no output reads the pair track after the last block
-            self.pair_updates = [PairUpdate(rng, cfg) for _ in range(n_blocks - 1)]
+            self.pair_updates = [PairUpdate(rng, cfg) for _ in range(cfg.n_blocks - 1)]
         self.final_norm = LayerNorm(d)
         self.seq_out = Linear(rng, d, dfn.N_AA)
 

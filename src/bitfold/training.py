@@ -24,11 +24,8 @@ from .optim import fit
 MODE_PROBS = {"both": 0.5, "seq_only": 0.25, "struct_only": 0.25}
 
 
-def build_lm(cfg: ModelConfig, seed=None):
-    return geo_arch.ProteinLM(
-        cfg.block_config(), cfg.n_blocks, cfg.k, head=cfg.head, T=cfg.T,
-        weighting=cfg.weighting, seed=cfg.seed if seed is None else seed,
-    )
+def build_lm(cfg: ModelConfig):
+    return geo_arch.ProteinLM(cfg.validate())
 
 
 def sample_mode(rng, folding_sft=False):

@@ -1,6 +1,7 @@
 """Config text round trip, parse errors, per-component checkpoint checks,
 and the rule that every config key is read by some code."""
 
+import hashlib
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import bitfold
-from bitfold import nn
+from bitfold import nn, training
 from bitfold.config import (
     COMPONENT_KEYS, ModelConfig, apply_overrides, check_architecture, format_config,
     parse_config,
@@ -52,6 +53,34 @@ def test_bad_override_names_the_flag():
         apply_overrides(ModelConfig(), ["k=eight"])
 
 
+def _lm_fingerprint(cfg):
+    """sha256 over what an LM built from `cfg` holds: each parameter's name,
+    shape and bytes, then its noise schedule."""
+    lm = training.build_lm(cfg)
+    arrays = [(name, t.data) for name, t in lm.parameters().items()]
+    arrays += [("alpha_bar", lm.schedule.alpha_bar), ("lambda_w", lm.schedule.lambda_w)]
+    digest = hashlib.sha256()
+    for name, array in arrays:
+        digest.update(f"{name}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def test_lm_reads_exactly_its_component_keys():
+    """On a full-geometry config, changing a key of the LM component changes
+    the built LM, and changing any other key but the seed does not."""
+    base = ModelConfig(pair_bias=True, struct_transition=True, triangle_update=True,
+                       triangle_attention=True, seqstruct_attention=True)
+    for name in KEYS:
+        if name == "seed":
+            continue
+        # the triangle ops need the pair track, so they go too where it goes
+        before = replace(base, triangle_update=False, triangle_attention=False) \
+            if name == "pair_bias" else base
+        changed = _lm_fingerprint(_changed(before, name)) != _lm_fingerprint(before)
+        assert changed == (name in COMPONENT_KEYS["lm"]), name
+
+
 @pytest.mark.parametrize("component", sorted(COMPONENT_KEYS))
 def test_checkpoint_is_checked_on_its_own_keys_only(component):
     cfg = ModelConfig(pair_bias=True)  # so that each triangle flag may turn on
@@ -90,6 +119,16 @@ def test_head_count_must_divide_its_width(overrides, message):
         apply_overrides(ModelConfig(), overrides)
 
 
+@pytest.mark.parametrize("name", [
+    "n_blocks", "k", "tok_width", "tok_blocks", "tok_heads", "resdiff_hidden",
+    "resdiff_layers", "fm_n_steps",
+])
+@pytest.mark.parametrize("value", [0, -1])
+def test_sizes_must_be_positive(name, value):
+    with pytest.raises(InvalidConfig, match=rf"^{name} = {value} must be positive$"):
+        apply_overrides(ModelConfig(), [f"{name}={value}"])
+
+
 def test_seqstruct_heads_are_free_while_seqstruct_is_off():
     assert apply_overrides(ModelConfig(), ["heads_seqstruct=3"]).heads_seqstruct == 3
 
@@ -101,7 +140,7 @@ def test_attention_refuses_heads_that_do_not_divide_its_width():
 
 def test_every_key_is_read():
     """Each ModelConfig field is read as `cfg.<name>` in the package, or as
-    `self.<name>` in config.py, where block_config copies it."""
+    `self.<name>` in config.py's own checks."""
     src = Path(bitfold.__file__).parent
     package = "\n".join(p.read_text() for p in sorted(src.glob("*.py")))
     config = (src / "config.py").read_text()

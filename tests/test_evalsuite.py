@@ -6,12 +6,12 @@ from bitfold import geo_arch as ga
 from bitfold import geometry as geo
 from bitfold import resdiff as rd
 from bitfold import tokenizer as tok
+from bitfold.config import ModelConfig
 
 
 def test_folding_eval_resdiff_records_no_graph():
     k, n_blocks, d_model = 4, 2, 32
-    cfg = ga.BlockConfig(d_model=d_model, heads=4)
-    lm = ga.ProteinLM(cfg, n_blocks, k=k, seed=0)
+    lm = ga.ProteinLM(ModelConfig(d_model=d_model, heads=4, n_blocks=n_blocks, k=k))
     tokenizer_params = tok.TokenizerParams(tok.TokenizerConfig(k=k, width=32, blocks=1), seed=0)
     head = rd.ResDiffHead(k=k, d_hidden=8, n_layers=1, d_lm=d_model, n_lm_layers=n_blocks,
                           t_r=4, seed=0)

@@ -1,5 +1,6 @@
 """Geometry-aware architecture: reductions, equivariance, configs, scaling."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,15 +16,16 @@ from bitfold import geo_arch as ga
 from bitfold import geometry as geo
 from bitfold import nn
 from bitfold import tokenizer as tok
+from bitfold import training
 from bitfold.autodiff import Tensor
+from bitfold.config import ModelConfig
 from bitfold.errors import InvalidConfig, ShapeMismatch
 
 
-def small_cfg(**flags):
-    return ga.BlockConfig(
-        d_model=32, d_pair=8, d_tri_update=8, d_tri_attn_head=4,
-        heads=4, heads_tri=2, heads_seqstruct=4, **flags,
-    )
+def small_cfg(**kw):
+    base = dict(d_model=32, d_pair=8, d_tri_update=8, d_tri_attn_head=4,
+                heads=4, heads_tri=2, heads_seqstruct=4, k=4)
+    return ModelConfig(**{**base, **kw})
 
 
 def make_state(rng, length=6, k=4):
@@ -60,7 +62,7 @@ def test_triangle_requires_pair():
 
 def test_bad_head_rejected():
     with pytest.raises(InvalidConfig):
-        ga.ProteinLM(small_cfg(), 1, k=8, head="nope")
+        training.build_lm(small_cfg(head="nope"))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -71,11 +73,10 @@ def test_fresh_geo_model_equals_plain_forward():
     same shared weights."""
     rng = np.random.default_rng(0)
     state = seq_masked(make_state(rng))
-    plain = ga.ProteinLM(small_cfg(), 2, k=4, seed=3)
+    plain = ga.ProteinLM(small_cfg(seed=3))
     geo_full = ga.ProteinLM(
         small_cfg(pair_bias=True, struct_transition=True, triangle_update=True,
-                  triangle_attention=True, seqstruct_attention=True),
-        2, k=4, seed=3,
+                  triangle_attention=True, seqstruct_attention=True, seed=3)
     )
     copy_shared_parameters(plain, geo_full)
     with ad.no_grad():
@@ -359,8 +360,8 @@ def test_last_block_leaves_pair_alone(monkeypatch, n_blocks):
 
         monkeypatch.setattr(getattr(ga, name), "__call__", counted)
     cfg = small_cfg(pair_bias=True, struct_transition=True, triangle_update=True,
-                    triangle_attention=True, seqstruct_attention=True)
-    lm = ga.ProteinLM(cfg, n_blocks, k=4, seed=0)
+                    triangle_attention=True, seqstruct_attention=True, n_blocks=n_blocks)
+    lm = ga.ProteinLM(cfg)
     assert len(lm.pair_updates) == n_blocks - 1
     extra = ga.PairUpdate(np.random.default_rng(0), cfg)
     rng = np.random.default_rng(n_blocks)
@@ -413,7 +414,7 @@ STRUCT_ONLY_CONFIGS = {
 
 
 def _struct_only_lm(flags, n_blocks):
-    lm = ga.ProteinLM(small_cfg(**flags), n_blocks, k=4, seed=n_blocks)
+    lm = ga.ProteinLM(small_cfg(**flags, n_blocks=n_blocks, seed=n_blocks))
     rng = np.random.default_rng(n_blocks)
     for tensor in lm.parameters().values():  # no zero-initialized projection hides a term
         tensor.data[...] = rng.normal(scale=0.3, size=tensor.shape)
@@ -551,10 +552,30 @@ def test_triangle_update_zero_values_zero_delta():
 
 # -- model-level properties ----------------------------------------------------
 
+# sha256 over the name, shape and bytes of each parameter of `build_lm` at
+# seed 7, in build order: any change to the init draws or their order shows.
+LM_DIGESTS = {
+    "plain": "c5b1b7aa8fc4868e4ba6d8d8911675034b92b936c22fd2dd06428e32f409aebb",
+    "full-geo": "74c51625c1bf29d3f6b99bd1195009e6673aeb78dcbfb9dfd5a2789b93088f21",
+    "index": "e57aef4f040feba903e80ca5c355da0f91feb51fbbaaeedeca8bf7c741b7560f",
+}
+
+
+@pytest.mark.parametrize("config", sorted(LM_DIGESTS))
+def test_built_lm_parameters_are_pinned(config):
+    flags = {**STRUCT_ONLY_CONFIGS, "index": {"head": "index"}}[config]
+    digest = hashlib.sha256()
+    for name, tensor in training.build_lm(ModelConfig(seed=7, **flags)).parameters().items():
+        digest.update(name.encode())
+        digest.update(str(tensor.shape).encode())
+        digest.update(tensor.data.tobytes())
+    assert digest.hexdigest() == LM_DIGESTS[config]
+
+
 def test_parameter_count_ordering():
-    plain = ga.ProteinLM(small_cfg(), 2, k=4, seed=0)
-    base = ga.ProteinLM(small_cfg(pair_bias=True), 2, k=4, seed=0)
-    st = ga.ProteinLM(small_cfg(pair_bias=True, struct_transition=True), 2, k=4, seed=0)
+    plain = ga.ProteinLM(small_cfg())
+    base = ga.ProteinLM(small_cfg(pair_bias=True))
+    st = ga.ProteinLM(small_cfg(pair_bias=True, struct_transition=True))
     assert base.parameter_count() > plain.parameter_count()
     assert st.parameter_count() > base.parameter_count()
 
@@ -563,7 +584,7 @@ def test_heads_and_hidden_layers():
     rng = np.random.default_rng(9)
     state = seq_masked(make_state(rng, length=5, k=4))
     for head, width in (("bit", 8), ("index", 16)):
-        model = ga.ProteinLM(small_cfg(), 2, k=4, head=head, seed=0)
+        model = ga.ProteinLM(small_cfg(head=head))
         with ad.no_grad():
             out = model.forward(state)
         assert out.struct_logits.shape == (5, width)
@@ -579,7 +600,7 @@ def test_forward_respects_struct_mask():
     state.mask_struct[2] = True
     altered = state.copy()
     altered.struct_bits[2] = -altered.struct_bits[2]
-    model = ga.ProteinLM(small_cfg(), 1, k=4, seed=1)
+    model = ga.ProteinLM(small_cfg(n_blocks=1, seed=1))
     with ad.no_grad():
         a = model.forward(state).struct_logits.data
         b = model.forward(altered).struct_logits.data
@@ -640,7 +661,7 @@ def test_generate_builds_positional_terms_once(monkeypatch, config, mode):
 
 
 def test_forward_rejects_positional_of_other_length():
-    lm = ga.ProteinLM(small_cfg(), 1, k=4, seed=0)
+    lm = ga.ProteinLM(small_cfg(n_blocks=1))
     state = make_state(np.random.default_rng(14), length=5)
     with ad.no_grad():
         positional = lm.positional(6)

@@ -9,6 +9,7 @@ from bitfold import geometry as geo
 from bitfold import hybrid_fm as fm
 from bitfold import nn
 from bitfold import tokenizer as tok
+from bitfold.config import ModelConfig
 from bitfold.errors import TimeOrder
 
 
@@ -64,7 +65,7 @@ def test_fm_generate_builds_positional_terms_once(monkeypatch, conditioned):
 
     monkeypatch.setattr(nn.RelPosBias, "__call__", counted)
     tokenizer = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=16, blocks=1, heads=2), seed=0)
-    models = fm.HybridModels(tokenizer, ga.ProteinLM(ga.BlockConfig(d_model=16, heads=2), 2, k=4))
+    models = fm.HybridModels(tokenizer, ga.ProteinLM(ModelConfig(d_model=16, heads=2, k=4)))
     lm_rels = [block.rel for block in models.lm.blocks]
     dec_rels = [block.rel for block in tokenizer.decoder.blocks]
     target = make_target(seed=5, length=9)
