@@ -2,10 +2,11 @@
 state: noise schedule, forward corruption, index- and bit-based losses,
 absorbing posterior, and mask-predict generation.
 
-Sequence vocabulary: amino-acid ids 0..19 plus MASK (20) and PAD (21).
-Structure tokens travel as bit rows in {-1,+1}^K with per-position mask
-flags; masked rows are replaced inside the model by a learnable absorbing
-embedding.
+Sequence vocabulary: amino-acid ids 0..19 plus MASK (20). Structure
+tokens travel as bit rows in {-1,+1}^K with per-position mask flags;
+masked rows are replaced inside the model by a learnable absorbing
+embedding (the index head reads MASK as token 2^K). A state is one chain;
+every position is a residue.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import BadT, HeadMismatch, ModeInputMissing, ShapeMismatch
-from .tokenizer import bits_to_index, index_to_bits, mask_id, pad_id
+from .tokenizer import bits_to_index, index_to_bits, mask_id
 
 N_AA = 20
 MASK_AA = 20
-PAD_AA = 21
 
 
 @dataclass
@@ -57,33 +57,28 @@ class TokenState:
     struct_bits: np.ndarray  # (L, K) float in {-1,+1}; rows under mask are ignored
     mask_seq: np.ndarray  # (L,) bool
     mask_struct: np.ndarray  # (L,) bool
-    pad: np.ndarray  # (L,) bool
     k: int
 
     @classmethod
-    def observed(cls, seq, struct_bits, pad=None):
+    def observed(cls, seq, struct_bits):
         seq = np.asarray(seq, dtype=np.int64)
         struct_bits = np.asarray(struct_bits, dtype=np.float64)
         length = len(seq)
-        pad = np.zeros(length, dtype=bool) if pad is None else np.asarray(pad, dtype=bool)
         return cls(
             seq=seq.copy(),
             struct_bits=struct_bits.copy(),
             mask_seq=np.zeros(length, dtype=bool),
             mask_struct=np.zeros(length, dtype=bool),
-            pad=pad,
             k=struct_bits.shape[1],
         )
 
     @classmethod
-    def all_masked(cls, length, k, pad=None):
-        pad = np.zeros(length, dtype=bool) if pad is None else np.asarray(pad, dtype=bool)
+    def all_masked(cls, length, k):
         return cls(
             seq=np.full(length, MASK_AA, dtype=np.int64),
             struct_bits=np.zeros((length, k)),
-            mask_seq=~pad,
-            mask_struct=~pad,
-            pad=pad,
+            mask_seq=np.ones(length, dtype=bool),
+            mask_struct=np.ones(length, dtype=bool),
             k=k,
         )
 
@@ -93,21 +88,19 @@ class TokenState:
     def copy(self):
         return TokenState(
             self.seq.copy(), self.struct_bits.copy(), self.mask_seq.copy(),
-            self.mask_struct.copy(), self.pad.copy(), self.k,
+            self.mask_struct.copy(), self.k,
         )
 
     def seq_view(self):
-        """Sequence ids with MASK_AA at masked positions, PAD_AA at pads."""
+        """Sequence ids with MASK_AA at masked positions."""
         out = self.seq.copy()
         out[self.mask_seq] = MASK_AA
-        out[self.pad] = PAD_AA
         return out
 
     def struct_index_view(self):
-        """Index tokens with MASK/PAD ids at masked and pad positions."""
+        """Index tokens with the MASK id at masked positions."""
         out = bits_to_index(self.struct_bits)
         out[self.mask_struct] = mask_id(self.k)
-        out[self.pad] = pad_id(self.k)
         return out
 
     def fully_unmasked(self):
@@ -126,7 +119,7 @@ class LMOutput:
 
 def forward_mask(x0: TokenState, schedule: NoiseSchedule, t, rng,
                  corrupt_seq=True, corrupt_struct=True):
-    """Independently mask each non-PAD position with probability 1 - alpha_bar_t.
+    """Independently mask each position with probability 1 - alpha_bar_t.
 
     Conditioning regimes exempt a track by passing corrupt_* = False.
     """
@@ -134,11 +127,10 @@ def forward_mask(x0: TokenState, schedule: NoiseSchedule, t, rng,
         raise BadT(f"t={t} outside [0, {schedule.T}]")
     out = x0.copy()
     p_mask = 1.0 - schedule.alpha_bar[t]
-    maskable = ~x0.pad
     if corrupt_seq:
-        out.mask_seq = maskable & (rng.random(len(x0)) < p_mask)
+        out.mask_seq = rng.random(len(x0)) < p_mask
     if corrupt_struct:
-        out.mask_struct = maskable & (rng.random(len(x0)) < p_mask)
+        out.mask_struct = rng.random(len(x0)) < p_mask
     return out
 
 
@@ -156,7 +148,7 @@ def _masked_ce(logits, targets, mask):
 def seq_ce(output: LMOutput, x0: TokenState, xt: TokenState):
     """Sequence CE; 0 when no sequence position is masked, as then the
     model returns no `seq_logits`."""
-    return _masked_ce(output.seq_logits, x0.seq, xt.mask_seq & ~xt.pad)
+    return _masked_ce(output.seq_logits, x0.seq, xt.mask_seq)
 
 
 def loss_index(output: LMOutput, x0: TokenState, xt: TokenState, t, schedule: NoiseSchedule):
@@ -165,7 +157,7 @@ def loss_index(output: LMOutput, x0: TokenState, xt: TokenState, t, schedule: No
         raise HeadMismatch(f"index loss on head {output.head!r}")
     lam = schedule.lambda_w[t]
     struct_targets = bits_to_index(x0.struct_bits)
-    struct = _masked_ce(output.struct_logits, struct_targets, xt.mask_struct & ~xt.pad)
+    struct = _masked_ce(output.struct_logits, struct_targets, xt.mask_struct)
     return (seq_ce(output, x0, xt) + struct) * lam
 
 
@@ -176,8 +168,7 @@ def loss_bit(output: LMOutput, x0: TokenState, xt: TokenState, t, schedule: Nois
     lam = schedule.lambda_w[t]
     k = x0.k
     length = len(x0)
-    mask = xt.mask_struct & ~xt.pad
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(xt.mask_struct)
     if len(idx) == 0:
         struct = ad.Tensor(0.0)
     else:
@@ -270,7 +261,7 @@ def _temperature_softmax(logits, temperature):
 # -- generation --------------------------------------------------------------
 
 def generate(model, length, mode="unconditional", steps=25, strategy="stochastic",
-             temperature=1.0, rng=None, seq=None, struct_bits=None, pad=None):
+             temperature=1.0, rng=None, seq=None, struct_bits=None):
     """Iterative mask-predict generation.
 
     mode: 'unconditional' | 'folding' (seq of `length` tokens given, struct
@@ -287,7 +278,7 @@ def generate(model, length, mode="unconditional", steps=25, strategy="stochastic
     if not 1 <= steps <= schedule.T:
         raise BadT(f"steps={steps} outside [1, T={schedule.T}]")
     k = model.k
-    state = TokenState.all_masked(length, k, pad=pad)
+    state = TokenState.all_masked(length, k)
     if mode == "folding":
         if seq is None:
             raise ModeInputMissing("folding mode requires seq")
@@ -335,15 +326,10 @@ def _confidence_step(xt: TokenState, pred: Prediction, schedule: NoiseSchedule, 
         ("mask_struct", "struct_bits", pred.conf_struct),
     ):
         mask = getattr(xt, mask_attr)
-        maskable = (~xt.pad).sum()
-        if maskable == 0 or not mask.any():
-            continue
-        target_unmasked = int(round(maskable * keep_frac)) if s > 0 else maskable
-        currently = maskable - mask.sum()
-        n_reveal = max(target_unmasked - currently, 0)
-        n_reveal = min(n_reveal, mask.sum())
-        if s == 0:
-            n_reveal = mask.sum()
+        n_masked = mask.sum()
+        # alpha_bar[0] = 1, so at s = 0 every masked position is revealed
+        target_unmasked = int(round(len(xt) * keep_frac))
+        n_reveal = min(max(target_unmasked - (len(xt) - n_masked), 0), n_masked)
         if n_reveal == 0:
             continue
         cand = np.flatnonzero(mask)

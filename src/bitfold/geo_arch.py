@@ -257,13 +257,13 @@ class ProteinLM(Module):
         self.k = cfg.k
         self.head = cfg.head
         self.schedule = dfn.make_schedule(cfg.T, weighting=cfg.weighting)
-        self.seq_embed = Tensor(rng.normal(0.0, 0.5, size=(dfn.PAD_AA + 1, d)), requires_grad=True)
+        self.seq_embed = Tensor(rng.normal(0.0, 0.5, size=(dfn.MASK_AA + 1, d)), requires_grad=True)
         if cfg.head == "bit":
             self.struct_in = Linear(rng, k, d)
             self.absorbing = Tensor(rng.normal(0.0, 0.5, size=(d,)), requires_grad=True)
             self.struct_out = Linear(rng, d, 2 * k)
         else:
-            self.struct_embed = Tensor(rng.normal(0.0, 0.5, size=(2**k + 2, d)), requires_grad=True)
+            self.struct_embed = Tensor(rng.normal(0.0, 0.5, size=(2**k + 1, d)), requires_grad=True)
             self.struct_out = Linear(rng, d, 2**k)
         self.modality = Tensor(rng.normal(0.0, 0.5, size=(2, d)), requires_grad=True)
         if cfg.pair_bias:
@@ -278,7 +278,7 @@ class ProteinLM(Module):
         length = len(state)
         if self.head == "bit":
             emb = self.struct_in(Tensor(state.struct_bits))
-            gate = (~(state.mask_struct | state.pad)).astype(np.float64)[:, None]
+            gate = (~state.mask_struct).astype(np.float64)[:, None]
             absorbed = ad.reshape(self.absorbing, (1, -1)) * (1.0 - gate)
             return emb * gate + absorbed
         return self.struct_embed[state.struct_index_view()]
@@ -307,7 +307,7 @@ class ProteinLM(Module):
         elif positional.length != length:
             raise ShapeMismatch(f"positional record of length {positional.length} "
                                 f"for a state of length {length}")
-        seq_read = bool((state.mask_seq & ~state.pad).any())
+        seq_read = bool(state.mask_seq.any())
         struct_rows, seq_rows = positional.modality
         h_struct = self._embed_struct(state) + positional.pos_emb + struct_rows
         h_seq = self.seq_embed[state.seq_view()] + positional.pos_emb + seq_rows

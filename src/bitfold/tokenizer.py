@@ -42,10 +42,6 @@ def mask_id(k):
     return 2**k
 
 
-def pad_id(k):
-    return 2**k + 1
-
-
 # -- invariant featurization -------------------------------------------------
 
 def invariant_features(structure: geo.BackboneStructure) -> np.ndarray:

@@ -79,16 +79,6 @@ def test_forward_mask_composition_matches_direct():
     assert observed == pytest.approx(p_direct, abs=0.02)
 
 
-def test_forward_mask_respects_pad():
-    rng = np.random.default_rng(3)
-    x0 = make_state(rng)
-    x0.pad[2] = True
-    schedule = dfn.make_schedule(4)
-    for _ in range(50):
-        xt = dfn.forward_mask(x0, schedule, 4, rng)
-        assert not xt.mask_seq[2] and not xt.mask_struct[2]
-
-
 # -- losses ------------------------------------------------------------------
 
 def _perfect_output(x0, k, head):
@@ -430,8 +420,8 @@ def _loop_confidence_step(xt, pred, schedule, s):
         ("mask_struct", "struct_bits", pred.conf_struct),
     ):
         mask = getattr(xt, mask_attr)
-        maskable = (~xt.pad).sum()
-        if maskable == 0 or not mask.any():
+        maskable = len(xt)
+        if not mask.any():
             continue
         target_unmasked = int(round(maskable * keep_frac)) if s > 0 else maskable
         n_reveal = min(max(target_unmasked - (maskable - mask.sum()), 0), mask.sum())
@@ -464,13 +454,11 @@ class NoisyModel:
 @pytest.mark.parametrize("mode,strategy", [("folding", "confidence"), ("unconditional", "stochastic")])
 def test_generate_matches_per_position_loops(monkeypatch, mode, strategy):
     length = 12
-    pad = np.zeros(length, dtype=bool)
-    pad[-2:] = True
     seq = np.random.default_rng(19).integers(0, 20, size=length)
 
     def run():
         return dfn.generate(NoisyModel(), length, mode=mode, steps=7, strategy=strategy,
-                            rng=np.random.default_rng(20), seq=seq, pad=pad)
+                            rng=np.random.default_rng(20), seq=seq)
 
     got = run()
     monkeypatch.setattr(dfn, "sample_prediction", _loop_sample_prediction)

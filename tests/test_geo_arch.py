@@ -555,9 +555,9 @@ def test_triangle_update_zero_values_zero_delta():
 # sha256 over the name, shape and bytes of each parameter of `build_lm` at
 # seed 7, in build order: any change to the init draws or their order shows.
 LM_DIGESTS = {
-    "plain": "c5b1b7aa8fc4868e4ba6d8d8911675034b92b936c22fd2dd06428e32f409aebb",
-    "full-geo": "74c51625c1bf29d3f6b99bd1195009e6673aeb78dcbfb9dfd5a2789b93088f21",
-    "index": "e57aef4f040feba903e80ca5c355da0f91feb51fbbaaeedeca8bf7c741b7560f",
+    "plain": "826c3d94f7319865a55bfc0d7a5db8dfb9feebd33016fd756213e4f4d3ee3bde",
+    "full-geo": "cb64e9b47c3156382ef2e335972a268cf588619854f71d30fcfc48b4d71893ff",
+    "index": "0587af3882cb98420405e53d0d2701f41bc5f7ad43a261d008b2559a52a7e594",
 }
 
 

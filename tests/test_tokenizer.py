@@ -16,9 +16,8 @@ def make_structure(seed=0, length=16):
     return s
 
 
-def test_mask_pad_ids():
+def test_mask_id():
     assert tok.mask_id(8) == 256
-    assert tok.pad_id(8) == 257
     assert tok.mask_id(4) == 16
 
 
