@@ -33,7 +33,9 @@ from . import resdiff as rd
 from . import tokenizer as tok
 from . import training
 from .config import check_architecture, format_config, load_config
-from .errors import BitfoldError, DegenerateInput, InvalidConfig, LengthMismatch, ModeInputMissing
+from .errors import (
+    BitfoldError, DegenerateInput, InvalidConfig, LengthMismatch, ModeInputMissing, ParseError,
+)
 
 
 # -- dataset layout -----------------------------------------------------------
@@ -54,8 +56,7 @@ def load_dataset(directory):
             continue
         base = os.path.join(directory, name[: -len(".bkb")])
         structure = geo.load_backbone(base + ".bkb")
-        with open(base + ".seq") as fh:
-            seq = np.array([int(x) for x in fh.read().split()], dtype=np.int64)
+        seq = load_sequence(base + ".seq")
         if len(seq) != len(structure):
             raise LengthMismatch(
                 f"{base}.seq: {len(seq)} residues, but {base}.bkb has {len(structure)}"
@@ -64,6 +65,18 @@ def load_dataset(directory):
     if not items:
         raise DegenerateInput(f"no training items: --data {directory} has no .bkb files")
     return items
+
+
+def load_sequence(path):
+    """The amino-acid ids in the file at `path`: integers in [0, 20)
+    separated by whitespace."""
+    with open(path) as fh:
+        tokens = fh.read().split()
+    for i, token in enumerate(tokens, start=1):
+        if not (token.isdecimal() and int(token) < dfn.N_AA):
+            raise ParseError(f"{path}: token {i}: expected an amino-acid id "
+                             f"in [0, {dfn.N_AA}), got {token!r}")
+    return np.array([int(token) for token in tokens], dtype=np.int64)
 
 
 def load_samples(directory):
@@ -170,7 +183,7 @@ def cmd_finetune_fm(args):
     models = hybrid_fm.HybridModels(tokenizer=tokenizer_params, lm=lm)
     hybrid_fm.fm_finetune(
         models, dataset, steps=args.steps, seed=args.seed,
-        peak=cfg.lr_peak, warmup=cfg.warmup, log_every=args.log_every,
+        peak=cfg.lr_peak, warmup=cfg.warmup, floor=cfg.lr_floor, log_every=args.log_every,
     )
     _save_model(args.out, lm, cfg, step=args.steps)
     return 0
@@ -194,7 +207,7 @@ def cmd_train_resdiff(args):
         samples.append((rd.residual(z.data, bits), bits, hidden))
     rd.train_resdiff(
         samples, head, steps=args.steps, seed=args.seed,
-        peak=cfg.lr_peak, warmup=cfg.warmup, log_every=args.log_every,
+        peak=cfg.lr_peak, warmup=cfg.warmup, floor=cfg.lr_floor, log_every=args.log_every,
     )
     _save_model(args.out, head, cfg, step=args.steps)
     return 0

@@ -32,11 +32,10 @@ def _as_bits(tokens, k):
     return tok.index_to_bits(tokens, k)
 
 
-def token_accuracy(pred, truth, k=None, exclude=None):
-    """{bit_acc, index_acc} between predicted and true tokens.
+def token_accuracy(pred, truth, k=None):
+    """{bit_acc, index_acc} between predicted and true tokens, NaN for L = 0.
 
-    Inputs are (L, K) bit arrays or (L,) index arrays (k required then);
-    `exclude` is an optional boolean vector of positions to skip (MASK/PAD).
+    Inputs are (L, K) bit arrays or (L,) index arrays (k required then).
     """
     pred_arr = np.asarray(pred.data if isinstance(pred, ad.Tensor) else pred)
     truth_arr = np.asarray(truth.data if isinstance(truth, ad.Tensor) else truth)
@@ -46,13 +45,10 @@ def token_accuracy(pred, truth, k=None, exclude=None):
         k = pred_arr.shape[1] if pred_arr.ndim == 2 else truth_arr.shape[1]
     pred_bits = _as_bits(pred_arr, k)
     truth_bits = _as_bits(truth_arr, k)
-    keep = np.ones(pred_bits.shape[0], dtype=bool) if exclude is None else ~np.asarray(exclude)
-    if not keep.any():
+    if len(pred_bits) == 0:
         return {"bit_acc": float("nan"), "index_acc": float("nan")}
-    pb, tb = pred_bits[keep], truth_bits[keep]
-    bit_acc = float(((pb > 0) == (tb > 0)).mean())
-    index_acc = float(((pb > 0) == (tb > 0)).all(axis=1).mean())
-    return {"bit_acc": bit_acc, "index_acc": index_acc}
+    match = (pred_bits > 0) == (truth_bits > 0)
+    return {"bit_acc": float(match.mean()), "index_acc": float(match.all(axis=1).mean())}
 
 
 @dataclass
@@ -85,9 +81,9 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def folding_eval(lm, tokenizer_params, dataset, steps=25, strategy="confidence",
-                 temperature=1.0, seed=0, resdiff_head=None):
-    """Folding-mode generation and structure metrics per dataset item.
+def folding_eval(lm, tokenizer_params, dataset, steps=25, seed=0, resdiff_head=None):
+    """Folding-mode generation, with the confidence strategy at temperature
+    1, and structure metrics per dataset item.
 
     `dataset` is a list of (structure, sequence) pairs with ground truth.
     """
@@ -97,8 +93,8 @@ def folding_eval(lm, tokenizer_params, dataset, steps=25, strategy="confidence",
     for structure, seq in dataset:
         true_bits = tok.structure_bits(structure, tokenizer_params)
         out = dfn.generate(
-            lm, len(structure), mode="folding", steps=steps, strategy=strategy,
-            temperature=temperature, rng=rng, seq=np.asarray(seq),
+            lm, len(structure), mode="folding", steps=steps, strategy="confidence",
+            rng=rng, seq=np.asarray(seq),
         )
         pred_bits = out.struct_bits
         acc = token_accuracy(pred_bits, true_bits)

@@ -219,10 +219,14 @@ def _parse_pdb(text):
 
 
 def load_backbone(path):
+    """The backbone in the file at `path`; a parse error names the file."""
     with io.open(path, "r") as fh:
         text = fh.read()
     fmt = "pdb-subset" if text.lstrip().startswith("ATOM") else "native"
-    structure = parse_backbone(text, fmt)
+    try:
+        structure = parse_backbone(text, fmt)
+    except (ParseError, MissingAtom) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     stem = os.path.basename(path)
     structure.source_id = stem.rsplit(".", 1)[0] if "." in stem else stem
     return structure

@@ -127,7 +127,7 @@ def fm_generate(models, length, rng, conditioning=None, n_steps=FM_STEPS_DEFAULT
 
 
 def fm_finetune(models: HybridModels, dataset, steps, seed=0, peak=1e-4, warmup=2000,
-                log_every=0):
+                floor=1e-5, log_every=0):
     """Fine-tune the LM to predict clean bit tokens from encoder features of
     flow-corrupted structures (bit cross-entropy; decoder untouched).
 
@@ -146,6 +146,6 @@ def fm_finetune(models: HybridModels, dataset, steps, seed=0, peak=1e-4, warmup=
         supervised.mask_struct[:] = True  # bit CE at every structure position
         return dfn.loss_bit(out, target, supervised, 1, lm.schedule), ""
 
-    fit(lm.parameters(), dataset, steps, rng, step_loss, "fm-finetune", peak, warmup,
-        log_every=log_every)
+    fit(lm.parameters(), dataset, steps, rng, step_loss, "fm-finetune", peak, warmup, floor,
+        log_every)
     return lm

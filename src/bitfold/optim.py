@@ -8,7 +8,7 @@ import numpy as np
 from .errors import NonFiniteLoss, NonFiniteValue
 
 
-def warmup_linear_decay(step, total_steps, peak=1e-4, warmup=2000, floor=1e-5):
+def warmup_linear_decay(step, total_steps, peak, warmup, floor):
     """LR warmed up linearly to `peak`, then decayed linearly to `floor`."""
     if step < warmup:
         return peak * (step + 1) / warmup
@@ -19,17 +19,15 @@ def warmup_linear_decay(step, total_steps, peak=1e-4, warmup=2000, floor=1e-5):
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, betas=(0.9, 0.999), eps=1e-8):
         self.params = dict(params)
-        self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
-    def step(self, lr=None):
-        lr = self.lr if lr is None else lr
+    def step(self, lr):
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
@@ -47,9 +45,6 @@ class Adam:
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
-
-    def state(self):
-        return {"t": self.t, "m": self.m, "v": self.v}
 
 
 def fit(params, items, steps, rng, step_loss, name, peak, warmup, floor=1e-5, log_every=0):

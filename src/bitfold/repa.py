@@ -16,8 +16,6 @@ from . import autodiff as ad
 from .autodiff import Module, Tensor
 from .nn import MLP
 
-REPA_WEIGHT_DEFAULT = 0.5
-
 
 class RepaHead(Module):
     """3-layer projector from LM width to teacher width plus learnable

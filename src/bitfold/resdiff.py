@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Linear, Module, Tensor
-from .errors import BadT, InvalidConfig, ShapeMismatch
+from .errors import BadT, ShapeMismatch
 from .optim import fit
 from .repa import ensemble_hidden
 
@@ -41,16 +41,14 @@ class ResDiffHead(Module):
     logits over LM hidden layers; DDPM schedule (T_r, linear beta range)."""
 
     def __init__(self, k, d_hidden=128, n_layers=4, d_lm=64, n_lm_layers=1,
-                 t_r=T_R_DEFAULT, beta_start=BETA_START, beta_end=BETA_END, seed=0):
+                 t_r=T_R_DEFAULT, seed=0):
         if t_r < 2:
             raise BadT(f"T_r must be >= 2, got {t_r}")
-        if not (0.0 < beta_start < 1.0 and 0.0 < beta_end < 1.0):
-            raise InvalidConfig("beta range must lie in (0, 1)")
         rng = np.random.default_rng(seed)
         self.k = k
         self.t_r = t_r
         self.d_hidden = d_hidden
-        self.beta = np.linspace(beta_start, beta_end, t_r)
+        self.beta = np.linspace(BETA_START, BETA_END, t_r)
         self.alpha_bar = np.cumprod(1.0 - self.beta)
         self.cond_proj = Linear(rng, k, d_lm)
         self.layer_logits = Tensor(np.zeros(n_lm_layers), requires_grad=True)
@@ -120,7 +118,7 @@ def resdiff_sample(cond, head: ResDiffHead, rng):
 
 
 def train_resdiff(samples, head: ResDiffHead, steps, seed=0, peak=1e-4, warmup=2000,
-                  log_every=0):
+                  floor=1e-5, log_every=0):
     """Train the epsilon net on (residual, z_quant, hidden_layers) triples;
     the conditioning vector is recomputed each step so its projection and
     ensemble logits train too."""
@@ -131,6 +129,6 @@ def train_resdiff(samples, head: ResDiffHead, steps, seed=0, peak=1e-4, warmup=2
         cond = condition(z_quant, hidden_layers, head)
         return resdiff_loss(r, int(rng.integers(1, head.t_r + 1)), cond, head, rng), ""
 
-    fit(head.parameters(), samples, steps, rng, step_loss, "resdiff", peak, warmup,
-        log_every=log_every)
+    fit(head.parameters(), samples, steps, rng, step_loss, "resdiff", peak, warmup, floor,
+        log_every)
     return head

@@ -26,6 +26,8 @@ DIST_OFFSETS = (-4, -3, -2, -1, 1, 2, 3, 4)
 
 COMMIT_WEIGHT = 0.25
 ENTROPY_WEIGHT = 0.1
+LR_PEAK = 1e-3
+LR_WARMUP = 100
 
 
 @dataclass
@@ -34,8 +36,6 @@ class TokenizerConfig:
     width: int = 64
     blocks: int = 3
     heads: int = 4
-    lr_peak: float = 1e-3
-    warmup: int = 100
 
 
 def mask_id(k):
@@ -320,5 +320,5 @@ def train_tokenizer(dataset, cfg: TokenizerConfig, seed, steps, log_every=0):
         return tokenizer_loss(params, dataset[i], feats[i]), ""
 
     fit(params.parameters(), dataset, steps, rng, step_loss, "tokenizer",
-        cfg.lr_peak, cfg.warmup, log_every=log_every)
+        LR_PEAK, LR_WARMUP, log_every=log_every)
     return params, reconstruction_report(params, dataset)

@@ -6,11 +6,17 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import bitfold
 from bitfold import checkpoint as ckpt
 from bitfold import cli
 from bitfold import geometry as geo
+from bitfold import hybrid_fm, training
+from bitfold import resdiff as rd
+from bitfold import tokenizer as tok
+from bitfold.config import ModelConfig
+from bitfold.errors import ParseError
 from bitfold.experiments import DEFAULT_GRID
 
 # Calls `cli.main` on each argv (a JSON list) in turn and prints the exit codes.
@@ -131,3 +137,55 @@ def test_eval_errors_name_their_inputs(tmp_path, capsys):
     assert f"{mixed / 's1.bkb'}: 24 residues, but {mixed / 's0.bkb'} has 20" in err
     assert "eval --mode folding needs --tokenizer" in err
     assert "absent.ckpt" not in err
+
+
+def _one_sample(directory, length=8):
+    structure, seq = geo.synth_backbone(geo.SynthSpec(length=length), seed=0)
+    structure.source_id = "s0"
+    cli.write_sample(str(directory), structure, seq)
+    return directory / "s0.bkb", directory / "s0.seq"
+
+
+@pytest.mark.parametrize("where, token, message", [
+    ("bkb", "x", r"s0\.bkb: line 3: could not convert string to float: 'x'"),
+    ("seq", "A", r"s0\.seq: token 2: expected an amino-acid id in \[0, 20\), got 'A'"),
+    ("seq", "25", r"s0\.seq: token 2: expected an amino-acid id in \[0, 20\), got '25'"),
+    ("seq", "-1", r"s0\.seq: token 2: expected an amino-acid id in \[0, 20\), got '-1'"),
+], ids=["bkb-letter", "seq-letter", "seq-too-large", "seq-negative"])
+def test_bad_dataset_files_name_the_file(tmp_path, where, token, message):
+    """A bad token fails at load, naming the file and where in it: the
+    second coordinate of residue 2 in the .bkb, or the second id in the .seq."""
+    paths = dict(zip(("bkb", "seq"), _one_sample(tmp_path)))
+    lines = paths[where].read_text().splitlines()
+    row = 2 if where == "bkb" else 0  # the second residue's line, or the one line
+    fields = lines[row].split()
+    fields[1] = token
+    lines[row] = " ".join(fields)
+    paths[where].write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message):
+        cli.load_dataset(str(tmp_path))
+
+
+def test_lr_floor_reaches_finetune_fm_and_train_resdiff(tmp_path, monkeypatch):
+    """`--set lr_floor` sets the floor of both trainers' schedules. `fit` is
+    replaced by a spy, so nothing trains."""
+    data = tmp_path / "data"
+    data.mkdir()
+    _one_sample(data)
+    cfg = ModelConfig()
+    tok_ckpt, lm_ckpt = str(tmp_path / "tok.ckpt"), str(tmp_path / "lm.ckpt")
+    cli._save_model(tok_ckpt, tok.TokenizerParams(cli._tok_cfg(cfg)), cfg)
+    cli._save_model(lm_ckpt, training.build_lm(cfg), cfg)
+    floors = {}
+
+    def spy(params, items, steps, rng, step_loss, name, peak, warmup, floor=1e-5, log_every=0):
+        floors[name] = floor
+        return []
+
+    monkeypatch.setattr(hybrid_fm, "fit", spy)
+    monkeypatch.setattr(rd, "fit", spy)
+    common = ["--data", str(data), "--tokenizer", tok_ckpt, "--ckpt", lm_ckpt, "--steps", "1",
+              "--set", "lr_floor=0.003"]
+    assert cli.main(["finetune-fm", *common, "--out", str(tmp_path / "fm.ckpt")]) == 0
+    assert cli.main(["train-resdiff", *common, "--out", str(tmp_path / "rd.ckpt")]) == 0
+    assert floors == {"fm-finetune": 0.003, "resdiff": 0.003}

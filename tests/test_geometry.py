@@ -196,6 +196,14 @@ def test_pdb_missing_atom_rejected():
         geo.parse_backbone("\n".join(lines), "pdb-subset")
 
 
+def test_load_backbone_errors_name_the_file(tmp_path):
+    path = tmp_path / "broken.bkb"
+    lines = [_pdb_line(i + 1, name, "A", 1, 0.0, i, 0.0) for i, name in enumerate(("N", "CA", "C"))]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MissingAtom, match=rf"^{path}: residue A1 lacks O$"):
+        geo.load_backbone(str(path))
+
+
 def test_pdb_chain_ids_honored():
     lines = []
     serial = 1

@@ -185,7 +185,7 @@ def test_reconstruction_loss_penalizes_mirror():
 
 def test_short_training_reduces_loss():
     s = make_structure(4, length=12)
-    cfg = tok.TokenizerConfig(k=4, width=32, blocks=1, lr_peak=1e-3, warmup=10)
+    cfg = tok.TokenizerConfig(k=4, width=32, blocks=1)
     params, report = tok.train_tokenizer([s], cfg, seed=0, steps=120)
     del params
     # untrained params for comparison

@@ -248,7 +248,7 @@ def test_fit_clips_the_warmup_to_a_tenth_of_the_run(monkeypatch):
     lrs = []
 
     class RecordingAdam(optim.Adam):
-        def step(self, lr=None):
+        def step(self, lr):
             lrs.append(lr)
             super().step(lr)
 
