@@ -154,7 +154,7 @@ def _one_sample(directory, length=8):
 ], ids=["bkb-letter", "seq-letter", "seq-too-large", "seq-negative"])
 def test_bad_dataset_files_name_the_file(tmp_path, where, token, message):
     """A bad token fails at load, naming the file and where in it: the
-    second coordinate of residue 2 in the .bkb, or the second id in the .seq."""
+    first coordinate of residue 2 in the .bkb, or the second id in the .seq."""
     paths = dict(zip(("bkb", "seq"), _one_sample(tmp_path)))
     lines = paths[where].read_text().splitlines()
     row = 2 if where == "bkb" else 0  # the second residue's line, or the one line
