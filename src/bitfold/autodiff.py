@@ -615,6 +615,9 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
     `diff` an (Lq, Lk) int array of bins. Summing the attention per bin,
     B[h, i, r] = sum_{j: diff[i, j] = r} a[h, i, j], makes that term
     B @ table, so no (H, Lq, Lk, d_v) array is built in either pass.
+    `rel` works with leading axes too: every row shares the one table and
+    bin map, and the table's gradient is summed over the rows. Each row
+    gets the bits it gets when attended alone.
     The forward runs in the order of the unfused op chain and without `rel`
     gives the same bits.
     """
@@ -645,10 +648,10 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
         parents.append(table)
         n_bins, block = table.shape[0], diff.shape[0] * table.shape[0]
         cells = np.arange(diff.shape[0])[:, None] * n_bins + diff  # bins in one (Lq, R) block
-        heads = a.size // diff.size
-        bins = np.arange(heads).reshape(-1, 1, 1) * block + cells
-        per_bin = np.bincount(bins.ravel(), weights=a.ravel(), minlength=heads * block)
-        per_bin = per_bin.reshape(a.shape[:-1] + (n_bins,))  # (H, Lq, R)
+        planes = a.size // diff.size  # the leading axes times the heads
+        bins = np.arange(planes).reshape(-1, 1, 1) * block + cells
+        per_bin = np.bincount(bins.ravel(), weights=a.ravel(), minlength=planes * block)
+        per_bin = per_bin.reshape(a.shape[:-1] + (n_bins,))  # (..., H, Lq, R)
         tv = np.swapaxes(table.data, 0, 1)  # (H, R, d_v)
         out += per_bin @ tv
 
@@ -659,8 +662,9 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
         ga = g @ np.swapaxes(vh, -1, -2)
         if rel is not None:
             if table.requires_grad:
-                table._accum(np.swapaxes(np.swapaxes(per_bin, -1, -2) @ g, 0, 1))
-            g_bin = g @ np.swapaxes(tv, -1, -2)  # (H, Lq, R), gathered per (i, j) at diff[i, j]
+                g_tv = _unbroadcast(np.swapaxes(per_bin, -1, -2) @ g, tv.shape)
+                table._accum(np.swapaxes(g_tv, 0, 1))
+            g_bin = g @ np.swapaxes(tv, -1, -2)  # (..., H, Lq, R), gathered per (i, j) at diff[i, j]
             ga += np.take(g_bin.reshape(g_bin.shape[:-2] + (-1,)), cells, axis=-1)
         ga -= (ga * a).sum(axis=-1, keepdims=True)
         ga *= a

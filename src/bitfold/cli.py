@@ -3,8 +3,10 @@
 Subcommands: gen-data, train-tokenizer, train-lm, finetune-fm,
 train-resdiff, sample, eval, grad-check. All randomness derives
 from --seed; the commands that build or load a model read their
-configuration from --config files with --set key=value overrides. Exit
-code 2 on usage errors, 1 on runtime failures.
+configuration from --config files with --set key=value overrides.
+train-lm takes its seed and step count from the config's `seed` and
+`steps`, which --seed and --steps override when given. Exit code 2 on
+usage errors, 1 on runtime failures.
 
 A command that loads a checkpoint must repeat that component's config keys
 (`config.COMPONENT_KEYS`), and only those: an LM trained with
@@ -161,13 +163,15 @@ def cmd_train_tokenizer(args):
 
 def cmd_train_lm(args):
     cfg = load_config(args.config, args.set or [])
-    cfg.seed = args.seed
-    cfg.steps = args.steps
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.steps is not None:
+        cfg.steps = args.steps
     dataset = load_dataset(args.data)
     tokenizer_params = load_tokenizer(args.tokenizer, cfg)
     lm = training.build_lm(cfg)
     losses = training.train_lm(lm, tokenizer_params, dataset, cfg, log_every=args.log_every)
-    _save_model(args.out, lm, cfg, step=args.steps)
+    _save_model(args.out, lm, cfg, step=cfg.steps)
     if losses:
         print(f"final loss {losses[-1]:.4f} over {len(losses)} steps")
     else:
@@ -307,9 +311,9 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--tokenizer", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=int, default=None, help="overrides the config's steps")
     p.add_argument("--log-every", type=int, default=0)
-    p.set_defaults(func=cmd_train_lm)
+    p.set_defaults(func=cmd_train_lm, seed=None)  # --seed overrides the config's seed
 
     p = common(sub.add_parser("finetune-fm"))
     p.add_argument("--data", required=True)

@@ -25,29 +25,15 @@ DIVERSITY_N_SAMPLES = 40
 DIVERSITY_LENGTHS = (60, 100, 160)
 
 
-def _as_bits(tokens, k):
-    tokens = np.asarray(tokens.data if isinstance(tokens, ad.Tensor) else tokens)
-    if tokens.ndim == 2:
-        return tokens
-    return tok.index_to_bits(tokens, k)
-
-
-def token_accuracy(pred, truth, k=None):
-    """{bit_acc, index_acc} between predicted and true tokens, NaN for L = 0.
-
-    Inputs are (L, K) bit arrays or (L,) index arrays (k required then).
-    """
-    pred_arr = np.asarray(pred.data if isinstance(pred, ad.Tensor) else pred)
-    truth_arr = np.asarray(truth.data if isinstance(truth, ad.Tensor) else truth)
-    if pred_arr.shape[0] != truth_arr.shape[0]:
-        raise LengthMismatch(f"{pred_arr.shape[0]} vs {truth_arr.shape[0]}")
-    if k is None:
-        k = pred_arr.shape[1] if pred_arr.ndim == 2 else truth_arr.shape[1]
-    pred_bits = _as_bits(pred_arr, k)
-    truth_bits = _as_bits(truth_arr, k)
-    if len(pred_bits) == 0:
+def token_accuracy(pred, truth):
+    """{bit_acc, index_acc} between predicted and true (L, K) bit arrays,
+    NaN for L = 0."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    if pred.shape[0] != truth.shape[0]:
+        raise LengthMismatch(f"{pred.shape[0]} vs {truth.shape[0]}")
+    if len(pred) == 0:
         return {"bit_acc": float("nan"), "index_acc": float("nan")}
-    match = (pred_bits > 0) == (truth_bits > 0)
+    match = (pred > 0) == (truth > 0)
     return {"bit_acc": float(match.mean()), "index_acc": float(match.all(axis=1).mean())}
 
 

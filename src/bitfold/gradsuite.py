@@ -2,10 +2,11 @@
 
 Each entry builds a tiny instance of one loss (token cross-entropies,
 representation alignment, residual diffusion, transitions, pair-biased
-attention, relative-value attention, attention with fewer queries than
-keys, triangle operations, SeqStruct attention) or of one fused primitive
-(`linear`, modulated `layernorm`, `pad`) and compares backpropagated
-gradients against central finite differences.
+attention, relative-value attention on one chain and on a batch of two,
+attention with fewer queries than keys, triangle operations, SeqStruct
+attention) or of one fused primitive (`linear`, modulated `layernorm`,
+`pad`) and compares backpropagated gradients against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -141,6 +142,21 @@ def _loss_relpos_value_attention(seed):
     return fn, params
 
 
+def _loss_batched_relpos_value_attention(seed):
+    rng = np.random.default_rng(seed)
+    block = tok.DecoderBlock(rng, tok.TokenizerConfig(width=8, heads=2))
+    block.attn.out.w.data[:] = rng.normal(size=block.attn.out.w.data.shape) * 0.3
+    x = Tensor(rng.normal(size=(2, 6, 8)), requires_grad=True)  # two chains, as the decoder runs
+    positions = np.array([0, 1, 2, 5, 6, 40])
+
+    def fn():
+        return (block(x, block.rel(positions)) ** 2).mean()
+
+    params = {"x": x}
+    params.update(block.parameters(prefix="block."))
+    return fn, params
+
+
 def _loss_fewer_queries_attention(seed):
     rng = np.random.default_rng(seed)
     attn = nn.MultiHeadAttention(rng, 8, 2, gated=True)
@@ -264,6 +280,7 @@ SUITE = {
     "transition": _loss_transition,
     "pair-bias-attention": _loss_pair_bias_attention,
     "relpos-value-attention": _loss_relpos_value_attention,
+    "batched-relpos-value-attention": _loss_batched_relpos_value_attention,
     "fewer-queries-attention": _loss_fewer_queries_attention,
     "triangle-update": _loss_triangle_update,
     "triangle-attention": _loss_triangle_attention,

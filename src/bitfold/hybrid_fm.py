@@ -126,8 +126,8 @@ def fm_generate(models, length, rng, conditioning=None, n_steps=FM_STEPS_DEFAULT
     return geo.BackboneStructure(coords, chain_ids, state.structure.source_id)
 
 
-def fm_finetune(models: HybridModels, dataset, steps, seed=0, peak=1e-4, warmup=2000,
-                floor=1e-5, log_every=0):
+def fm_finetune(models: HybridModels, dataset, steps, seed=0, *, peak, warmup, floor,
+                log_every=0):
     """Fine-tune the LM to predict clean bit tokens from encoder features of
     flow-corrupted structures (bit cross-entropy; decoder untouched).
 

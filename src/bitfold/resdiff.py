@@ -117,8 +117,8 @@ def resdiff_sample(cond, head: ResDiffHead, rng):
     return r
 
 
-def train_resdiff(samples, head: ResDiffHead, steps, seed=0, peak=1e-4, warmup=2000,
-                  floor=1e-5, log_every=0):
+def train_resdiff(samples, head: ResDiffHead, steps, seed=0, *, peak, warmup, floor,
+                  log_every=0):
     """Train the epsilon net on (residual, z_quant, hidden_layers) triples;
     the conditioning vector is recomputed each step so its projection and
     ensemble logits train too."""

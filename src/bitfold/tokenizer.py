@@ -157,18 +157,23 @@ class Decoder(Module):
         return [block.rel(positions) for block in self.blocks]
 
     def __call__(self, tokens, positional=None):
-        """`positional` is a list from `self.positional` for this many
-        rows; it is built when not given."""
+        """Coordinates (..., L, 4, 3) from (..., L, K) tokens.
+
+        The length L is axis -2, and any leading axes are independent
+        chains of that length: each is decoded as if alone, with the same
+        bits, and centred on its own CA centroid. `positional` is a list
+        from `self.positional` for L rows; it is built when not given."""
         x = self.embed(tokens if isinstance(tokens, Tensor) else Tensor(tokens))
+        length = x.shape[-2]
         if positional is None:
-            positional = self.positional(x.shape[0])
-        elif positional[0][0].shape[-1] != x.shape[0]:
+            positional = self.positional(length)
+        elif positional[0][0].shape[-1] != length:
             raise ShapeMismatch(f"decoder terms of length {positional[0][0].shape[-1]} "
-                                f"for {x.shape[0]} tokens")
+                                f"for {length} tokens")
         for block, rel_terms in zip(self.blocks, positional):
             x = block(x, rel_terms)
-        coords = ad.reshape(self.out(self.norm(x)), (-1, 4, 3))
-        center = coords[:, 1, :].mean(axis=0)
+        coords = ad.reshape(self.out(self.norm(x)), x.shape[:-1] + (4, 3))
+        center = coords[..., 1:2, :].mean(axis=-3, keepdims=True)  # (..., 1, 1, 3)
         return coords - center
 
 
@@ -193,8 +198,9 @@ def structure_bits(structure, params: TokenizerParams):
 
 
 def decode(tokens, params: TokenizerParams, positional=None):
-    """Coordinates (L, 4, 3), CA-centroid centered, from cont or bit tokens;
-    `positional` is the decoder's `Decoder.positional` list for L rows."""
+    """Coordinates (..., L, 4, 3), CA-centroid centered, from cont or bit
+    tokens (..., L, K); `positional` is the decoder's `Decoder.positional`
+    list for L rows."""
     return params.decoder(tokens, positional)
 
 
@@ -281,15 +287,14 @@ def reconstruction_report(params, dataset):
     report = ReconReport()
     for structure in dataset:
         with ad.no_grad():
-            z = encode(structure, params)
-            pred_c = decode(z, params)
-            bits = Tensor(np.where(z.data >= 0.0, 1.0, -1.0))
-            pred_q = decode(bits, params)
+            z = encode(structure, params).data
+            bits = np.where(z >= 0.0, 1.0, -1.0)
+            pred_q, pred_c = decode(np.stack([bits, z]), params).data
         for pred, rs, ts in (
             (pred_c, report.cont_rmsd, report.cont_tm),
             (pred_q, report.quant_rmsd, report.quant_tm),
         ):
-            got = geo.BackboneStructure(pred.data, structure.chain_ids, structure.source_id)
+            got = geo.BackboneStructure(pred, structure.chain_ids, structure.source_id)
             rs.append(geo.rmsd(got, structure))
             ts.append(geo.tm_score(got, structure))
     return report
@@ -298,13 +303,16 @@ def reconstruction_report(params, dataset):
 def tokenizer_loss(params: TokenizerParams, structure, feats):
     """The training loss of one structure with invariant features `feats`:
     0.5*(cont + quant reconstruction) + 0.25*commitment + 0.1*entropy
-    regularizer."""
+    regularizer.
+
+    Both token paths go through the decoder in one call, as a (2, L, K)
+    stack of the quantized bits and the continuous tokens; each path's
+    prediction is the one its own decoder call would give."""
     z, _ = params.encoder(feats)
     bits, q_losses = lfq_quantize(z)
-    pred_q = params.decoder(bits)
-    pred_c = params.decoder(z)
+    pred = params.decoder(ad.concat([ad.reshape(t, (1,) + t.shape) for t in (bits, z)]))
     return (
-        0.5 * (reconstruction_loss(pred_q, structure) + reconstruction_loss(pred_c, structure))
+        0.5 * (reconstruction_loss(pred[0], structure) + reconstruction_loss(pred[1], structure))
         + COMMIT_WEIGHT * q_losses["commitment"]
         + ENTROPY_WEIGHT * q_losses["entropy"]
     )

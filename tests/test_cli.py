@@ -189,3 +189,32 @@ def test_lr_floor_reaches_finetune_fm_and_train_resdiff(tmp_path, monkeypatch):
     assert cli.main(["finetune-fm", *common, "--out", str(tmp_path / "fm.ckpt")]) == 0
     assert cli.main(["train-resdiff", *common, "--out", str(tmp_path / "rd.ckpt")]) == 0
     assert floors == {"fm-finetune": 0.003, "resdiff": 0.003}
+
+
+def test_train_lm_flags_override_the_config_only_when_given(tmp_path, monkeypatch, capsys):
+    """`--set steps=3` trains 3 steps and records step 3 in the checkpoint;
+    `--steps 2` and `--seed 5` win over the config. `train_lm` is replaced
+    by a spy, so nothing trains."""
+    data = tmp_path / "data"
+    data.mkdir()
+    _one_sample(data)
+    cfg = ModelConfig()
+    tok_ckpt = str(tmp_path / "tok.ckpt")
+    cli._save_model(tok_ckpt, tok.TokenizerParams(cli._tok_cfg(cfg)), cfg)
+    seen = []
+
+    def spy(lm, tokenizer_params, dataset, cfg, log_every=0):
+        seen.append((cfg.steps, cfg.seed))
+        return [1.0] * cfg.steps
+
+    monkeypatch.setattr(training, "train_lm", spy)
+    common = ["train-lm", "--data", str(data), "--tokenizer", tok_ckpt]
+    out = [str(tmp_path / f"lm{i}.ckpt") for i in range(3)]
+    assert cli.main([*common, "--out", out[0], "--set", "steps=3", "--set", "seed=7"]) == 0
+    assert cli.main([*common, "--out", out[1], "--set", "steps=3", "--steps", "2",
+                     "--set", "seed=7", "--seed", "5"]) == 0
+    assert cli.main([*common, "--out", out[2]]) == 0
+    assert seen == [(3, 7), (2, 5), (cfg.steps, cfg.seed)]
+    assert [ckpt.load_checkpoint(path)[2] for path in out] == [3, 2, cfg.steps]
+    printed = capsys.readouterr().out
+    assert "over 3 steps" in printed and "over 2 steps" in printed

@@ -200,3 +200,55 @@ def test_reconstruction_report_shapes():
     report = tok.reconstruction_report(params, [s, s])
     assert len(report.cont_rmsd) == 2
     assert all(0.0 <= t <= 1.0 for t in report.cont_tm + report.quant_tm)
+
+
+# -- both token paths in one decoder call -----------------------------------------
+
+@pytest.mark.parametrize("length", [8, 33])
+def test_batched_decode_matches_one_chain_at_a_time(length):
+    """Row b of a (2, L, K) decode equals decoding row b alone, bit for bit,
+    each centred on its own CA centroid."""
+    params = tok.TokenizerParams(tok.TokenizerConfig(), seed=0)
+    s = make_structure(length, length=length)
+    with ad.no_grad():
+        z = tok.encode(s, params).data
+        bits = np.where(z >= 0.0, 1.0, -1.0)
+        both = tok.decode(np.stack([bits, z]), params).data
+        alone = [tok.decode(tokens, params).data for tokens in (bits, z)]
+    assert both.shape == (2, length, 4, 3)
+    for b in range(2):
+        np.testing.assert_array_equal(both[b], alone[b])
+
+
+def _two_call_tokenizer_loss(params, structure, feats):
+    """`tokenizer_loss` with one decoder call per token path: the reference."""
+    z, _ = params.encoder(feats)
+    bits, q_losses = tok.lfq_quantize(z)
+    pred_q = params.decoder(bits)
+    pred_c = params.decoder(z)
+    return (
+        0.5 * (tok.reconstruction_loss(pred_q, structure)
+               + tok.reconstruction_loss(pred_c, structure))
+        + tok.COMMIT_WEIGHT * q_losses["commitment"]
+        + tok.ENTROPY_WEIGHT * q_losses["entropy"]
+    )
+
+
+def test_tokenizer_loss_gradients_match_two_decoder_calls():
+    """The loss is bit-equal; the gradients differ only in the order the
+    batch's contributions are summed (biases, LayerNorm scales, position
+    tables)."""
+    params = tok.TokenizerParams(tok.TokenizerConfig(width=32, blocks=2), seed=0)
+    s = make_structure(6, length=30)
+    feats = tok.invariant_features(s)
+    runs = []
+    for loss_fn in (tok.tokenizer_loss, _two_call_tokenizer_loss):
+        params.zero_grad()
+        loss = loss_fn(params, s, feats)
+        loss.backward()
+        runs.append((loss.item(), {k: p.grad.copy() for k, p in params.parameters().items()}))
+    (got_loss, got), (want_loss, want) = runs
+    assert got_loss == want_loss
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-10, err_msg=name)

@@ -196,7 +196,7 @@ def test_fm_finetune_nonfinite_forward_raises(pairs, tok_params):
     _poison(lm)
     models = hybrid_fm.HybridModels(tokenizer=tok_params, lm=lm)
     with pytest.raises(NonFiniteLoss, match="fm-finetune loss at step 0"):
-        hybrid_fm.fm_finetune(models, pairs, steps=2)
+        hybrid_fm.fm_finetune(models, pairs, steps=2, peak=1e-4, warmup=2000, floor=1e-5)
 
 
 def test_train_resdiff_nonfinite_loss_raises():
@@ -205,7 +205,7 @@ def test_train_resdiff_nonfinite_loss_raises():
     _poison(head)
     samples = [(rng.normal(size=(5, 4)), np.ones((5, 4)), [rng.normal(size=(5, 6))])]
     with pytest.raises(NonFiniteLoss, match="resdiff loss at step 0"):
-        rd.train_resdiff(samples, head, steps=2)
+        rd.train_resdiff(samples, head, steps=2, peak=1e-4, warmup=2000, floor=1e-5)
 
 
 # -- fit ------------------------------------------------------------------------
@@ -275,3 +275,105 @@ def test_fit_wraps_nonfinite_value():
     with pytest.raises(NonFiniteLoss, match="non-finite toy loss at step 0: boom"):
         optim.fit({"w": w}, [0], 2, np.random.default_rng(0), step_loss, "toy",
                   peak=0.1, warmup=1)
+
+
+# -- whole-buffer Adam against the per-array loop -------------------------------------
+
+class LoopAdam:
+    """Adam as one update per parameter array: the reference for `optim.Adam`."""
+
+    def __init__(self, params):
+        self.params = dict(params)
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self, lr):
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        self.t += 1
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for k, p in self.params.items():
+            if p.grad is None:
+                continue
+            m = self.m[k]
+            v = self.v[k]
+            m *= b1
+            m += (1.0 - b1) * p.grad
+            v *= b2
+            v += (1.0 - b2) * p.grad * p.grad
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.zero_grad()
+
+
+@pytest.mark.parametrize("chunk", [5, 12, optim.CHUNK])
+def test_adam_steps_like_the_per_array_loop(monkeypatch, chunk):
+    """Parameters become views of the buffer; a step skips exactly the
+    parameters without a gradient, whose data and moments stay as they were.
+    Chunks of 5 and 12 scalars end inside parameters and on their ends."""
+    monkeypatch.setattr(optim, "CHUNK", chunk)
+    rng = np.random.default_rng(0)
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 2)}
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    got = {k: Tensor(x.copy(), requires_grad=True) for k, x in init.items()}
+    want = {k: Tensor(x.copy(), requires_grad=True) for k, x in init.items()}
+    opt, ref = optim.Adam(got), LoopAdam(want)
+    for k in got:
+        assert np.shares_memory(got[k].data, opt.data)
+    for step, with_grad in enumerate(("abc", "ac", "b", "", "bc")):
+        grads = {k: rng.normal(size=shapes[k]) for k in with_grad}
+        for params in (got, want):
+            for k, p in params.items():
+                p.grad = grads[k].copy() if k in grads else None
+        opt.step(lr=0.01 * (step + 1))
+        ref.step(lr=0.01 * (step + 1))
+        for k in shapes:
+            np.testing.assert_array_equal(got[k].data, want[k].data)
+
+
+GEO_FLAGS = dict(pair_bias=True, struct_transition=True, triangle_update=True,
+                 triangle_attention=True, seqstruct_attention=True)
+ADAM_CASES = {
+    "plain": {},
+    "full-geo-repa": {**GEO_FLAGS, "repa_enabled": True},
+    "struct-only": {"folding_sft": True},
+    "second-fit": {},
+    "tokenizer": None,
+}
+
+
+@pytest.mark.parametrize("case", list(ADAM_CASES))
+def test_whole_buffer_adam_matches_per_array_loop(pairs, tok_params, monkeypatch, case):
+    """Trained parameters and losses are bit-equal under `optim.Adam` and the
+    per-array loop. Struct-only steps leave the sequence head without a
+    gradient, so its parameters keep their initial values; `second-fit`
+    trains the same LM twice, each run with an Adam of its own. Chunks of
+    1000 scalars make every run of these small models span several."""
+    monkeypatch.setattr(optim, "CHUNK", 1000)
+
+    def run(adam):
+        monkeypatch.setattr(optim, "Adam", adam)
+        if case == "tokenizer":
+            cfg = tok.TokenizerConfig(width=16, blocks=1, heads=2)
+            params, report = tok.train_tokenizer([s for s, _ in pairs], cfg, seed=0, steps=8)
+            return list(report.summary().values()), params.parameters()
+        cfg = small_cfg(**ADAM_CASES[case])
+        lm = training.build_lm(cfg)
+        losses = training.train_lm(lm, tok_params, pairs, cfg)
+        if case == "second-fit":
+            losses += training.train_lm(lm, tok_params, pairs, cfg)
+        if case == "struct-only":
+            fresh = training.build_lm(cfg)
+            assert lm.seq_out.w.grad is None
+            np.testing.assert_array_equal(lm.seq_out.w.data, fresh.seq_out.w.data)
+        return losses, lm.parameters()
+
+    got_losses, got = run(optim.Adam)
+    want_losses, want = run(LoopAdam)
+    assert got_losses == want_losses
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_array_equal(got[name].data, want[name].data, err_msg=name)
