@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 arrays.
 
 A Tensor wraps a numpy array and records the op that produced it; calling
 ``backward`` on a scalar loss walks the recorded graph in reverse
@@ -6,10 +6,21 @@ topological order and accumulates gradients into every reachable tensor
 with ``requires_grad=True``. The graph is rebuilt on every forward pass
 and freed after backward.
 
+Precision: every Tensor holds an array of the one compute dtype, float32,
+as in mixed-precision training (Micikevicius et al. 2018): the graph
+computes in float32, while geometry (Kabsch, RMSD, TM-score) and other
+reference checks stay in float64 outside it. `precision(dtype)` sets the
+dtype for the code inside it, as `no_grad` sets graph recording; it is the
+only place the dtype changes. The finite-difference gradient suite runs
+under `precision(np.float64)`. Parameters, their gradients and every op
+output share the dtype, and constants that modules build for the graph
+are made in it (`compute_dtype()`), so no op computes in float64.
+
 Every primitive validates that its output is finite and raises
 NonFiniteValue otherwise, naming the op and the output shape, so training
 loops fail at the op that produced the bad value rather than many steps
-later.
+later. That covers float32 overflow, which comes far sooner than float64's
+(`exp` overflows at 88, not 709; a product overflows past 3.4e38).
 
 Besides elementwise, reduction, shape and normalization primitives, the
 module has fused primitives with hand-written backward passes: `linear`
@@ -40,6 +51,26 @@ from .errors import DetachedLoss, NonFiniteValue, NotScalar, ShapeMismatch
 LAYERNORM_EPS = 1e-5
 
 _grad_enabled = True
+_dtype = np.float32
+
+
+def compute_dtype():
+    """The dtype every Tensor holds: float32 unless `precision` says otherwise."""
+    return _dtype
+
+
+@contextlib.contextmanager
+def precision(dtype):
+    """Compute in `dtype` inside the block and restore the previous dtype on
+    exit, also on an exception. Tensors made inside hold `dtype` arrays;
+    tensors made before keep theirs, so build the parameters inside too."""
+    global _dtype
+    prev = _dtype
+    _dtype = np.dtype(dtype).type
+    try:
+        yield
+    finally:
+        _dtype = prev
 
 
 @contextlib.contextmanager
@@ -76,7 +107,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=_dtype)
         _check_finite(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -404,7 +435,7 @@ def cos(a):
 def sign_ste(a):
     """sign with sign(0)=+1; straight-through identity gradient."""
     a = as_tensor(a)
-    out = np.where(a.data >= 0.0, 1.0, -1.0)
+    out = np.where(a.data >= 0.0, 1.0, -1.0).astype(a.data.dtype)
 
     def bw(g):
         a._accum(g)
@@ -500,7 +531,8 @@ def take(a, idx):
 
     def bw(g):
         pos = gather(np.arange(a.size).reshape(a.shape))
-        a._accum(np.bincount(pos.ravel(), weights=g.ravel(), minlength=a.size).reshape(a.shape))
+        summed = np.bincount(pos.ravel(), weights=g.ravel(), minlength=a.size)  # always float64
+        a._accum(summed.astype(g.dtype, copy=False).reshape(a.shape))
 
     return _make(out, (a,), bw)
 
@@ -651,6 +683,7 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
         planes = a.size // diff.size  # the leading axes times the heads
         bins = np.arange(planes).reshape(-1, 1, 1) * block + cells
         per_bin = np.bincount(bins.ravel(), weights=a.ravel(), minlength=planes * block)
+        per_bin = per_bin.astype(a.dtype, copy=False)  # bincount always returns float64
         per_bin = per_bin.reshape(a.shape[:-1] + (n_bins,))  # (..., H, Lq, R)
         tv = np.swapaxes(table.data, 0, 1)  # (H, R, d_v)
         out += per_bin @ tv
@@ -816,7 +849,10 @@ class Module:
 
 
 def param(rng, *shape, scale=None):
-    """Gaussian-initialized trainable tensor; fan-in scaling by default."""
+    """Gaussian-initialized trainable tensor; fan-in scaling by default.
+
+    The values are drawn in float64 and cast to the compute dtype, so the
+    init stream of `rng` does not depend on the dtype."""
     if scale is None:
         fan_in = shape[0] if len(shape) > 1 else max(shape[0], 1)
         scale = 1.0 / np.sqrt(fan_in)
@@ -824,7 +860,7 @@ def param(rng, *shape, scale=None):
 
 
 def zeros_param(*shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
+    return Tensor(np.zeros(shape, dtype=_dtype), requires_grad=True)
 
 
 class Linear(Module):
@@ -843,7 +879,7 @@ class LayerNorm(Module):
     """`layernorm` over the last axis with a learnable scale and shift."""
 
     def __init__(self, d):
-        self.gamma = Tensor(np.ones(d), requires_grad=True)
+        self.gamma = Tensor(np.ones(d, dtype=_dtype), requires_grad=True)
         self.beta = zeros_param(d)
 
     def __call__(self, x):

@@ -6,6 +6,11 @@ parameter count u32, then per-parameter records {u32 name length, name,
 u32 rank, u32 dims..., float64 payload}. Loading returns the config echo
 as stored; the caller scopes the check of it to the keys of the component
 it loads (`config.check_architecture`).
+
+Parameters compute in float32, and every float32 value converts to float64
+exactly, so the payload holds them without loss and files written by
+float64 builds stay valid. Restoring casts each stored array to its
+parameter's dtype and refuses a finite value that overflows it.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class _Reader:
 
 
 def save_checkpoint(path, params, config_text, step=0, rng_state=None):
-    """Write named f64 tensors plus config/step/rng-state echoes.
+    """Write named tensors as f64 plus config/step/rng-state echoes.
 
     `params` maps name -> Tensor (or ndarray)."""
     chunks = [MAGIC, struct.pack("<I", VERSION), _pack_str(config_text),
@@ -90,8 +95,9 @@ def load_checkpoint(path):
 
 
 def restore_parameters(module, tensors, prefix=""):
-    """Copy stored arrays into a Module's parameters in place; names must
-    match exactly."""
+    """Copy stored arrays into a Module's parameters in place, cast to each
+    parameter's dtype; names must match exactly, and a finite stored value
+    that overflows the dtype is refused with the parameter's name."""
     params = module.parameters(prefix=prefix)
     missing = set(params) - set(tensors)
     extra = set(tensors) - set(params)
@@ -103,4 +109,10 @@ def restore_parameters(module, tensors, prefix=""):
         stored = tensors[name]
         if stored.shape != tensor.data.shape:
             raise InvalidConfig(f"{name}: shape {stored.shape} vs {tensor.data.shape}")
-        tensor.data[...] = stored
+        with np.errstate(over="ignore"):
+            cast = stored.astype(tensor.data.dtype)
+        overflow = np.isfinite(stored) & ~np.isfinite(cast)
+        if overflow.any():
+            raise InvalidConfig(f"{name}: stored value {stored[overflow][0]:g} overflows "
+                                f"{tensor.data.dtype}")
+        tensor.data[...] = cast

@@ -278,7 +278,7 @@ class ProteinLM(Module):
         length = len(state)
         if self.head == "bit":
             emb = self.struct_in(Tensor(state.struct_bits))
-            gate = (~state.mask_struct).astype(np.float64)[:, None]
+            gate = (~state.mask_struct).astype(ad.compute_dtype())[:, None]
             absorbed = ad.reshape(self.absorbing, (1, -1)) * (1.0 - gate)
             return emb * gate + absorbed
         return self.struct_embed[state.struct_index_view()]

@@ -7,6 +7,10 @@ attention with fewer queries than keys, triangle operations, SeqStruct
 attention) or of one fused primitive (`linear`, modulated `layernorm`,
 `pad`) and compares backpropagated gradients against central finite
 differences.
+
+Every case is built and checked under `autodiff.precision(np.float64)`:
+central differences at step 1e-5 need float64 to resolve the 1e-4
+tolerance, while training computes in float32.
 """
 
 from __future__ import annotations
@@ -292,11 +296,12 @@ SUITE = {
 
 
 def run_grad_suite(seeds=(0, 1, 2), tol=1e-4):
-    """[(name@seed, GradCheckReport)] for every loss and seed."""
+    """[(name@seed, GradCheckReport)] for every loss and seed, in float64."""
     reports = []
-    for name, builder in SUITE.items():
-        for seed in seeds:
-            fn, params = builder(seed)
-            report = ad.grad_check(fn, params, seed=seed, tol=tol)
-            reports.append((f"{name}@{seed}", report))
+    with ad.precision(np.float64):
+        for name, builder in SUITE.items():
+            for seed in seeds:
+                fn, params = builder(seed)
+                report = ad.grad_check(fn, params, seed=seed, tol=tol)
+                reports.append((f"{name}@{seed}", report))
     return reports

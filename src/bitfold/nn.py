@@ -144,7 +144,8 @@ class MultiHeadAttention(Module):
 
 
 def sinusoidal_embedding(positions, dim):
-    """Constant sinusoidal embedding of integer positions, shape (L, dim)."""
+    """Constant sinusoidal embedding of integer positions, shape (L, dim),
+    computed in float64 and returned in the autodiff compute dtype."""
     positions = np.asarray(positions, dtype=np.float64)
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
@@ -152,5 +153,5 @@ def sinusoidal_embedding(positions, dim):
     emb = np.concatenate([np.sin(args), np.cos(args)], axis=1)
     if emb.shape[1] < dim:
         emb = np.concatenate([emb, np.zeros((len(positions), dim - emb.shape[1]))], axis=1)
-    return emb
+    return emb.astype(ad.compute_dtype())
 

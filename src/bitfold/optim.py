@@ -36,6 +36,10 @@ class Adam:
     same order, so every value is bit-identical to updating the arrays one
     by one. A parameter whose `grad` is None keeps its slices of data, `m`
     and `v` untouched.
+
+    The buffers and the scratch hold the parameters' dtype (the autodiff
+    compute dtype, float32 unless set by `autodiff.precision`), so the
+    update never computes in a wider type than the parameters.
     """
 
     def __init__(self, params):
@@ -44,13 +48,14 @@ class Adam:
         for p in dict(params).values():
             self.slots.append((p, size))
             size += p.data.size
-        self.data = np.empty(size)
+        self.dtype = np.result_type(*(p.data for p, _ in self.slots))
+        self.data = np.empty(size, dtype=self.dtype)
         for p, lo in self.slots:
             view = self.data[lo:lo + p.data.size].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(size, dtype=self.dtype)
+        self.v = np.zeros(size, dtype=self.dtype)
         self.t = 0
 
     def step(self, lr):
@@ -58,7 +63,7 @@ class Adam:
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
         # allocated per step: kept on the optimizer, the 384 KiB of scratch showed in peak RSS
-        scratch_g, scratch_1, scratch_2 = np.empty((3, CHUNK))
+        scratch_g, scratch_1, scratch_2 = np.empty((3, CHUNK), dtype=self.dtype)
 
         def update(start, n):
             """Adam on buffer slice [start, start + n) with the first n gathered gradients."""

@@ -37,7 +37,7 @@ def ensemble_hidden(hidden_layers, layer_logits):
 def repa_loss(hidden_layers, head: RepaHead, targets, eps=1e-8):
     """Negative mean cosine similarity between projected ensembled hidden
     states and fixed target rows. In [-1, 1]."""
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=ad.compute_dtype())
     proj = head.projector(ensemble_hidden(hidden_layers, head.layer_logits))
     t_norm = np.linalg.norm(targets, axis=1)
     p_norm = ad.sqrt((proj * proj).sum(axis=1) + eps * eps)

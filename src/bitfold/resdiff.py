@@ -82,8 +82,7 @@ def residual(z_cont, z_quant):
 
 def condition(z_quant, hidden_layers, head: ResDiffHead):
     """Per-residue conditioning c = z_quant @ W_quant + sum_i softmax(w)_i h_i."""
-    z_quant = z_quant if isinstance(z_quant, Tensor) else Tensor(np.asarray(z_quant, dtype=np.float64))
-    return head.cond_proj(z_quant) + ensemble_hidden(hidden_layers, head.layer_logits)
+    return head.cond_proj(ad.as_tensor(z_quant)) + ensemble_hidden(hidden_layers, head.layer_logits)
 
 
 def resdiff_loss(r, t, cond, head: ResDiffHead, rng):

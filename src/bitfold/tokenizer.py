@@ -252,15 +252,18 @@ def reconstruction_loss(pred_coords, target: geo.BackboneStructure, dist_weight=
     rotation computed outside the autodiff graph; since that rotation is
     the minimizer over rigid moves, treating it as a constant gives the
     exact gradient of the aligned loss. Proper rotations only, so
-    mirror-image reconstructions remain expensive."""
+    mirror-image reconstructions remain expensive. The superposition runs
+    in float64; the aligned target and its distance matrix enter the graph
+    in the compute dtype."""
     pred_ca_data = pred_coords.data[:, 1, :]
     try:
         res = geo.kabsch_points(target.ca(), pred_ca_data)
         aligned = target.coords @ res.rotation.T + res.translation
     except DegenerateInput:
         aligned = target.coords - target.ca().mean(axis=0) + pred_ca_data.mean(axis=0)
-    coord_term = ((pred_coords - aligned) ** 2).mean()
-    d_true = kernels.pdist(target.ca(), 1e-8)
+    dtype = ad.compute_dtype()
+    coord_term = ((pred_coords - aligned.astype(dtype)) ** 2).mean()
+    d_true = kernels.pdist(target.ca(), 1e-8).astype(dtype)
     dist_term = ((ad.pair_dist(pred_coords[:, 1, :]) - d_true) ** 2).mean()
     return coord_term + dist_weight * dist_term
 

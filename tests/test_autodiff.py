@@ -19,6 +19,7 @@ def test_softmax_symmetry():
     np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
 
+@pytest.mark.usefixtures("float64")
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     out = ad.softmax(ad.Tensor(rng.normal(size=(5, 7)) * 10))
@@ -30,6 +31,7 @@ def test_layernorm_constant_rows_map_to_zero():
     np.testing.assert_array_equal(out.data, np.zeros((3, 8)))
 
 
+@pytest.mark.usefixtures("float64")
 def test_layernorm_row_mean_tiny():
     rng = np.random.default_rng(1)
     out = ad.layernorm(ad.Tensor(rng.normal(size=(4, 16))), 1.0, 0.0)
@@ -50,6 +52,7 @@ def test_unreached_parameter_gets_no_grad():
     assert p.grad is None  # treated as zero by callers
 
 
+@pytest.mark.usefixtures("float64")
 def test_sigmoid_matches_formula_bit_for_bit():
     """The one-buffer sigmoid equals 1 / (1 + exp(-x)), saturated tails included."""
     tails = [-800.0, -710.0, -700.0, 700.0, 710.0, 800.0, 0.0]
@@ -92,6 +95,7 @@ def test_forward_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_check_quadratic_tight():
     rng = np.random.default_rng(3)
     w = ad.Tensor(rng.normal(size=(4,)), requires_grad=True)
@@ -99,6 +103,7 @@ def test_grad_check_quadratic_tight():
     assert report.max_rel_err < 1e-8
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grad_check_primitive_soup(seed):
     """Composite touching every primitive matches finite differences."""
@@ -139,6 +144,7 @@ def test_sign_ste_forward_and_gradient():
     np.testing.assert_array_equal(z.grad, [1.0, 2.0, 3.0])  # identity surrogate
 
 
+@pytest.mark.usefixtures("float64")
 def test_tri_contract_matches_einsum_both_backends():
     # The name predates the single numpy backend; the check is against plain einsum.
     rng = np.random.default_rng(4)
@@ -150,6 +156,7 @@ def test_tri_contract_matches_einsum_both_backends():
     np.testing.assert_allclose(ad.tri_contract(ad.Tensor(a), ad.Tensor(b), "incoming").data, want_in, atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_pair_dist_matches_direct():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(7, 3)) * 4
@@ -178,6 +185,7 @@ TAKE_CASES = [
 ]
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("shape,idx", TAKE_CASES)
 def test_take_backward_matches_add_at(shape, idx):
     rng = np.random.default_rng(7)
@@ -204,6 +212,7 @@ GATHER_CASES = [  # (shape, index, on the np.take fast path)
 ]
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("shape,idx,fast", GATHER_CASES)
 def test_take_fast_path_matches_fancy_indexing(monkeypatch, shape, idx, fast):
     """Full slices then one integer array go through `np.take` in both
@@ -224,6 +233,7 @@ def test_take_fast_path_matches_fancy_indexing(monkeypatch, shape, idx, fast):
     assert len(calls) == (2 if fast else 0)
 
 
+@pytest.mark.usefixtures("float64")
 def test_gradient_aliasing_one_leaf_both_add_operands():
     rng = np.random.default_rng(8)
     x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -233,6 +243,7 @@ def test_gradient_aliasing_one_leaf_both_add_operands():
     np.testing.assert_allclose(x.grad, 2.0 * c + 2.0 * x.data, atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_gradient_aliasing_shared_upstream():
     rng = np.random.default_rng(9)
     a = ad.Tensor(rng.normal(size=(4,)), requires_grad=True)
@@ -314,6 +325,7 @@ ATTENTION_CASES = [
 ]
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("shape,bias_shape,with_rel", ATTENTION_CASES)
 def test_attention_matches_op_chain(shape, bias_shape, with_rel):
     """`shape` is the head-major (..., H, L, d) shape; q, k and v are packed."""
@@ -379,6 +391,7 @@ def test_attention_fewer_queries_match_leading_rows():
             np.testing.assert_allclose(g, w, atol=1e-12, rtol=0)
 
 
+@pytest.mark.usefixtures("float64")
 def test_attention_nonfinite_logits_raise():
     rng = np.random.default_rng(12)
     q = ad.Tensor(np.full((4, 6), 1e200))
@@ -469,6 +482,7 @@ def test_linear_shape_mismatch(x_shape, w_shape):
         ad.linear(ad.Tensor(np.ones(x_shape)), ad.Tensor(np.ones(w_shape)), ad.Tensor(np.zeros(2)))
 
 
+@pytest.mark.usefixtures("float64")
 def test_linear_and_layernorm_nonfinite_raise():
     big = ad.Tensor(np.full((2, 3), 1e200))
     with pytest.raises(NonFiniteValue, match=r"linear, output shape \(2, 4\)"):
@@ -484,3 +498,35 @@ def test_linear_and_layernorm_modules_record_one_node():
     lin, norm = ad.Linear(rng, 4, 5), ad.LayerNorm(4)
     assert lin(x)._parents == (x, lin.w, lin.b)
     assert norm(x)._parents == (x, norm.gamma, norm.beta)
+
+
+# -- the compute dtype ----------------------------------------------------------
+
+def test_precision_restores_the_dtype_on_exit_and_on_error():
+    assert ad.compute_dtype() is np.float32
+    with ad.precision(np.float64):
+        assert ad.Tensor([1.0]).data.dtype == np.float64
+        with ad.precision(np.float32):
+            assert ad.Tensor([1.0]).data.dtype == np.float32
+        assert ad.compute_dtype() is np.float64
+    assert ad.compute_dtype() is np.float32
+    with pytest.raises(ShapeMismatch):
+        with ad.precision(np.float64):
+            ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
+    assert ad.compute_dtype() is np.float32
+    assert ad.Tensor([1.0]).data.dtype == np.float32
+
+
+def test_sigmoid_is_finite_in_float32():
+    """exp overflows float32 at 88, not 709: the saturated tails stay 0 and 1."""
+    with np.errstate(over="ignore"):
+        out = ad.sigmoid(ad.Tensor([-100.0, 100.0])).data
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out, [0.0, 1.0])
+
+
+def test_linear_float32_overflow_names_the_op():
+    """1e20 fits float32, but a product of two does not."""
+    big = ad.Tensor(np.full((2, 3), 1e20))
+    with pytest.raises(NonFiniteValue, match=r"linear, output shape \(2, 4\)"):
+        ad.linear(big, ad.Tensor(np.full((3, 4), 1e20)), ad.Tensor(np.zeros(4)))

@@ -37,6 +37,7 @@ def test_save_load_restore_is_bit_exact(saved):
     original = module.parameters()
     assert sorted(fresh.parameters()) == sorted(original)
     for name, tensor in fresh.parameters().items():
+        assert tensor.data.dtype == np.float32, name
         assert tensor.data.tobytes() == original[name].data.tobytes(), name
 
 
@@ -92,5 +93,20 @@ def test_load_names_the_checkpoint_on_a_parameter_mismatch(tmp_path):
     params["blocks.0.attn.k.b"] = np.zeros(cfg.d_model)  # the key bias the LM no longer has
     ckpt.save_checkpoint(path, params, format_config(cfg))
     with pytest.raises(InvalidConfig, match=r"extra \['blocks\.0\.attn\.k\.b'\]") as info:
+        cli.load_lm(str(path), cfg)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_load_refuses_a_value_beyond_float32_by_name(tmp_path):
+    """1e39 is finite in the float64 payload but overflows a float32
+    parameter: the error names the file and the parameter."""
+    path = tmp_path / "big.ckpt"
+    cfg = ModelConfig()
+    lm = training.build_lm(cfg)
+    params = {name: t.data.astype(np.float64) for name, t in lm.parameters().items()}
+    params["final_norm.gamma"][3] = 1e39
+    ckpt.save_checkpoint(path, params, format_config(cfg))
+    with pytest.raises(InvalidConfig, match=r"final_norm\.gamma: stored value 1e\+39 overflows "
+                                            r"float32") as info:
         cli.load_lm(str(path), cfg)
     assert str(info.value).startswith(f"{path}: ")

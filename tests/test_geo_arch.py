@@ -121,6 +121,7 @@ def _perm_pair(pair, perm):
     return pair[perm][:, perm]
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("builder", [
     lambda rng: ga.TriangleUpdate(rng, 6, 5, "outgoing"),
     lambda rng: ga.TriangleUpdate(rng, 6, 5, "incoming"),
@@ -251,6 +252,7 @@ def _gather_concat_pair_init(pair_init, h):
     return ad.reshape(pair_init.mlp(ad.concat([rows, cols], axis=1)), (length, length, -1))
 
 
+@pytest.mark.usefixtures("float64")
 def test_init_pair_matches_gather_concat_reference():
     """The split first layer is exact algebra: forward and every gradient
     agree with the gather-concat form to rounding, under the same names."""
@@ -460,6 +462,7 @@ def test_last_block_drops_unread_sequence_rows(monkeypatch, config, n_blocks):
     assert masked.seq_logits.shape == (length, 20)
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("config", sorted(STRUCT_ONLY_CONFIGS))
 def test_struct_only_step_gradients_match_full_path(config):
     """A struct-only training step's gradients do not depend on whether the
@@ -553,7 +556,8 @@ def test_triangle_update_zero_values_zero_delta():
 # -- model-level properties ----------------------------------------------------
 
 # sha256 over the name, shape and bytes of each parameter of `build_lm` at
-# seed 7, in build order: any change to the init draws or their order shows.
+# seed 7 in float64, in build order: any change to the init draws or their
+# order shows.
 LM_DIGESTS = {
     "plain": "826c3d94f7319865a55bfc0d7a5db8dfb9feebd33016fd756213e4f4d3ee3bde",
     "full-geo": "cb64e9b47c3156382ef2e335972a268cf588619854f71d30fcfc48b4d71893ff",
@@ -563,13 +567,21 @@ LM_DIGESTS = {
 
 @pytest.mark.parametrize("config", sorted(LM_DIGESTS))
 def test_built_lm_parameters_are_pinned(config):
+    """The float32 build draws the pinned float64 values and rounds them."""
     flags = {**STRUCT_ONLY_CONFIGS, "index": {"head": "index"}}[config]
+    with ad.precision(np.float64):
+        wide = training.build_lm(ModelConfig(seed=7, **flags)).parameters()
     digest = hashlib.sha256()
-    for name, tensor in training.build_lm(ModelConfig(seed=7, **flags)).parameters().items():
+    for name, tensor in wide.items():
         digest.update(name.encode())
         digest.update(str(tensor.shape).encode())
         digest.update(tensor.data.tobytes())
     assert digest.hexdigest() == LM_DIGESTS[config]
+    narrow = training.build_lm(ModelConfig(seed=7, **flags)).parameters()
+    assert list(narrow) == list(wide)
+    for name, tensor in narrow.items():
+        assert tensor.data.dtype == np.float32, name
+        np.testing.assert_array_equal(tensor.data, wide[name].data.astype(np.float32), err_msg=name)
 
 
 def test_parameter_count_ordering():

@@ -94,6 +94,7 @@ def _autodiff_backbone_dihedrals(coords, chain_ids):
     return ad.concat([ad.reshape(c, (-1, 1)) for c in cols], axis=1).data
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("chains", [1, 2])
 def test_dihedral_features_match_autodiff_reference(chains):
     for seed in range(4):
@@ -152,6 +153,7 @@ def test_lfq_straight_through_gradient():
     np.testing.assert_array_equal(z.grad, [[2.0, 3.0]])  # identity surrogate
 
 
+@pytest.mark.usefixtures("float64")
 def test_decode_centered_on_ca_centroid():
     params = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=32, blocks=1), seed=0)
     bits = tok.index_to_bits(np.arange(6) % 16, 4)
@@ -167,6 +169,7 @@ def test_decode_rejects_positional_terms_of_another_length():
         tok.decode(bits, params, params.decoder.positional(5))
 
 
+@pytest.mark.usefixtures("float64")
 def test_reconstruction_loss_zero_on_rigid_copy():
     rng = np.random.default_rng(2)
     s = make_structure(2)
@@ -234,6 +237,7 @@ def _two_call_tokenizer_loss(params, structure, feats):
     )
 
 
+@pytest.mark.usefixtures("float64")
 def test_tokenizer_loss_gradients_match_two_decoder_calls():
     """The loss is bit-equal; the gradients differ only in the order the
     batch's contributions are summed (biases, LayerNorm scales, position

@@ -313,7 +313,8 @@ class LoopAdam:
 def test_adam_steps_like_the_per_array_loop(monkeypatch, chunk):
     """Parameters become views of the buffer; a step skips exactly the
     parameters without a gradient, whose data and moments stay as they were.
-    Chunks of 5 and 12 scalars end inside parameters and on their ends."""
+    Chunks of 5 and 12 scalars end inside parameters and on their ends.
+    Both run in the compute dtype, float32, on float32 gradients."""
     monkeypatch.setattr(optim, "CHUNK", chunk)
     rng = np.random.default_rng(0)
     shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 2)}
@@ -321,10 +322,11 @@ def test_adam_steps_like_the_per_array_loop(monkeypatch, chunk):
     got = {k: Tensor(x.copy(), requires_grad=True) for k, x in init.items()}
     want = {k: Tensor(x.copy(), requires_grad=True) for k, x in init.items()}
     opt, ref = optim.Adam(got), LoopAdam(want)
+    assert opt.data.dtype == opt.m.dtype == opt.v.dtype == np.float32
     for k in got:
         assert np.shares_memory(got[k].data, opt.data)
     for step, with_grad in enumerate(("abc", "ac", "b", "", "bc")):
-        grads = {k: rng.normal(size=shapes[k]) for k in with_grad}
+        grads = {k: rng.normal(size=shapes[k]).astype(np.float32) for k in with_grad}
         for params in (got, want):
             for k, p in params.items():
                 p.grad = grads[k].copy() if k in grads else None
@@ -377,3 +379,46 @@ def test_whole_buffer_adam_matches_per_array_loop(pairs, tok_params, monkeypatch
     assert got.keys() == want.keys()
     for name in want:
         np.testing.assert_array_equal(got[name].data, want[name].data, err_msg=name)
+
+
+# -- the compute dtype ----------------------------------------------------------
+
+def test_no_op_computes_in_float64(pairs, tok_params, monkeypatch):
+    """Two steps of every trainer and one fold: every op output and every
+    gradient is float32, so nothing in the graph is promoted to float64."""
+    wide = set()
+    make, accum = ad._make, ad.Tensor._accum
+
+    def checked_make(data, parents, backward):
+        dtype = np.asarray(data).dtype
+        if dtype != np.float32:
+            wide.add(f"{backward.__qualname__.split('.')[0]} output {dtype}")
+        return make(data, parents, backward)
+
+    def checked_accum(tensor, g):
+        if g.dtype != np.float32:
+            wide.add(f"gradient {g.dtype} of shape {tensor.shape}")
+        return accum(tensor, g)
+
+    monkeypatch.setattr(ad, "_make", checked_make)
+    monkeypatch.setattr(ad.Tensor, "_accum", checked_accum)
+    lm = training.build_lm(small_cfg(steps=2))
+    training.train_lm(lm, tok_params, pairs, small_cfg(steps=2))
+    cfg = small_cfg(steps=2, repa_enabled=True, **GEO_FLAGS)
+    training.train_lm(training.build_lm(cfg), tok_params, pairs, cfg)
+    tok.train_tokenizer([s for s, _ in pairs], tok.TokenizerConfig(width=16, blocks=1, heads=2),
+                        seed=0, steps=2)
+    hybrid_fm.fm_finetune(hybrid_fm.HybridModels(tokenizer=tok_params, lm=lm), pairs, steps=2,
+                          peak=1e-4, warmup=1, floor=1e-5)
+    samples = []
+    for structure, seq in pairs:
+        with ad.no_grad():
+            z = tok.encode(structure, tok_params).data
+            bits = np.where(z >= 0.0, 1.0, -1.0)
+            hidden = [h.data for h in lm.forward(dfn.TokenState.observed(seq, bits)).hidden_layers]
+        samples.append((rd.residual(z, bits), bits, hidden))
+    head = rd.ResDiffHead(k=8, d_hidden=8, n_layers=1, d_lm=16, n_lm_layers=1, t_r=4)
+    rd.train_resdiff(samples, head, steps=2, peak=1e-4, warmup=1, floor=1e-5)
+    _, seq = pairs[0]
+    dfn.generate(lm, len(seq), mode="folding", steps=4, rng=np.random.default_rng(0), seq=seq)
+    assert sorted(wide) == []
