@@ -8,6 +8,11 @@ train-lm takes its seed and step count from the config's `seed` and
 `steps`, which --seed and --steps override when given. Exit code 2 on
 usage errors, 1 on runtime failures.
 
+Each training subcommand loads its inputs, makes one library call and
+saves the result: `tokenizer.train_tokenizer`, `training.train_lm`,
+`hybrid_fm.fm_finetune`, or `resdiff.train_resdiff`, which builds the
+head's inputs from the dataset, the tokenizer and the LM itself.
+
 A command that loads a checkpoint must repeat that component's config keys
 (`config.COMPONENT_KEYS`), and only those: an LM trained with
 `--set pair_bias=true` is sampled with `--set pair_bias=true`, while its
@@ -199,18 +204,8 @@ def cmd_train_resdiff(args):
     tokenizer_params = load_tokenizer(args.tokenizer, cfg)
     lm = load_lm(args.ckpt, cfg)
     head = _resdiff_head(cfg, args.seed)
-    samples = []
-    for structure, seq in dataset:
-        with ad.no_grad():
-            z = tok.encode(structure, tokenizer_params)
-        bits = np.where(z.data >= 0.0, 1.0, -1.0)
-        state = dfn.TokenState.observed(seq, bits)
-        with ad.no_grad():
-            out = lm.forward(state)
-        hidden = [h.data for h in out.hidden_layers]
-        samples.append((rd.residual(z.data, bits), bits, hidden))
     rd.train_resdiff(
-        samples, head, steps=args.steps, seed=args.seed,
+        head, lm, tokenizer_params, dataset, steps=args.steps, seed=args.seed,
         peak=cfg.lr_peak, warmup=cfg.warmup, floor=cfg.lr_floor, log_every=args.log_every,
     )
     _save_model(args.out, head, cfg, step=args.steps)

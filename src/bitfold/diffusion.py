@@ -214,7 +214,7 @@ class Prediction:
     conf_struct: np.ndarray
 
 
-def sample_prediction(output: LMOutput, xt: TokenState, temperature, rng, greedy=False):
+def sample_prediction(output: LMOutput, xt: TokenState, temperature, rng):
     """Draw a full x0 candidate at masked positions from the model output."""
     length = len(xt)
     state = xt.copy()
@@ -225,7 +225,7 @@ def sample_prediction(output: LMOutput, xt: TokenState, temperature, rng, greedy
     if len(seq_masked):
         seq_p = _temperature_softmax(output.seq_logits.data, temperature)
     for i in seq_masked:
-        choice = int(np.argmax(seq_p[i])) if greedy else int(rng.choice(N_AA, p=seq_p[i]))
+        choice = int(rng.choice(N_AA, p=seq_p[i]))
         state.seq[i] = choice
         conf_seq[i] = seq_p[i, choice]
     conf_struct = np.zeros(length)
@@ -236,16 +236,13 @@ def sample_prediction(output: LMOutput, xt: TokenState, temperature, rng, greedy
         idx = np.flatnonzero(xt.mask_struct)
         p_one = probs[idx, :, 1]  # (n, K)
         # one (n, K) draw takes the same numbers as n draws of K
-        ones = (p_one >= 0.5) if greedy else (rng.random(p_one.shape) < p_one)
+        ones = rng.random(p_one.shape) < p_one
         state.struct_bits[idx] = np.where(ones, 1.0, -1.0)
         conf_struct[idx] = np.prod(np.where(ones, p_one, 1.0 - p_one), axis=1)
     else:
         probs = _temperature_softmax(output.struct_logits.data, temperature)
         for i in np.flatnonzero(xt.mask_struct):
-            if greedy:
-                choice = int(np.argmax(probs[i]))
-            else:
-                choice = int(rng.choice(probs.shape[1], p=probs[i]))
+            choice = int(rng.choice(probs.shape[1], p=probs[i]))
             state.struct_bits[i] = index_to_bits(np.array([choice]), xt.k)[0]
             conf_struct[i] = probs[i, choice]
     return Prediction(state=state, conf_seq=conf_seq, conf_struct=conf_struct)
@@ -261,7 +258,7 @@ def _temperature_softmax(logits, temperature):
 # -- generation --------------------------------------------------------------
 
 def generate(model, length, mode="unconditional", steps=25, strategy="stochastic",
-             temperature=1.0, rng=None, seq=None, struct_bits=None):
+             temperature=1.0, *, rng, seq=None, struct_bits=None):
     """Iterative mask-predict generation.
 
     mode: 'unconditional' | 'folding' (seq of `length` tokens given, struct
@@ -273,7 +270,6 @@ def generate(model, length, mode="unconditional", steps=25, strategy="stochastic
     read only when the state masks some sequence position, and may be None
     otherwise, as in folding. `steps` is in [1, T].
     """
-    rng = np.random.default_rng() if rng is None else rng
     schedule = model.schedule
     if not 1 <= steps <= schedule.T:
         raise BadT(f"steps={steps} outside [1, T={schedule.T}]")

@@ -1,5 +1,5 @@
-"""Metrics and experiment harness: token accuracies, folding evaluation,
-and cluster-based diversity, reported as CSV / text / optional SVG.
+"""Metrics: token accuracies, folding evaluation, and cluster-based
+diversity, reported as CSV / text.
 
 bit accuracy >= index accuracy holds by construction: a correct index
 implies all of its bits are correct, never the converse.
@@ -16,13 +16,12 @@ import numpy as np
 from . import autodiff as ad
 from . import diffusion as dfn
 from . import geometry as geo
+from . import resdiff as rd
 from . import tokenizer as tok
 from .errors import LengthMismatch
 
 CSV_HEADER = "id,rmsd,tm,bit_acc,index_acc"
 DIVERSITY_TM_THRESHOLD = 0.5
-DIVERSITY_N_SAMPLES = 40
-DIVERSITY_LENGTHS = (60, 100, 160)
 
 
 def token_accuracy(pred, truth):
@@ -86,12 +85,8 @@ def folding_eval(lm, tokenizer_params, dataset, steps=25, seed=0, resdiff_head=N
         acc = token_accuracy(pred_bits, true_bits)
         decode_bits = pred_bits
         if resdiff_head is not None:
-            from . import resdiff as rd
-
             with ad.no_grad():
-                lm_out = lm.forward(out)
-                hidden = [h.data for h in lm_out.hidden_layers]
-                cond = rd.condition(pred_bits, hidden, resdiff_head)
+                cond = rd.condition(pred_bits, rd.lm_hidden(lm, out), resdiff_head)
             decode_bits = pred_bits + rd.resdiff_sample(cond.data, resdiff_head, rng)
         with ad.no_grad():
             coords = tok.decode(ad.Tensor(decode_bits), tokenizer_params).data
@@ -107,12 +102,12 @@ def folding_eval(lm, tokenizer_params, dataset, steps=25, seed=0, resdiff_head=N
     return report
 
 
-def diversity(samples, tm_threshold=DIVERSITY_TM_THRESHOLD):
+def diversity(samples):
     """Normalized cluster count in (0, 1] via greedy leader clustering.
 
     Samples are scanned in order; each joins the first cluster whose
-    representative scores tm >= threshold against it, else founds a new
-    cluster. Returns n_clusters / n_samples.
+    representative scores tm >= DIVERSITY_TM_THRESHOLD against it, else
+    founds a new cluster. Returns n_clusters / n_samples.
     """
     if not samples:
         raise ValueError("need at least one sample")
@@ -123,36 +118,9 @@ def diversity(samples, tm_threshold=DIVERSITY_TM_THRESHOLD):
     leaders = []
     for s in samples:
         for leader in leaders:
-            if geo.tm_score(s, leader) >= tm_threshold:
+            if geo.tm_score(s, leader) >= DIVERSITY_TM_THRESHOLD:
                 break
         else:
             leaders.append(s)
     return len(leaders) / len(samples)
 
-
-def svg_scatter(points, path=None, width=480, height=320, xlabel="seconds per sample",
-                ylabel="rmsd"):
-    """Minimal SVG scatter of (x, y, label) triples (speed vs RMSD)."""
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs) or 1.0
-    y_lo, y_hi = min(ys), max(ys) or 1.0
-    span_x = (x_hi - x_lo) or 1.0
-    span_y = (y_hi - y_lo) or 1.0
-    pad = 40
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{width // 2}" y="{height - 6}" text-anchor="middle" font-size="11">{xlabel}</text>',
-        f'<text x="12" y="{height // 2}" font-size="11" transform="rotate(-90 12 {height // 2})" text-anchor="middle">{ylabel}</text>',
-    ]
-    for x, y, label in points:
-        px = pad + (x - x_lo) / span_x * (width - 2 * pad)
-        py = height - pad - (y - y_lo) / span_y * (height - 2 * pad)
-        parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="4" fill="steelblue"/>')
-        parts.append(f'<text x="{px + 6:.1f}" y="{py - 6:.1f}" font-size="10">{label}</text>')
-    parts.append("</svg>")
-    text = "\n".join(parts)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

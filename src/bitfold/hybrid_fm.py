@@ -22,7 +22,6 @@ from .errors import HeadMismatch, TimeOrder
 from .optim import fit
 
 PRIOR_SIGMA = 10.0
-FM_STEPS_DEFAULT = 10
 
 
 @dataclass
@@ -38,15 +37,15 @@ def _centered(coords):
     return coords - coords[:, 1, :].mean(axis=0)
 
 
-def corrupt(x1: geo.BackboneStructure, t, rng, sigma=PRIOR_SIGMA, conditioning=None):
+def corrupt(x1: geo.BackboneStructure, t, rng):
     """x_t = t*x1 + (1-t)*x0 with x0 a centered Gaussian prior draw."""
     if not 0.0 <= t <= 1.0:
         raise TimeOrder(f"t must be in [0, 1], got {t}")
-    x0 = rng.normal(0.0, sigma, size=x1.coords.shape)
+    x0 = rng.normal(0.0, PRIOR_SIGMA, size=x1.coords.shape)
     x0 = _centered(x0)
     coords = t * _centered(x1.coords) + (1.0 - t) * x0
     structure = geo.BackboneStructure(coords, x1.chain_ids, x1.source_id)
-    return FlowState(structure=structure, t=float(t), conditioning=conditioning)
+    return FlowState(structure=structure, t=float(t))
 
 
 @dataclass
@@ -100,8 +99,7 @@ def euler_step(state: FlowState, x_hat: geo.BackboneStructure, s):
     return FlowState(structure=structure, t=float(s), conditioning=state.conditioning)
 
 
-def fm_generate(models, length, rng, conditioning=None, n_steps=FM_STEPS_DEFAULT,
-                denoiser=None):
+def fm_generate(models, length, rng, conditioning=None, *, n_steps, denoiser=None):
     """Euler-integrate the flow from the Gaussian prior at t=0 to t=1; the
     result is one chain of `length` residues.
 

@@ -28,11 +28,8 @@ REL_POS_CLIP = 32
 class MLP(Module):
     """Plain MLP with swish activations between layers."""
 
-    def __init__(self, rng, dims, zero_last=False):
-        self.layers = [
-            Linear(rng, dims[i], dims[i + 1], zero_init=(zero_last and i == len(dims) - 2))
-            for i in range(len(dims) - 1)
-        ]
+    def __init__(self, rng, dims):
+        self.layers = [Linear(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
 
     def __call__(self, x):
         for i, layer in enumerate(self.layers):

@@ -4,6 +4,10 @@ residuals r = z_cont - z_quant.
 The epsilon network is an MLP stack with adaptive-layernorm conditioning on
 (token projection + ensembled LM hidden states, sinusoidal timestep
 embedding). Strictly post-hoc: it never touches language-model parameters.
+`lm_hidden` gives those hidden states for a fully observed token state;
+`train_resdiff` calls it on each (structure, sequence) item with the bits
+of the frozen tokenizer encoder, and `evalsuite.folding_eval` on each
+generated state.
 """
 
 from __future__ import annotations
@@ -11,13 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from . import diffusion as dfn
 from . import nn
+from . import tokenizer as tok
 from .autodiff import Linear, Module, Tensor
-from .errors import BadT, ShapeMismatch
+from .errors import BadT
 from .optim import fit
 from .repa import ensemble_hidden
 
-T_R_DEFAULT = 100
 BETA_START = 1e-4
 BETA_END = 0.02
 
@@ -40,8 +45,7 @@ class ResDiffHead(Module):
     """fields: eps_net MLP stack with per-layer adaLN; cond_proj; ensemble
     logits over LM hidden layers; DDPM schedule (T_r, linear beta range)."""
 
-    def __init__(self, k, d_hidden=128, n_layers=4, d_lm=64, n_lm_layers=1,
-                 t_r=T_R_DEFAULT, seed=0):
+    def __init__(self, k, d_hidden, n_layers, d_lm, n_lm_layers, t_r, seed=0):
         if t_r < 2:
             raise BadT(f"T_r must be >= 2, got {t_r}")
         rng = np.random.default_rng(seed)
@@ -71,13 +75,12 @@ class ResDiffHead(Module):
         return self.out(x)
 
 
-def residual(z_cont, z_quant):
-    """Quantization residual r = z_cont - z_quant."""
-    a = z_cont.data if isinstance(z_cont, Tensor) else np.asarray(z_cont)
-    b = z_quant.data if isinstance(z_quant, Tensor) else np.asarray(z_quant)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
-    return a - b
+def lm_hidden(lm, state):
+    """The LM's per-layer (L, D) hidden states of the fully observed
+    `state`, from one forward without a graph: the hidden part of the
+    head's conditioning."""
+    with ad.no_grad():
+        return [h.data for h in lm.forward(state).hidden_layers]
 
 
 def condition(z_quant, hidden_layers, head: ResDiffHead):
@@ -116,18 +119,28 @@ def resdiff_sample(cond, head: ResDiffHead, rng):
     return r
 
 
-def train_resdiff(samples, head: ResDiffHead, steps, seed=0, *, peak, warmup, floor,
-                  log_every=0):
-    """Train the epsilon net on (residual, z_quant, hidden_layers) triples;
-    the conditioning vector is recomputed each step so its projection and
-    ensemble logits train too."""
+def train_resdiff(head: ResDiffHead, lm, tokenizer_params, dataset, steps, seed=0, *,
+                  peak, warmup, floor, log_every=0):
+    """Train the head on the (structure, sequence) pairs of `dataset`.
+
+    Each item is read once, before the first step: the frozen encoder's
+    continuous tokens z give the bits b = sign(z) and the residual z - b,
+    and `lm_hidden` of the observed (sequence, b) state gives the LM hidden
+    states. The conditioning vector is recomputed each step so its
+    projection and ensemble logits train too."""
+    items = []
+    for structure, seq in dataset:
+        with ad.no_grad():
+            z = tok.encode(structure, tokenizer_params).data
+        bits = np.where(z >= 0.0, 1.0, -1.0)
+        items.append((z - bits, bits, lm_hidden(lm, dfn.TokenState.observed(seq, bits))))
     rng = np.random.default_rng(seed)
 
     def step_loss(i):
-        r, z_quant, hidden_layers = samples[i]
-        cond = condition(z_quant, hidden_layers, head)
+        r, bits, hidden = items[i]
+        cond = condition(bits, hidden, head)
         return resdiff_loss(r, int(rng.integers(1, head.t_r + 1)), cond, head, rng), ""
 
-    fit(head.parameters(), samples, steps, rng, step_loss, "resdiff", peak, warmup, floor,
+    fit(head.parameters(), items, steps, rng, step_loss, "resdiff", peak, warmup, floor,
         log_every)
     return head

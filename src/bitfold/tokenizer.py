@@ -26,6 +26,7 @@ DIST_OFFSETS = (-4, -3, -2, -1, 1, 2, 3, 4)
 
 COMMIT_WEIGHT = 0.25
 ENTROPY_WEIGHT = 0.1
+DIST_WEIGHT = 0.25
 LR_PEAK = 1e-3
 LR_WARMUP = 100
 
@@ -245,7 +246,7 @@ def index_to_bits(indices, k):
 
 # -- reconstruction loss and training ----------------------------------------
 
-def reconstruction_loss(pred_coords, target: geo.BackboneStructure, dist_weight=0.25):
+def reconstruction_loss(pred_coords, target: geo.BackboneStructure):
     """Rigid-alignment coordinate MSE plus a CA distance-matrix term.
 
     The target is superposed onto the current prediction with a proper
@@ -265,7 +266,7 @@ def reconstruction_loss(pred_coords, target: geo.BackboneStructure, dist_weight=
     coord_term = ((pred_coords - aligned.astype(dtype)) ** 2).mean()
     d_true = kernels.pdist(target.ca(), 1e-8).astype(dtype)
     dist_term = ((ad.pair_dist(pred_coords[:, 1, :]) - d_true) ** 2).mean()
-    return coord_term + dist_weight * dist_term
+    return coord_term + DIST_WEIGHT * dist_term
 
 
 @dataclass

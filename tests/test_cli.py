@@ -17,7 +17,17 @@ from bitfold import resdiff as rd
 from bitfold import tokenizer as tok
 from bitfold.config import ModelConfig
 from bitfold.errors import ParseError
-from bitfold.experiments import DEFAULT_GRID
+
+# The paper's design path, one ModelConfig override set per row.
+DEFAULT_GRID = {
+    "0-baseline-index": {"head": "index"},
+    "1-bit": {"head": "bit"},
+    "2-geo-bit": {"head": "bit", "pair_bias": True},
+    "3-geo-bit-repa": {"head": "bit", "pair_bias": True, "repa_enabled": True},
+    "4-geo-bit-repa-sft": {
+        "head": "bit", "pair_bias": True, "repa_enabled": True, "folding_sft": True,
+    },
+}
 
 # Calls `cli.main` on each argv (a JSON list) in turn and prints the exit codes.
 # One child process runs the whole chain: training frees large arrays, which

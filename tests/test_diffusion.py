@@ -264,12 +264,13 @@ def test_sample_prediction_bit_confidence_is_product():
     xt = x0.copy()
     xt.mask_struct[:] = True
     logits = np.zeros((length, 2 * k))
-    logits[:, 1::2] = 5.0  # strongly favor bit = +1 everywhere
+    logits[:, 1::2] = 1.0  # favor bit = +1 everywhere, so the draws mix both signs
     out = dfn.LMOutput(Tensor(np.zeros((length, 20))), Tensor(logits), head="bit")
-    pred = dfn.sample_prediction(out, xt, 1.0, rng, greedy=True)
-    p_one = 1.0 / (1.0 + np.exp(-5.0))
-    np.testing.assert_array_equal(pred.state.struct_bits, np.ones((length, k)))
-    assert pred.conf_struct[0] == pytest.approx(p_one**k)
+    pred = dfn.sample_prediction(out, xt, 1.0, rng)
+    p_one = 1.0 / (1.0 + np.exp(-1.0))
+    drawn = np.where(pred.state.struct_bits > 0, p_one, 1.0 - p_one)
+    assert set(pred.state.struct_bits.ravel()) == {-1.0, 1.0}
+    assert pred.conf_struct == pytest.approx(drawn.prod(axis=1))
 
 
 class OracleModel:
@@ -365,8 +366,8 @@ def test_generate_rejects_given_track_of_other_length(mode):
     take the track's length while its masks keep `length`."""
     x0 = make_state(np.random.default_rng(23), length=5)
     with pytest.raises(ShapeMismatch, match="has 5 .* for length 6"):
-        dfn.generate(OracleModel(x0), 6, mode=mode, steps=5, seq=x0.seq,
-                     struct_bits=x0.struct_bits)
+        dfn.generate(OracleModel(x0), 6, mode=mode, steps=5, rng=np.random.default_rng(0),
+                     seq=x0.seq, struct_bits=x0.struct_bits)
 
 
 def test_generate_inverse_folding_preserves_struct():
@@ -380,7 +381,7 @@ def test_generate_inverse_folding_preserves_struct():
 
 # -- the per-position loops the vectorized sampler replaced, kept as reference --
 
-def _loop_sample_prediction(output, xt, temperature, rng, greedy=False):
+def _loop_sample_prediction(output, xt, temperature, rng):
     length = len(xt)
     state = xt.copy()
     state.mask_seq = np.zeros(length, dtype=bool)
@@ -388,14 +389,14 @@ def _loop_sample_prediction(output, xt, temperature, rng, greedy=False):
     seq_p = dfn._temperature_softmax(output.seq_logits.data, temperature)
     conf_seq = np.zeros(length)
     for i in np.flatnonzero(xt.mask_seq):
-        choice = int(np.argmax(seq_p[i])) if greedy else int(rng.choice(dfn.N_AA, p=seq_p[i]))
+        choice = int(rng.choice(dfn.N_AA, p=seq_p[i]))
         state.seq[i] = choice
         conf_seq[i] = seq_p[i, choice]
     conf_struct = np.zeros(length)
     probs = dfn._temperature_softmax(output.struct_logits.data.reshape(length, xt.k, 2), temperature)
     for i in np.flatnonzero(xt.mask_struct):
         p_one = probs[i, :, 1]
-        ones = (p_one >= 0.5) if greedy else (rng.random(xt.k) < p_one)
+        ones = rng.random(xt.k) < p_one
         state.struct_bits[i] = np.where(ones, 1.0, -1.0)
         conf_struct[i] = float(np.prod(np.where(ones, p_one, 1.0 - p_one)))
     return dfn.Prediction(state=state, conf_seq=conf_seq, conf_struct=conf_struct)

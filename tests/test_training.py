@@ -199,13 +199,57 @@ def test_fm_finetune_nonfinite_forward_raises(pairs, tok_params):
         hybrid_fm.fm_finetune(models, pairs, steps=2, peak=1e-4, warmup=2000, floor=1e-5)
 
 
-def test_train_resdiff_nonfinite_loss_raises():
-    rng = np.random.default_rng(0)
-    head = rd.ResDiffHead(k=4, d_hidden=8, n_layers=1, d_lm=6, n_lm_layers=1, t_r=4)
+def test_train_resdiff_nonfinite_loss_raises(pairs, tok_params):
+    head = rd.ResDiffHead(k=8, d_hidden=8, n_layers=1, d_lm=16, n_lm_layers=1, t_r=4)
     _poison(head)
-    samples = [(rng.normal(size=(5, 4)), np.ones((5, 4)), [rng.normal(size=(5, 6))])]
     with pytest.raises(NonFiniteLoss, match="resdiff loss at step 0"):
-        rd.train_resdiff(samples, head, steps=2, peak=1e-4, warmup=2000, floor=1e-5)
+        rd.train_resdiff(head, training.build_lm(small_cfg()), tok_params, pairs, steps=2,
+                         peak=1e-4, warmup=2000, floor=1e-5)
+
+
+# -- train_resdiff against the command-line loop it replaced ------------------
+
+def _cli_resdiff_triples(lm, tokenizer_params, dataset):
+    """(residual, bits, LM hidden states) per item, built as the
+    train-resdiff command once built them before training."""
+    samples = []
+    for structure, seq in dataset:
+        with ad.no_grad():
+            z = tok.encode(structure, tokenizer_params)
+        bits = np.where(z.data >= 0.0, 1.0, -1.0)
+        state = dfn.TokenState.observed(seq, bits)
+        with ad.no_grad():
+            out = lm.forward(state)
+        hidden = [h.data for h in out.hidden_layers]
+        samples.append((z.data - bits, bits, hidden))
+    return samples
+
+
+def _triples_train_resdiff(samples, head, steps, seed, *, peak, warmup, floor):
+    rng = np.random.default_rng(seed)
+
+    def step_loss(i):
+        r, z_quant, hidden_layers = samples[i]
+        cond = rd.condition(z_quant, hidden_layers, head)
+        return rd.resdiff_loss(r, int(rng.integers(1, head.t_r + 1)), cond, head, rng), ""
+
+    optim.fit(head.parameters(), samples, steps, rng, step_loss, "resdiff", peak, warmup, floor)
+
+
+def test_train_resdiff_matches_the_triples_loop(pairs, tok_params):
+    """The library trainer builds the same inputs as the command-line loop
+    and trains the head to the same bits."""
+    lm = training.build_lm(small_cfg(n_blocks=2))
+    heads = [rd.ResDiffHead(k=8, d_hidden=8, n_layers=2, d_lm=16, n_lm_layers=2, t_r=6, seed=1)
+             for _ in range(3)]
+    hyper = dict(peak=1e-2, warmup=1, floor=1e-5)
+    rd.train_resdiff(heads[0], lm, tok_params, pairs, 6, seed=4, **hyper)
+    _triples_train_resdiff(_cli_resdiff_triples(lm, tok_params, pairs), heads[1], 6, 4, **hyper)
+    got, want, fresh = (head.parameters() for head in heads)
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_array_equal(got[name].data, want[name].data, err_msg=name)
+    assert all(not np.array_equal(got[name].data, fresh[name].data) for name in got)
 
 
 # -- fit ------------------------------------------------------------------------
@@ -410,15 +454,8 @@ def test_no_op_computes_in_float64(pairs, tok_params, monkeypatch):
                         seed=0, steps=2)
     hybrid_fm.fm_finetune(hybrid_fm.HybridModels(tokenizer=tok_params, lm=lm), pairs, steps=2,
                           peak=1e-4, warmup=1, floor=1e-5)
-    samples = []
-    for structure, seq in pairs:
-        with ad.no_grad():
-            z = tok.encode(structure, tok_params).data
-            bits = np.where(z >= 0.0, 1.0, -1.0)
-            hidden = [h.data for h in lm.forward(dfn.TokenState.observed(seq, bits)).hidden_layers]
-        samples.append((rd.residual(z, bits), bits, hidden))
     head = rd.ResDiffHead(k=8, d_hidden=8, n_layers=1, d_lm=16, n_lm_layers=1, t_r=4)
-    rd.train_resdiff(samples, head, steps=2, peak=1e-4, warmup=1, floor=1e-5)
+    rd.train_resdiff(head, lm, tok_params, pairs, steps=2, peak=1e-4, warmup=1, floor=1e-5)
     _, seq = pairs[0]
     dfn.generate(lm, len(seq), mode="folding", steps=4, rng=np.random.default_rng(0), seq=seq)
     assert sorted(wide) == []
