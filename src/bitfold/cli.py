@@ -8,10 +8,11 @@ train-lm takes its seed and step count from the config's `seed` and
 `steps`, which --seed and --steps override when given. Exit code 2 on
 usage errors, 1 on runtime failures.
 
-Each training subcommand loads its inputs, makes one library call and
-saves the result: `tokenizer.train_tokenizer`, `training.train_lm`,
-`hybrid_fm.fm_finetune`, or `resdiff.train_resdiff`, which builds the
-head's inputs from the dataset, the tokenizer and the LM itself.
+Each subcommand loads its inputs, makes its library calls and saves the
+result. The stages after train-tokenizer hand the loaded models, with no
+wrapper, to `training.train_lm`, `hybrid_fm.fm_finetune`,
+`resdiff.train_resdiff`, `hybrid_fm.fm_generate`, `tokenizer.decode` or
+`evalsuite.folding_eval`.
 
 A command that loads a checkpoint must repeat that component's config keys
 (`config.COMPONENT_KEYS`), and only those: an LM trained with
@@ -30,7 +31,6 @@ import sys
 
 import numpy as np
 
-from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import diffusion as dfn
 from . import evalsuite
@@ -189,9 +189,8 @@ def cmd_finetune_fm(args):
     dataset = load_dataset(args.data)
     tokenizer_params = load_tokenizer(args.tokenizer, cfg)
     lm = load_lm(args.ckpt, cfg)
-    models = hybrid_fm.HybridModels(tokenizer=tokenizer_params, lm=lm)
     hybrid_fm.fm_finetune(
-        models, dataset, steps=args.steps, seed=args.seed,
+        lm, tokenizer_params, dataset, steps=args.steps, seed=args.seed,
         peak=cfg.lr_peak, warmup=cfg.warmup, floor=cfg.lr_floor, log_every=args.log_every,
     )
     _save_model(args.out, lm, cfg, step=args.steps)
@@ -220,15 +219,14 @@ def cmd_sample(args):
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.n):
         if cfg.fm_enabled:
-            models = hybrid_fm.HybridModels(tokenizer=tokenizer_params, lm=lm)
-            structure = hybrid_fm.fm_generate(models, args.length, rng, n_steps=cfg.fm_n_steps)
+            structure = hybrid_fm.fm_generate(lm, tokenizer_params, args.length, rng,
+                                              n_steps=cfg.fm_n_steps)
         else:
             state = dfn.generate(
                 lm, args.length, mode="unconditional", steps=args.steps,
                 strategy=args.strategy, temperature=args.temperature, rng=rng,
             )
-            with ad.no_grad():
-                coords = tok.decode(ad.Tensor(state.struct_bits), tokenizer_params).data
+            coords = tok.decode(state.struct_bits, tokenizer_params).data
             structure = geo.BackboneStructure(coords, np.zeros(args.length, dtype=int))
         structure.source_id = f"sample{i:04d}"
         with open(os.path.join(args.out, f"{structure.source_id}.bkb"), "w") as fh:

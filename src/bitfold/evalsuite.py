@@ -76,7 +76,7 @@ def folding_eval(lm, tokenizer_params, dataset, steps=25, seed=0, resdiff_head=N
     report = EvalReport()
     rng = np.random.default_rng(seed)
     for structure, seq in dataset:
-        true_bits = tok.structure_bits(structure, tokenizer_params)
+        true_bits = tok.tokenize(structure, tokenizer_params).bits
         out = dfn.generate(
             lm, len(structure), mode="folding", steps=steps, strategy="confidence",
             rng=rng, seq=np.asarray(seq),
@@ -88,8 +88,7 @@ def folding_eval(lm, tokenizer_params, dataset, steps=25, seed=0, resdiff_head=N
             with ad.no_grad():
                 cond = rd.condition(pred_bits, rd.lm_hidden(lm, out), resdiff_head)
             decode_bits = pred_bits + rd.resdiff_sample(cond.data, resdiff_head, rng)
-        with ad.no_grad():
-            coords = tok.decode(ad.Tensor(decode_bits), tokenizer_params).data
+        coords = tok.decode(decode_bits, tokenizer_params).data
         pred = geo.BackboneStructure(coords, structure.chain_ids, structure.source_id)
         report.rows.append({
             "id": structure.source_id,

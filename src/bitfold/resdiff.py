@@ -6,8 +6,8 @@ The epsilon network is an MLP stack with adaptive-layernorm conditioning on
 embedding). Strictly post-hoc: it never touches language-model parameters.
 `lm_hidden` gives those hidden states for a fully observed token state;
 `train_resdiff` calls it on each (structure, sequence) item with the bits
-of the frozen tokenizer encoder, and `evalsuite.folding_eval` on each
-generated state.
+of `tokenizer.tokenize`, whose continuous tokens give the residual
+targets, and `evalsuite.folding_eval` on each generated state.
 """
 
 from __future__ import annotations
@@ -123,16 +123,14 @@ def train_resdiff(head: ResDiffHead, lm, tokenizer_params, dataset, steps, seed=
                   peak, warmup, floor, log_every=0):
     """Train the head on the (structure, sequence) pairs of `dataset`.
 
-    Each item is read once, before the first step: the frozen encoder's
-    continuous tokens z give the bits b = sign(z) and the residual z - b,
-    and `lm_hidden` of the observed (sequence, b) state gives the LM hidden
+    Each item is read once, before the first step: `tokenizer.tokenize`
+    gives the continuous tokens z, the bits b and the residual z - b, and
+    `lm_hidden` of the observed (sequence, b) state gives the LM hidden
     states. The conditioning vector is recomputed each step so its
     projection and ensemble logits train too."""
     items = []
     for structure, seq in dataset:
-        with ad.no_grad():
-            z = tok.encode(structure, tokenizer_params).data
-        bits = np.where(z >= 0.0, 1.0, -1.0)
+        z, bits, _ = tok.tokenize(structure, tokenizer_params)
         items.append((z - bits, bits, lm_hidden(lm, dfn.TokenState.observed(seq, bits))))
     rng = np.random.default_rng(seed)
 

@@ -6,11 +6,17 @@ profiles, backbone dihedrals, local-frame atom displacements), so its
 tokens are exactly invariant under rigid transforms of the input. The
 decoder is a small transformer over token rows with relative-position
 attention bias and outputs coordinates centered at the CA centroid.
+
+Later stages run the trained tokenizer frozen, only through this module:
+`tokenize` is the one encoder pass (continuous tokens, bits with
+sign(0) = +1, hidden states, as arrays) and `decode` runs the decoder
+without a graph. `tokenizer_loss` alone runs both with a graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,24 +191,33 @@ class TokenizerParams(Module):
         self.decoder = Decoder(rng, cfg)
 
 
+class Tokens(NamedTuple):
+    """One frozen-encoder pass as arrays: continuous tokens z (L, K), their
+    +-1 bits with sign(0) = +1, and the pre-head hidden states (L, width)."""
+
+    z: np.ndarray
+    bits: np.ndarray
+    hidden: np.ndarray
+
+
+def tokenize(structure, params: TokenizerParams) -> Tokens:
+    """The `Tokens` of `structure`, from one encoder pass without a graph."""
+    with ad.no_grad():
+        z, hidden = params.encoder(invariant_features(structure))
+    return Tokens(z.data, np.where(z.data >= 0.0, 1.0, -1.0), hidden.data)
+
+
 def encode(structure, params: TokenizerParams):
     """Continuous tokens (L, K) from rigid-invariant features."""
-    z, _ = params.encoder(invariant_features(structure))
-    return z
-
-
-def structure_bits(structure, params: TokenizerParams):
-    """The (L, K) +-1 structure tokens under the frozen encoder."""
-    with ad.no_grad():
-        z = encode(structure, params)
-    return np.where(z.data >= 0.0, 1.0, -1.0)
+    return Tensor(tokenize(structure, params).z)
 
 
 def decode(tokens, params: TokenizerParams, positional=None):
-    """Coordinates (..., L, 4, 3), CA-centroid centered, from cont or bit
-    tokens (..., L, K); `positional` is the decoder's `Decoder.positional`
-    list for L rows."""
-    return params.decoder(tokens, positional)
+    """Coordinates (..., L, 4, 3), CA-centroid centered, from the frozen
+    decoder without a graph, of cont or bit tokens (..., L, K), arrays or
+    Tensors; `positional` is the decoder's `Decoder.positional` for L rows."""
+    with ad.no_grad():
+        return params.decoder(tokens, positional)
 
 
 # -- lookup-free quantization ------------------------------------------------
@@ -216,7 +231,7 @@ def lfq_quantize(z):
     """
     z = z if isinstance(z, Tensor) else Tensor(z)
     bits = ad.sign_ste(z)
-    hard = Tensor(np.where(z.data >= 0.0, 1.0, -1.0))  # stop-gradient copy
+    hard = Tensor(bits.data)  # stop-gradient copy
     commitment = ((z - hard) ** 2).mean()
     p = ad.sigmoid(z).mean(axis=0)
     eps = 1e-9
@@ -290,10 +305,8 @@ def reconstruction_report(params, dataset):
     """Per-sample Kabsch RMSD and TM on both token paths."""
     report = ReconReport()
     for structure in dataset:
-        with ad.no_grad():
-            z = encode(structure, params).data
-            bits = np.where(z >= 0.0, 1.0, -1.0)
-            pred_q, pred_c = decode(np.stack([bits, z]), params).data
+        z, bits, _ = tokenize(structure, params)
+        pred_q, pred_c = decode(np.stack([bits, z]), params).data
         for pred, rs, ts in (
             (pred_c, report.cont_rmsd, report.cont_tm),
             (pred_q, report.quant_rmsd, report.quant_tm),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from . import diffusion as dfn
 from . import geo_arch
 from . import repa
@@ -41,12 +40,11 @@ def encode_dataset(dataset, tokenizer_params, with_targets=False):
     of each structure (the REPA teacher targets), from one encoder pass per
     item."""
     states, targets = [], []
-    with ad.no_grad():
-        for structure, seq in dataset:
-            z, hidden = tokenizer_params.encoder(tok.invariant_features(structure))
-            states.append(dfn.TokenState.observed(np.asarray(seq), np.where(z.data >= 0.0, 1.0, -1.0)))
-            if with_targets:
-                targets.append(hidden.data)
+    for structure, seq in dataset:
+        tokens = tok.tokenize(structure, tokenizer_params)
+        states.append(dfn.TokenState.observed(np.asarray(seq), tokens.bits))
+        if with_targets:
+            targets.append(tokens.hidden)
     return states, targets
 
 

@@ -10,12 +10,17 @@ from bitfold import hybrid_fm as fm
 from bitfold import nn
 from bitfold import tokenizer as tok
 from bitfold.config import ModelConfig
-from bitfold.errors import TimeOrder
+from bitfold.errors import HeadMismatch, ShapeMismatch, TimeOrder
 
 
 def make_target(seed=0, length=12):
     structure, _ = geo.synth_backbone(geo.SynthSpec(length=length), seed=seed)
     return structure
+
+
+def small_models(head="bit"):
+    tokenizer = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=16, blocks=1, heads=2), seed=0)
+    return ga.ProteinLM(ModelConfig(d_model=16, heads=2, k=4, head=head)), tokenizer
 
 
 def ca_centred(structure):
@@ -27,19 +32,18 @@ def test_fm_generate_with_oracle_denoiser_reaches_target(n_steps):
     target = make_target()
     centred = geo.BackboneStructure(ca_centred(target), target.chain_ids)
 
-    def oracle(state):
+    def oracle(x_t):
         return centred
 
-    out = fm.fm_generate(None, len(target), np.random.default_rng(1), n_steps=n_steps,
+    out = fm.fm_generate(None, None, len(target), np.random.default_rng(1), n_steps=n_steps,
                          denoiser=oracle)
     assert geo.rmsd(out, target) < 1e-9
 
 
 def test_corrupt_at_t1_is_the_centred_target():
     target = make_target(seed=2)
-    state = fm.corrupt(target, 1.0, np.random.default_rng(3))
-    assert state.t == 1.0
-    np.testing.assert_array_equal(state.structure.coords, ca_centred(target))
+    x_t = fm.corrupt(target, 1.0, np.random.default_rng(3))
+    np.testing.assert_array_equal(x_t.coords, ca_centred(target))
 
 
 def test_time_order_violations_raise():
@@ -47,8 +51,8 @@ def test_time_order_violations_raise():
     with pytest.raises(TimeOrder):
         fm.corrupt(target, 1.5, np.random.default_rng(0))
     with pytest.raises(TimeOrder):
-        fm.fm_generate(None, len(target), np.random.default_rng(0), n_steps=0,
-                       denoiser=lambda state: target)
+        fm.fm_generate(None, None, len(target), np.random.default_rng(0), n_steps=0,
+                       denoiser=lambda x_t: target)
 
 
 @pytest.mark.parametrize("conditioned", [False, True])
@@ -64,18 +68,36 @@ def test_fm_generate_builds_positional_terms_once(monkeypatch, conditioned):
         return rel_call(self, positions)
 
     monkeypatch.setattr(nn.RelPosBias, "__call__", counted)
-    tokenizer = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=16, blocks=1, heads=2), seed=0)
-    models = fm.HybridModels(tokenizer, ga.ProteinLM(ModelConfig(d_model=16, heads=2, k=4)))
-    lm_rels = [block.rel for block in models.lm.blocks]
+    lm, tokenizer = small_models()
+    lm_rels = [block.rel for block in lm.blocks]
     dec_rels = [block.rel for block in tokenizer.decoder.blocks]
     target = make_target(seed=5, length=9)
     conditioning = np.arange(9) % 20 if conditioned else None
     outs = []
-    for denoiser in (None, lambda state: fm.denoise(state, models)):
+    for denoiser in (None, lambda x_t: fm.denoise(x_t, lm, tokenizer, conditioning)):
         calls.clear()
-        outs.append(fm.fm_generate(models, len(target), np.random.default_rng(6), conditioning,
-                                   n_steps=3, denoiser=denoiser))
+        outs.append(fm.fm_generate(lm, tokenizer, len(target), np.random.default_rng(6),
+                                   conditioning, n_steps=3, denoiser=denoiser))
         outs.append([sum(rel is r for rel in calls) for r in lm_rels + dec_rels])
     got, got_calls, want, want_calls = outs
     np.testing.assert_array_equal(got.coords, want.coords)
     assert got_calls == [1] * len(got_calls) and want_calls == [3] * len(want_calls)
+
+
+@pytest.mark.parametrize("n_tokens", [10, 14])
+def test_fm_generate_rejects_conditioning_of_another_length(n_tokens):
+    lm, tokenizer = small_models()
+    with pytest.raises(ShapeMismatch, match=f"^fm_generate conditioning has {n_tokens} tokens "
+                                            "for length 12$"):
+        fm.fm_generate(lm, tokenizer, 12, np.random.default_rng(0), np.arange(n_tokens) % 20,
+                       n_steps=2)
+
+
+def test_hybrid_flow_matching_needs_the_bit_head():
+    lm, tokenizer = small_models(head="index")
+    target = make_target()
+    with pytest.raises(HeadMismatch, match="needs head 'bit'"):
+        fm.fm_generate(lm, tokenizer, len(target), np.random.default_rng(0), n_steps=2)
+    with pytest.raises(HeadMismatch, match="needs head 'bit'"):
+        fm.fm_finetune(lm, tokenizer, [(target, np.arange(len(target)) % 20)], steps=1,
+                       peak=1e-4, warmup=1, floor=1e-5)

@@ -120,6 +120,39 @@ def test_encoder_tokens_rigid_invariant():
     np.testing.assert_allclose(z_a, z_b, atol=1e-9)
 
 
+# -- the frozen interface ------------------------------------------------------
+
+def test_tokenize_takes_sign_zero_as_plus_one():
+    """A zeroed encoder head gives z = 0 everywhere, and every bit is +1."""
+    params = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=16, blocks=1), seed=0)
+    params.encoder.head.w.data[...] = 0.0
+    params.encoder.head.b.data[...] = 0.0
+    tokens = tok.tokenize(make_structure(7), params)
+    assert not tokens.z.any()
+    np.testing.assert_array_equal(tokens.bits, np.ones(tokens.z.shape))
+
+
+def test_tokenize_is_one_encoder_pass():
+    """z and hidden are those of one direct encoder pass, and the bits are
+    the ones `lfq_quantize` trains with."""
+    params = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=16, blocks=1), seed=0)
+    s = make_structure(8)
+    tokens = tok.tokenize(s, params)
+    z, hidden = params.encoder(tok.invariant_features(s))
+    np.testing.assert_array_equal(tokens.z, z.data)
+    np.testing.assert_array_equal(tokens.hidden, hidden.data)
+    np.testing.assert_array_equal(tokens.bits, tok.lfq_quantize(z)[0].data)
+
+
+def test_decode_builds_no_graph_from_arrays_or_tensors():
+    params = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=16, blocks=1), seed=0)
+    bits = tok.index_to_bits(np.arange(6) % 16, 4)
+    from_array = tok.decode(bits, params)
+    from_tensor = tok.decode(Tensor(bits), params)
+    assert from_array._parents == () and not from_array.requires_grad
+    np.testing.assert_array_equal(from_array.data, from_tensor.data)
+
+
 def test_lfq_sign_and_zero_convention():
     z = Tensor(np.array([[0.3, -0.7, 0.0]]))
     bits, _ = tok.lfq_quantize(z)

@@ -1,6 +1,9 @@
 """Guards on the package as a whole: every module and config field is
-reached, and every name the benchmark's tracer wraps still exists."""
+reached, only the tokenizer module runs the frozen tokenizer, every name the
+benchmark's tracer wraps still exists, and the benchmark's smallest runs
+pass."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -8,6 +11,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bitfold
 from bitfold.config import ModelConfig
@@ -42,6 +47,25 @@ def test_every_config_field_is_read_outside_config():
     assert unread == []
 
 
+def test_only_the_tokenizer_module_runs_the_frozen_tokenizer():
+    """Encoder and decoder calls stay in `tokenizer`, and the rule that turns
+    z into bits is written once there, besides the autodiff primitive."""
+    callers, signs = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        if path.name != "tokenizer.py" and re.search(r"\.(en|de)coder\(", text):
+            callers.add(path.name)
+        funcs = [node for node in ast.walk(ast.parse(text))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if ">= 0.0, 1.0, -1.0" in line:
+                inner = max((f for f in funcs if f.lineno <= lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                signs.add(f"{path.stem}.{inner.name if inner else '<module>'}")
+    assert callers == set()
+    assert signs == {"tokenizer.tokenize", "autodiff.sign_ste"}
+
+
 def test_every_traced_name_exists(monkeypatch):
     """The benchmark's traced run wraps these names; installing its tracer
     raises AttributeError once one of them is renamed or deleted."""
@@ -53,3 +77,16 @@ def test_every_traced_name_exists(monkeypatch):
         Tracer(10).install(patcher)
     finally:
         patcher.restore()
+
+
+@pytest.mark.parametrize("workload", ["fold-sample", "train-tokenizer"])
+def test_benchmark_smallest_run_passes(workload):
+    """The benchmark's shortest run of `workload` ends correct, with no
+    failed op. The two runs make every call the benchmark makes into the
+    tokenizer, the sampler and the metrics."""
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", workload,
+                           "--seed", "1", "--seconds", "0", "--trace", "0"],
+                          cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0

@@ -152,7 +152,7 @@ def test_repa_encodes_each_item_once(pairs, tok_params, monkeypatch):
     two separate passes, bit for bit."""
     states, targets = training.encode_dataset(pairs, tok_params, with_targets=True)
     for (structure, seq), state, target in zip(pairs, states, targets):
-        want = dfn.TokenState.observed(np.asarray(seq), tok.structure_bits(structure, tok_params))
+        want = dfn.TokenState.observed(np.asarray(seq), tok.tokenize(structure, tok_params).bits)
         np.testing.assert_array_equal(state.struct_bits, want.struct_bits)
         np.testing.assert_array_equal(state.seq, want.seq)
         np.testing.assert_array_equal(target, _teacher_targets(structure, tok_params))
@@ -194,9 +194,8 @@ def _poison(module):
 def test_fm_finetune_nonfinite_forward_raises(pairs, tok_params):
     lm = training.build_lm(small_cfg())
     _poison(lm)
-    models = hybrid_fm.HybridModels(tokenizer=tok_params, lm=lm)
     with pytest.raises(NonFiniteLoss, match="fm-finetune loss at step 0"):
-        hybrid_fm.fm_finetune(models, pairs, steps=2, peak=1e-4, warmup=2000, floor=1e-5)
+        hybrid_fm.fm_finetune(lm, tok_params, pairs, steps=2, peak=1e-4, warmup=2000, floor=1e-5)
 
 
 def test_train_resdiff_nonfinite_loss_raises(pairs, tok_params):
@@ -452,8 +451,7 @@ def test_no_op_computes_in_float64(pairs, tok_params, monkeypatch):
     training.train_lm(training.build_lm(cfg), tok_params, pairs, cfg)
     tok.train_tokenizer([s for s, _ in pairs], tok.TokenizerConfig(width=16, blocks=1, heads=2),
                         seed=0, steps=2)
-    hybrid_fm.fm_finetune(hybrid_fm.HybridModels(tokenizer=tok_params, lm=lm), pairs, steps=2,
-                          peak=1e-4, warmup=1, floor=1e-5)
+    hybrid_fm.fm_finetune(lm, tok_params, pairs, steps=2, peak=1e-4, warmup=1, floor=1e-5)
     head = rd.ResDiffHead(k=8, d_hidden=8, n_layers=1, d_lm=16, n_lm_layers=1, t_r=4)
     rd.train_resdiff(head, lm, tok_params, pairs, steps=2, peak=1e-4, warmup=1, floor=1e-5)
     _, seq = pairs[0]
