@@ -4,7 +4,7 @@ A Tensor wraps a numpy array and records the op that produced it; calling
 ``backward`` on a scalar loss walks the recorded graph in reverse
 topological order and accumulates gradients into every reachable tensor
 with ``requires_grad=True``. The graph is rebuilt on every forward pass
-and freed after backward.
+and freed node by node as backward walks it.
 
 Precision: every Tensor holds an array of the one compute dtype, float32,
 as in mixed-precision training (Micikevicius et al. 2018): the graph
@@ -31,10 +31,14 @@ package, on packed heads, with optional bias and Shaw relative values),
 chain it replaces recorded several, so fewer intermediate arrays stay
 alive until backward.
 
-Gradient ownership: no gradient array is ever written in place. A tensor
-keeps the first gradient it receives as it is (a broadcast view if its
-shape differs) and adds later ones out of place, so a ``.grad`` may alias
-the upstream gradient, a parent's or a sibling's (the two operands of
+Gradient ownership: after ``backward`` only the leaves and the root keep
+``.grad``. Once an op output's backward closure has run, no gradient can
+reach it any more, so the walk drops its ``.grad`` and its graph references
+there and then, and its data and gradient are freed as soon as no node
+still waiting needs them. No gradient array is ever written in place. A
+tensor keeps the first gradient it receives as it is (a broadcast view if
+its shape differs) and adds later ones out of place, so a leaf's ``.grad``
+may alias the upstream gradient or a sibling's (the two operands of
 ``add`` share one array). Code that reads ``.grad`` must copy it before
 modifying it.
 """
@@ -136,7 +140,14 @@ class Tensor:
 
     # -- graph mechanics ----------------------------------------------------
     def backward(self):
-        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf."""
+        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
+
+        The walk pops the nodes in reverse topological order. After a
+        node's backward closure has run, its parents, its closure and,
+        unless it is the root, its ``.grad`` are dropped, so each op
+        output's arrays are released as the walk passes it; the leaves
+        and the root keep ``.grad``.
+        """
         if self.size != 1:
             raise NotScalar(f"backward requires a scalar, got shape {self.shape}")
         if not self.requires_grad:
@@ -156,12 +167,18 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            # free the graph as we go
+        while topo:
+            node = topo.pop()
+            backward = node._backward
+            if backward is None:
+                continue  # a leaf
+            if node.grad is not None:
+                backward(node.grad)
+            # every consumer has run: nothing else reaches this node
             node._parents = ()
             node._backward = None
+            if node is not self:
+                node.grad = None
 
     def _accum(self, g):
         if self.grad is None:
@@ -671,7 +688,7 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
         a += bias.data
     if not np.isfinite(a).all():
         raise NonFiniteValue(f"non-finite value produced by attention, logits shape {a.shape}")
-    a -= a.max(axis=-1, keepdims=True)
+    a -= np.fmax.reduce(a, axis=-1, keepdims=True)  # finite logits: fmax equals max, and is faster
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
     out = a @ vh

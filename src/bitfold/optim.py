@@ -119,6 +119,9 @@ def fit(params, items, steps, rng, step_loss, name, peak, warmup, floor=1e-5, lo
     the log line, or `None` when the step has nothing to learn from; such
     a step records 0.0 and leaves the parameters and Adam untouched.
 
+    Gradients are cleared right after each Adam step, so the last step's
+    are gone before the next forward runs and none remain after `fit`.
+
     The warmup is clipped to a tenth of the run (at least one step), so a
     run shorter than its configured warmup still reaches `peak`.
 
@@ -139,11 +142,11 @@ def fit(params, items, steps, rng, step_loss, name, peak, warmup, floor=1e-5, lo
                 losses.append(0.0)
                 continue
             loss, note = out
-            opt.zero_grad()
             loss.backward()
         except NonFiniteValue as exc:
             raise NonFiniteLoss(f"non-finite {name} loss at step {step}: {exc}")
         opt.step(lr=warmup_linear_decay(step, steps, peak=peak, warmup=warmup, floor=floor))
+        opt.zero_grad()
         losses.append(loss.item())
         if log_every and step % log_every == 0:
             print(f"{name} step {step}: loss {losses[-1]:.4f}{note}")

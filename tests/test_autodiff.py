@@ -1,10 +1,15 @@
 """Forward semantics and finite-difference gradient checks for the tensor core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bitfold import autodiff as ad
+from bitfold import diffusion as dfn
+from bitfold.config import ModelConfig
 from bitfold.errors import DetachedLoss, NonFiniteValue, NotScalar, ShapeMismatch
+from bitfold.geo_arch import ProteinLM
 
 
 def test_matmul_identity_exact():
@@ -530,3 +535,49 @@ def test_linear_float32_overflow_names_the_op():
     big = ad.Tensor(np.full((2, 3), 1e20))
     with pytest.raises(NonFiniteValue, match=r"linear, output shape \(2, 4\)"):
         ad.linear(big, ad.Tensor(np.full((3, 4), 1e20)), ad.Tensor(np.zeros(4)))
+
+
+@pytest.mark.usefixtures("float64")
+def test_backward_releases_every_op_output():
+    """Once the walk has passed an op output, its gradient and graph
+    references are gone; the root and the leaves keep their gradients.
+    `h` has three consumers: both operands of `h * h` and `h * c`."""
+    rng = np.random.default_rng(10)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    c = rng.normal(size=(3, 4))
+    h = x * w
+    squares, scaled = h * h, h * ad.Tensor(c)
+    sums = squares.sum(), scaled.sum()
+    loss = sums[0] + sums[1]
+    loss.backward()
+    for node in (h, squares, scaled, *sums):
+        assert node.grad is None and node._parents == () and node._backward is None
+    assert loss.grad == 1.0
+    upstream = 2.0 * x.data * w.data + c  # d loss / d h
+    np.testing.assert_allclose(x.grad, upstream * w.data, atol=1e-12)
+    np.testing.assert_allclose(w.grad, upstream * x.data, atol=1e-12)
+
+
+def test_full_geo_backward_only_lowers_traced_memory():
+    """A backward frees each op output's arrays as it passes it, so its
+    traced peak stays close to what the graph holds when it starts (1.8x
+    when every array lived until the walk ended)."""
+    cfg = ModelConfig(pair_bias=True, struct_transition=True, triangle_update=True,
+                      triangle_attention=True, seqstruct_attention=True)
+    lm = ProteinLM(cfg.validate())
+    rng = np.random.default_rng(0)
+    length, t = 32, cfg.T // 2
+    x0 = dfn.TokenState.observed(rng.integers(20, size=length),
+                                 rng.choice([-1.0, 1.0], size=(length, cfg.k)))
+    xt = dfn.forward_mask(x0, lm.schedule, t, rng)
+    tracemalloc.start()
+    try:
+        loss = dfn.loss_bit(lm.forward(xt), x0, xt, t, lm.schedule)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * start, (peak / start, start)

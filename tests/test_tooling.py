@@ -1,7 +1,8 @@
 """Guards on the package as a whole: every module and config field is
-reached, only the tokenizer module runs the frozen tokenizer, every name the
-benchmark's tracer wraps still exists, and the benchmark's smallest runs
-pass."""
+reached, only the tokenizer module runs the frozen tokenizer, only the
+autodiff core and the optimizer touch gradients, every name the benchmark's
+tracer wraps still exists, and the benchmark's smallest runs pass, one of
+them traced."""
 
 import ast
 import dataclasses
@@ -66,6 +67,15 @@ def test_only_the_tokenizer_module_runs_the_frozen_tokenizer():
     assert signs == {"tokenizer.tokenize", "autodiff.sign_ste"}
 
 
+def test_only_autodiff_and_optim_touch_gradients():
+    """An op output's `.grad` is dropped once backward has passed it, so
+    gradients are read and written only by the autodiff core and the
+    optimizer, which see them while they exist."""
+    touching = {path.name for path in SRC.glob("*.py")
+                if re.search(r"\.grad\b", path.read_text())}
+    assert touching == {"autodiff.py", "optim.py"}
+
+
 def test_every_traced_name_exists(monkeypatch):
     """The benchmark's traced run wraps these names; installing its tracer
     raises AttributeError once one of them is renamed or deleted."""
@@ -79,14 +89,24 @@ def test_every_traced_name_exists(monkeypatch):
         patcher.restore()
 
 
-@pytest.mark.parametrize("workload", ["fold-sample", "train-tokenizer"])
-def test_benchmark_smallest_run_passes(workload):
+@pytest.mark.parametrize("workload,trace", [
+    pytest.param("fold-sample", 0, id="fold-sample"),
+    pytest.param("train-tokenizer", 0, id="train-tokenizer"),
+    pytest.param("train-tokenizer", 1, id="train-tokenizer-traced"),
+])
+def test_benchmark_smallest_run_passes(workload, trace):
     """The benchmark's shortest run of `workload` ends correct, with no
-    failed op. The two runs make every call the benchmark makes into the
-    tokenizer, the sampler and the metrics."""
+    failed op. The two untraced runs make every call the benchmark makes
+    into the tokenizer, the sampler and the metrics. The traced run checks
+    that the tracer's timed backward closures still run under the walk
+    that releases them, and that both backward clocks advance."""
     proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", workload,
-                           "--seed", "1", "--seconds", "0", "--trace", "0"],
+                           "--seed", "1", "--seconds", "0", "--trace", str(trace)],
                           cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0
+    if trace:
+        metrics = last["metrics"]
+        assert metrics["autodiff.backward_ms"]["value"] > 0
+        assert metrics["training.bwd_ms"]["value"] > 0

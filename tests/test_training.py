@@ -184,6 +184,17 @@ def test_train_tokenizer_reads_len_once_per_step(pairs):
     assert dataset.len_calls == 4
 
 
+def test_fit_leaves_no_gradient_behind(pairs, tok_params):
+    """Gradients are cleared after each Adam step, so none outlive `fit`."""
+    lm = training.build_lm(small_cfg(**GEO_FLAGS))
+    training.train_lm(lm, tok_params, pairs, small_cfg(**GEO_FLAGS, steps=3))
+    params, _ = tok.train_tokenizer([s for s, _ in pairs],
+                                    tok.TokenizerConfig(width=16, blocks=1, heads=2),
+                                    seed=0, steps=3)
+    for trained in (lm.parameters(), params.parameters()):
+        assert [name for name, p in trained.items() if p.grad is not None] == []
+
+
 # -- non-finite values name the trainer and the step ----------------------------
 
 def _poison(module):
