@@ -31,8 +31,8 @@ package, on packed heads, with optional bias and Shaw relative values),
 chain it replaces recorded several, so fewer intermediate arrays stay
 alive until backward.
 
-Gradient ownership: after ``backward`` only the leaves and the root keep
-``.grad``. Once an op output's backward closure has run, no gradient can
+Gradient ownership: after ``backward`` only the leaves keep ``.grad``.
+Once an op output's backward closure has run, no gradient can
 reach it any more, so the walk drops its ``.grad`` and its graph references
 there and then, and its data and gradient are freed as soon as no node
 still waiting needs them. No gradient array is ever written in place. A
@@ -143,10 +143,9 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
 
         The walk pops the nodes in reverse topological order. After a
-        node's backward closure has run, its parents, its closure and,
-        unless it is the root, its ``.grad`` are dropped, so each op
-        output's arrays are released as the walk passes it; the leaves
-        and the root keep ``.grad``.
+        node's backward closure has run, its parents, its closure and its
+        ``.grad`` are dropped, so each op output's arrays are released as
+        the walk passes it; only the leaves keep ``.grad``.
         """
         if self.size != 1:
             raise NotScalar(f"backward requires a scalar, got shape {self.shape}")
@@ -177,8 +176,7 @@ class Tensor:
             # every consumer has run: nothing else reaches this node
             node._parents = ()
             node._backward = None
-            if node is not self:
-                node.grad = None
+            node.grad = None
 
     def _accum(self, g):
         if self.grad is None:

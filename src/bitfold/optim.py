@@ -119,8 +119,9 @@ def fit(params, items, steps, rng, step_loss, name, peak, warmup, floor=1e-5, lo
     the log line, or `None` when the step has nothing to learn from; such
     a step records 0.0 and leaves the parameters and Adam untouched.
 
-    Gradients are cleared right after each Adam step, so the last step's
-    are gone before the next forward runs and none remain after `fit`.
+    Gradients are cleared before the first step and right after each Adam
+    step, so a step sees only its own, the last step's are gone before the
+    next forward runs, and none remain after `fit`.
 
     The warmup is clipped to a tenth of the run (at least one step), so a
     run shorter than its configured warmup still reaches `peak`.
@@ -133,6 +134,7 @@ def fit(params, items, steps, rng, step_loss, name, peak, warmup, floor=1e-5, lo
         raise ValueError(f"no training items for {name}")
     warmup = min(warmup, max(steps // 10, 1))
     opt = Adam(params)
+    opt.zero_grad()
     losses = []
     for step in range(steps):
         i = int(rng.integers(len(items)))

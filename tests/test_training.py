@@ -195,6 +195,19 @@ def test_fit_leaves_no_gradient_behind(pairs, tok_params):
         assert [name for name, p in trained.items() if p.grad is not None] == []
 
 
+def test_fit_starts_without_stale_gradients(pairs, tok_params):
+    """Gradients already on the parameters when `fit` starts (a
+    hand-run backward leaves them) do not enter its first Adam step."""
+    cfg = small_cfg(steps=3)
+    clean, stale = training.build_lm(cfg), training.build_lm(cfg)
+    for p in stale.parameters().values():
+        p.grad = np.ones_like(p.data)
+    assert (training.train_lm(clean, tok_params, pairs, cfg)
+            == training.train_lm(stale, tok_params, pairs, cfg))
+    for name, p in clean.parameters().items():
+        np.testing.assert_array_equal(stale.parameters()[name].data, p.data, err_msg=name)
+
+
 # -- non-finite values name the trainer and the step ----------------------------
 
 def _poison(module):
@@ -405,13 +418,26 @@ ADAM_CASES = {
 def test_whole_buffer_adam_matches_per_array_loop(pairs, tok_params, monkeypatch, case):
     """Trained parameters and losses are bit-equal under `optim.Adam` and the
     per-array loop. Struct-only steps leave the sequence head without a
-    gradient, so its parameters keep their initial values; `second-fit`
-    trains the same LM twice, each run with an Adam of its own. Chunks of
-    1000 scalars make every run of these small models span several."""
+    gradient, so its parameters keep their initial values; `fit` clears
+    gradients after each step, so the head's is checked as each Adam step
+    sees it. `second-fit` trains the same LM twice, each run with an Adam
+    of its own. Chunks of 1000 scalars make every run of these small
+    models span several."""
     monkeypatch.setattr(optim, "CHUNK", 1000)
 
     def run(adam):
-        monkeypatch.setattr(optim, "Adam", adam)
+        head_grads = []
+
+        class HeadWatch(adam):
+            def __init__(self, params):
+                self.head = dict(params)["seq_out.w"]
+                super().__init__(params)
+
+            def step(self, lr):
+                head_grads.append(self.head.grad)
+                super().step(lr)
+
+        monkeypatch.setattr(optim, "Adam", HeadWatch if case == "struct-only" else adam)
         if case == "tokenizer":
             cfg = tok.TokenizerConfig(width=16, blocks=1, heads=2)
             params, report = tok.train_tokenizer([s for s, _ in pairs], cfg, seed=0, steps=8)
@@ -423,7 +449,7 @@ def test_whole_buffer_adam_matches_per_array_loop(pairs, tok_params, monkeypatch
             losses += training.train_lm(lm, tok_params, pairs, cfg)
         if case == "struct-only":
             fresh = training.build_lm(cfg)
-            assert lm.seq_out.w.grad is None
+            assert head_grads and all(g is None for g in head_grads)
             np.testing.assert_array_equal(lm.seq_out.w.data, fresh.seq_out.w.data)
         return losses, lm.parameters()
 
