@@ -27,9 +27,16 @@ module has fused primitives with hand-written backward passes: `linear`
 (matmul plus bias), `layernorm` (normalization plus its affine scale and
 shift), `pad` (zero padding), `attention` (every softmax attention in the
 package, on packed heads, with optional bias and Shaw relative values),
-`tri_contract` and `pair_dist`. Each records one graph node where the op
-chain it replaces recorded several, so fewer intermediate arrays stay
-alive until backward.
+`gate` (a sigmoid or swish gate times a value, as in gated transitions
+and triangle updates), `tri_contract` and `pair_dist`. Each records one
+graph node where the op chain it replaces recorded several, so fewer
+intermediate arrays stay alive until backward.
+
+Some nodes keep less than their backward reads and recompute the rest
+from their inputs, exactly, with the forward's ops in the forward's order
+(activation recomputation, Chen et al. 2016): `sigmoid` inside `gate` and
+`swish`, the normalized input of `layernorm` from its row mean and inverse
+deviation, and the weights of `attention` from its row max and sum.
 
 Gradient ownership: after ``backward`` only the leaves keep ``.grad``.
 Once an op output's backward closure has run, no gradient can
@@ -399,17 +406,68 @@ def tanh(a):
     return _make(out, (a,), bw)
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    out = np.negative(a.data)  # 1 / (1 + exp(-x)) in one buffer
-    np.exp(out, out=out)
+def _sigmoid(x):
+    """1 / (1 + exp(-x)) in one new buffer. Below -88 in float32 (-709 in
+    float64) exp(-x) overflows to inf and the result is the exact 0, so
+    the overflow is not warned about."""
+    out = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
     out += 1.0
     np.reciprocal(out, out=out)
+    return out
+
+
+def sigmoid(a):
+    a = as_tensor(a)
+    out = _sigmoid(a.data)
 
     def bw(g):
         a._accum(g * out * (1.0 - out))
 
     return _make(out, (a,), bw)
+
+
+def gate(x, y, swish=False):
+    """act(x) * y as one node, act being sigmoid, or swish (x * sigmoid(x))
+    with `swish`; `x` and `y` have the same shape.
+
+    Backward recomputes sigmoid(x) from `x`, so the graph keeps neither
+    the sigmoid nor the swish product. Both passes compute the arrays of the
+    chain `sigmoid(x) * y` (`mul(x, sigmoid(x)) * y`) in its order and
+    reuse their scratch buffers in place.
+    """
+    x, y = as_tensor(x), as_tensor(y)
+    if x.shape != y.shape:
+        raise ShapeMismatch(f"gate: {x.shape} vs {y.shape}")
+    out = _sigmoid(x.data)
+    if swish:
+        out *= x.data
+    out *= y.data
+
+    def bw(g):
+        s = _sigmoid(x.data)
+        if y.requires_grad:
+            if swish:
+                gy = x.data * s
+                gy *= g
+            else:
+                gy = g * s
+            y._accum(gy)
+        if x.requires_grad:
+            gs = g * y.data  # reaches act(x)
+            if swish:  # x * s: x gets gs * s, and gs * x reaches s
+                gx = gs * s
+                gs *= x.data
+            gs *= s  # through the sigmoid: gs * s * (1 - s)
+            np.subtract(1.0, s, out=s)
+            gs *= s
+            if swish:
+                gx += gs
+                gs = gx
+            x._accum(gs)
+
+    return _make(out, (x, y), bw)
 
 
 def relu(a):
@@ -423,8 +481,9 @@ def relu(a):
 
 
 def swish(a):
-    """x * sigmoid(x), the gating nonlinearity used in transitions."""
-    return mul(a, sigmoid(a))
+    """x * sigmoid(x) as one node: `gate(x, x)`, which gives the bits of
+    `mul(x, sigmoid(x))` in both passes."""
+    return gate(a, a)
 
 
 def sin(a):
@@ -618,6 +677,8 @@ def layernorm(a, gamma, beta, eps=LAYERNORM_EPS):
     affine, (L, d) for a per-row modulation. Constant rows normalize to
     zeros: variance 0 plus eps avoids division by zero. Forward and backward
     compute the arrays of the chain `normalize * gamma + beta` in its order.
+    The node keeps each row's mean and inverse deviation; backward
+    recomputes the normalized input from them.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     mu = a.data.mean(axis=-1, keepdims=True)
@@ -631,6 +692,8 @@ def layernorm(a, gamma, beta, eps=LAYERNORM_EPS):
     def bw(g):
         if beta.requires_grad:
             beta._accum(_unbroadcast(g, beta.shape))
+        xhat = a.data - mu
+        xhat *= inv
         if gamma.requires_grad:
             gamma._accum(_unbroadcast(g * xhat, gamma.shape))
         if a.requires_grad:
@@ -667,6 +730,11 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
     gets the bits it gets when attended alone.
     The forward runs in the order of the unfused op chain and without `rel`
     gives the same bits.
+
+    The node keeps only each row's logit max and exp sum, as FlashAttention
+    (Dao et al. 2022) does: backward rebuilds the weights with the
+    forward's ops in the forward's order, so it gets the same bits, and no
+    (..., H, Lq, Lk) array stays alive between the passes.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     parents = [q, k, v]
@@ -678,17 +746,25 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
         return np.swapaxes(x, -2, -3).reshape(shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    a = qh @ np.swapaxes(kh, -1, -2)  # logits, turned into weights in place
-    a *= scale
     if bias is not None:
         bias = as_tensor(bias)
         parents.append(bias)
-        a += bias.data
+
+    def logits():
+        a = qh @ np.swapaxes(kh, -1, -2)  # turned into weights in place
+        a *= scale
+        if bias is not None:
+            a += bias.data
+        return a
+
+    a = logits()
     if not np.isfinite(a).all():
         raise NonFiniteValue(f"non-finite value produced by attention, logits shape {a.shape}")
-    a -= np.fmax.reduce(a, axis=-1, keepdims=True)  # finite logits: fmax equals max, and is faster
+    row_max = np.fmax.reduce(a, axis=-1, keepdims=True)  # finite logits: fmax equals max, and is faster
+    a -= row_max
     np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
+    row_sum = a.sum(axis=-1, keepdims=True)
+    a /= row_sum
     out = a @ vh
     if rel is not None:
         table, diff = rel
@@ -696,21 +772,28 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
         n_bins, block = table.shape[0], diff.shape[0] * table.shape[0]
         cells = np.arange(diff.shape[0])[:, None] * n_bins + diff  # bins in one (Lq, R) block
         planes = a.size // diff.size  # the leading axes times the heads
-        bins = np.arange(planes).reshape(-1, 1, 1) * block + cells
-        per_bin = np.bincount(bins.ravel(), weights=a.ravel(), minlength=planes * block)
-        per_bin = per_bin.astype(a.dtype, copy=False)  # bincount always returns float64
-        per_bin = per_bin.reshape(a.shape[:-1] + (n_bins,))  # (..., H, Lq, R)
+
+        def bin_sums(a):  # (..., H, Lq, R)
+            bins = np.arange(planes).reshape(-1, 1, 1) * block + cells
+            per_bin = np.bincount(bins.ravel(), weights=a.ravel(), minlength=planes * block)
+            per_bin = per_bin.astype(a.dtype, copy=False)  # bincount always returns float64
+            return per_bin.reshape(a.shape[:-1] + (n_bins,))
+
         tv = np.swapaxes(table.data, 0, 1)  # (H, R, d_v)
-        out += per_bin @ tv
+        out += bin_sums(a) @ tv
 
     def bw(g):
+        a = logits()  # the weights again, from the row max and sum
+        a -= row_max
+        np.exp(a, out=a)
+        a /= row_sum
         g = split(g)
         if v.requires_grad:
             v._accum(merge(np.swapaxes(a, -1, -2) @ g, v.shape))
         ga = g @ np.swapaxes(vh, -1, -2)
         if rel is not None:
             if table.requires_grad:
-                g_tv = _unbroadcast(np.swapaxes(per_bin, -1, -2) @ g, tv.shape)
+                g_tv = _unbroadcast(np.swapaxes(bin_sums(a), -1, -2) @ g, tv.shape)
                 table._accum(np.swapaxes(g_tv, 0, 1))
             g_bin = g @ np.swapaxes(tv, -1, -2)  # (..., H, Lq, R), gathered per (i, j) at diff[i, j]
             ga += np.take(g_bin.reshape(g_bin.shape[:-2] + (-1,)), cells, axis=-1)

@@ -99,7 +99,8 @@ class PairBias(Module):
 
 
 class TriangleUpdate(Module):
-    """Multiplicative triangle update (outgoing or incoming edges)."""
+    """Multiplicative triangle update (outgoing or incoming edges). Each of
+    its three sigmoid gates times its value is one `autodiff.gate` node."""
 
     def __init__(self, rng, d_pair, d_hidden, mode):
         self.mode = mode
@@ -114,11 +115,11 @@ class TriangleUpdate(Module):
 
     def __call__(self, pair):
         z = self.norm(pair)
-        a = ad.sigmoid(self.gate_a(z)) * self.val_a(z)
-        b = ad.sigmoid(self.gate_b(z)) * self.val_b(z)
+        a = ad.gate(self.gate_a(z), self.val_a(z))
+        b = ad.gate(self.gate_b(z), self.val_b(z))
         mixed = ad.tri_contract(a, b, self.mode)
         delta = self.out(self.out_norm(mixed))
-        return ad.sigmoid(self.out_gate(z)) * delta
+        return ad.gate(self.out_gate(z), delta)
 
 
 class TriangleAttention(Module):

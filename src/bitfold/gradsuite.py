@@ -5,8 +5,8 @@ representation alignment, residual diffusion, transitions, pair-biased
 attention, relative-value attention on one chain and on a batch of two,
 attention with fewer queries than keys, triangle operations, SeqStruct
 attention) or of one fused primitive (`linear`, modulated `layernorm`,
-`pad`) and compares backpropagated gradients against central finite
-differences.
+`pad`, the sigmoid and swish `gate`) and compares backpropagated gradients
+against central finite differences.
 
 Every case is built and checked under `autodiff.precision(np.float64)`:
 central differences at step 1e-5 need float64 to resolve the 1e-4
@@ -276,6 +276,22 @@ def _pad(seed):
     return fn, {"x": x}
 
 
+def _gate(swish):
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(4, 6)) * 2.0, requires_grad=True)  # into both tails
+        y = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        weights = rng.normal(size=(4, 6))
+
+        def fn():
+            out = ad.gate(x, y, swish=swish)
+            return (out * weights).sum() + (out ** 2).mean()
+
+        return fn, {"x": x, "y": y}
+
+    return build
+
+
 SUITE = {
     "index-ce": _loss_index,
     "bit-ce": _loss_bit,
@@ -292,6 +308,8 @@ SUITE = {
     "linear": _linear,
     "layernorm-modulated": _layernorm_modulated,
     "pad": _pad,
+    "gate-sigmoid": _gate(swish=False),
+    "gate-swish": _gate(swish=True),
 }
 
 

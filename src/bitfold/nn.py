@@ -42,6 +42,7 @@ class MLP(Module):
 class Transition(Module):
     """layernorm -> swish-gated expansion by `ratio` -> projection back.
 
+    The gate and its product with the value are one `autodiff.gate` node.
     The output projection is zero-initialized so a fresh transition is the
     identity once the caller adds the residual.
     """
@@ -54,7 +55,7 @@ class Transition(Module):
 
     def __call__(self, x):
         h = self.norm(x)
-        return self.out(ad.swish(self.gate(h)) * self.value(h))
+        return self.out(ad.gate(self.gate(h), self.value(h), swish=True))
 
 
 class RelPosBias(Module):
@@ -136,6 +137,8 @@ class MultiHeadAttention(Module):
         ctx = ad.attention(self.q(xq), ad.matmul(x, self.k), self.v(x), self.n_heads,
                            1.0 / np.sqrt(self.d_head), bias=bias, rel=rel)
         if self.gate is not None:
+            # not `ad.gate`: its parent order would change the order in which
+            # the gradients into `x` add up, and so their bits
             ctx = ctx * ad.sigmoid(self.gate(xq))
         return self.out(ctx)
 

@@ -1,6 +1,7 @@
 """Forward semantics and finite-difference gradient checks for the tensor core."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -505,6 +506,100 @@ def test_linear_and_layernorm_modules_record_one_node():
     assert norm(x)._parents == (x, norm.gamma, norm.beta)
 
 
+def _sigmoid_gate_chain(x, y):
+    """The op chain `gate` replaces, kept as its reference."""
+    return ad.sigmoid(x) * y
+
+
+def _swish_gate_chain(x, y):
+    """The op chain `gate(swish=True)` replaces, kept as its reference."""
+    return ad.mul(x, ad.sigmoid(x)) * y
+
+
+GATE_CASES = [
+    pytest.param(ad.gate, _sigmoid_gate_chain, 2, id="gate-sigmoid"),
+    pytest.param(lambda x, y: ad.gate(x, y, swish=True), _swish_gate_chain, 2, id="gate-swish"),
+    pytest.param(ad.swish, lambda x: ad.mul(x, ad.sigmoid(x)), 1, id="swish"),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("fused,chain,n_inputs", GATE_CASES)
+def test_gate_matches_sigmoid_mul_chain(fused, chain, n_inputs, dtype):
+    """Same output and gradients, bit for bit; x reaches past -88 and +88,
+    where float32's sigmoid saturates."""
+    rng = np.random.default_rng(24)
+    values = [rng.normal(size=(3, 5, 4)) * 40.0] + [rng.normal(size=(3, 5, 4))
+                                                   for _ in range(n_inputs - 1)]
+    weights = rng.normal(size=(3, 5, 4))
+    results = []
+    with ad.precision(dtype):
+        for fn in (fused, chain):
+            leaves = [ad.Tensor(v.copy(), requires_grad=True) for v in values]
+            out = fn(*leaves)
+            (out * ad.Tensor(weights)).sum().backward()
+            assert out.data.dtype == dtype
+            results.append((out.data, [t.grad for t in leaves]))
+    _assert_bit_identical(results)
+
+
+def test_gate_records_one_node_and_rejects_unequal_shapes():
+    x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    y = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    assert ad.gate(x, y)._parents == (x, y)
+    assert ad.swish(x)._parents == (x, x)
+    with pytest.raises(ShapeMismatch):
+        ad.gate(x, ad.Tensor(np.ones(3)))
+
+
+def _captured_arrays(fn, seen=None):
+    """Every array a function's closure reaches, through nested functions."""
+    seen = set() if seen is None else seen
+    found = []
+    for cell in fn.__closure__ or ():
+        try:
+            value = cell.cell_contents
+        except ValueError:  # a name the function never bound, as `table` without `rel`
+            continue
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value) and getattr(value, "__closure__", None) and id(value) not in seen:
+            seen.add(id(value))
+            found += _captured_arrays(value, seen)
+    return found
+
+
+def _assert_keeps_no_array_like(node, shape):
+    """No array the node's backward keeps has `shape` or owns as many elements."""
+    size = int(np.prod(shape))
+    for arr in _captured_arrays(node._backward):
+        assert arr.shape != tuple(shape), arr.shape
+        assert arr.base is not None or arr.size < size, arr.shape
+
+
+@pytest.mark.parametrize("shape,bias_shape,with_rel", ATTENTION_CASES)
+def test_attention_backward_keeps_no_weights(shape, bias_shape, with_rel):
+    """The node keeps the row max and sum, not the (..., H, Lq, Lk) weights."""
+    heads, length = shape[-3], shape[-2]
+    rng = np.random.default_rng(25)
+    q, k, v = (ad.Tensor(rng.normal(size=_packed(shape)), requires_grad=True) for _ in range(3))
+    bias = None if bias_shape is None else ad.Tensor(rng.normal(size=bias_shape), requires_grad=True)
+    rel = None
+    if with_rel:
+        rel = (ad.Tensor(rng.normal(size=(7, heads, shape[-1])), requires_grad=True), _REPEATED_BINS)
+    out = ad.attention(q, k, v, heads, 0.5, bias=bias, rel=rel)
+    _assert_keeps_no_array_like(out, shape[:-1] + (length,))
+
+
+@pytest.mark.parametrize("x_shape,gamma_shape,beta_shape", LAYERNORM_CASES)
+def test_layernorm_backward_keeps_no_normalized_input(x_shape, gamma_shape, beta_shape):
+    """The node keeps each row's mean and inverse deviation, not x-hat."""
+    rng = np.random.default_rng(26)
+    x, gamma, beta = (ad.Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in (x_shape, gamma_shape, beta_shape))
+    _assert_keeps_no_array_like(ad.layernorm(x, gamma, beta), x_shape)
+
+
 # -- the compute dtype ----------------------------------------------------------
 
 def test_precision_restores_the_dtype_on_exit_and_on_error():
@@ -523,8 +618,10 @@ def test_precision_restores_the_dtype_on_exit_and_on_error():
 
 
 def test_sigmoid_is_finite_in_float32():
-    """exp overflows float32 at 88, not 709: the saturated tails stay 0 and 1."""
-    with np.errstate(over="ignore"):
+    """exp overflows float32 at 88, not 709: the saturated tails stay 0 and 1,
+    and the overflow, which gives the exact 0, raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = ad.sigmoid(ad.Tensor([-100.0, 100.0])).data
     assert out.dtype == np.float32
     np.testing.assert_array_equal(out, [0.0, 1.0])
@@ -559,10 +656,10 @@ def test_backward_releases_every_op_output():
     np.testing.assert_allclose(w.grad, upstream * x.data, atol=1e-12)
 
 
-def test_full_geo_backward_only_lowers_traced_memory():
-    """A backward frees each op output's arrays as it passes it, so its
-    traced peak stays close to what the graph holds when it starts (1.8x
-    when every array lived until the walk ended)."""
+def _traced_full_geo_step():
+    """Traced memory of one full-geo forward, `loss_bit` and backward at
+    L=32: (peak over the step, held after forward, peak of the backward).
+    Every number counts from the start of the forward."""
     cfg = ModelConfig(pair_bias=True, struct_transition=True, triangle_update=True,
                       triangle_attention=True, seqstruct_attention=True)
     lm = ProteinLM(cfg.validate())
@@ -574,10 +671,27 @@ def test_full_geo_backward_only_lowers_traced_memory():
     tracemalloc.start()
     try:
         loss = dfn.loss_bit(lm.forward(xt), x0, xt, t, lm.schedule)
-        start = tracemalloc.get_traced_memory()[0]
+        start, forward_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         loss.backward()
-        peak = tracemalloc.get_traced_memory()[1]
+        backward_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return max(forward_peak, backward_peak), start, backward_peak
+
+
+def test_full_geo_backward_only_lowers_traced_memory():
+    """A backward frees each op output's arrays as it passes it, so its
+    traced peak stays close to what the graph holds when it starts (1.8x
+    when every array lived until the walk ended)."""
+    _, start, peak = _traced_full_geo_step()
     assert peak <= 1.25 * start, (peak / start, start)
+
+
+def test_full_geo_step_traced_peak():
+    """Fused gates and the weights and x-hat recomputed in backward keep the
+    step's traced peak at L=32 near 7.5 MiB (9.3 MiB when the graph kept
+    the sigmoids, the swish products, every attention's weights and every
+    layernorm's normalized input)."""
+    peak = _traced_full_geo_step()[0]
+    assert peak <= 8.0 * 2**20, peak / 2**20

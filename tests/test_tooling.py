@@ -1,8 +1,8 @@
 """Guards on the package as a whole: every module and config field is
 reached, only the tokenizer module runs the frozen tokenizer, only the
-autodiff core and the optimizer touch gradients, every name the benchmark's
-tracer wraps still exists, and the benchmark's smallest runs pass, one of
-them traced."""
+autodiff core and the optimizer touch gradients, sigmoid gates are fused
+nodes, every name the benchmark's tracer wraps still exists, and the
+benchmark's smallest runs pass, one of them traced."""
 
 import ast
 import dataclasses
@@ -74,6 +74,21 @@ def test_only_autodiff_and_optim_touch_gradients():
     touching = {path.name for path in SRC.glob("*.py")
                 if re.search(r"\.grad\b", path.read_text())}
     assert touching == {"autodiff.py", "optim.py"}
+
+
+def test_sigmoid_gates_are_fused():
+    """A sigmoid or swish gate times a value is one `ad.gate` node, which
+    keeps no sigmoid output for backward. The callers left: the LFQ
+    entropy's bit probabilities, and attention's output gate, where the
+    fused node's parent order would change the bits of the gradients."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if "ad.sigmoid(" in "\n".join(lines[node.lineno - 1:node.end_lineno]):
+                callers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert callers == {"tokenizer.lfq_quantize", "nn.MultiHeadAttention"}
 
 
 def test_every_traced_name_exists(monkeypatch):
