@@ -1,12 +1,16 @@
 """Absorbing discrete diffusion over the joint (sequence, structure-token)
-state: noise schedule, forward corruption, index- and bit-based losses,
+state: noise schedule, forward corruption, the masked cross-entropy loss,
 absorbing posterior, and mask-predict generation.
 
 Sequence vocabulary: amino-acid ids 0..19 plus MASK (20). Structure
-tokens travel as bit rows in {-1,+1}^K with per-position mask flags;
-masked rows are replaced inside the model by a learnable absorbing
-embedding (the index head reads MASK as token 2^K). A state is one chain;
-every position is a residue.
+tokens travel as bit rows in {-1,+1}^K with per-position mask flags; how
+the model embeds a masked row is its own affair (`geo_arch.ProteinLM`).
+
+The model predicts a structure token as G groups of C-way logits, (L, G,
+C): each group is K/G consecutive bits read as one code in [0, 2^(K/G)),
+as `tokenizer.bits_to_index` maps them. The bit head is G = K, C = 2; the
+index head is G = 1, C = 2^K. The loss and the sampler read the layout
+from that shape alone. A state is one chain; every position is a residue.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BadT, HeadMismatch, ModeInputMissing, ShapeMismatch
+from .errors import BadT, ModeInputMissing, ShapeMismatch
 from .tokenizer import bits_to_index, index_to_bits, mask_id
 
 N_AA = 20
@@ -27,7 +31,6 @@ MASK_AA = 20
 class NoiseSchedule:
     T: int
     alpha_bar: np.ndarray  # (T+1,), alpha_bar[0] = 1 .. alpha_bar[T] = 0
-    beta: np.ndarray  # (T+1,), beta[t] = alpha_bar[t] / alpha_bar[t-1]
     lambda_w: np.ndarray  # (T+1,) per-step loss weights
 
 
@@ -37,8 +40,6 @@ def make_schedule(T, weighting="uniform"):
         raise BadT(f"T must be >= 2, got {T}")
     t = np.arange(T + 1, dtype=np.float64)
     alpha_bar = 1.0 - t / T
-    beta = np.ones(T + 1)
-    beta[1:] = alpha_bar[1:] / alpha_bar[:-1]
     if weighting == "uniform":
         lam = np.ones(T + 1)
     elif weighting == "inv-t":
@@ -46,7 +47,7 @@ def make_schedule(T, weighting="uniform"):
         lam[1:] = 1.0 / t[1:]
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-    return NoiseSchedule(T=T, alpha_bar=alpha_bar, beta=beta, lambda_w=lam)
+    return NoiseSchedule(T=T, alpha_bar=alpha_bar, lambda_w=lam)
 
 
 @dataclass
@@ -57,7 +58,6 @@ class TokenState:
     struct_bits: np.ndarray  # (L, K) float in {-1,+1}; rows under mask are ignored
     mask_seq: np.ndarray  # (L,) bool
     mask_struct: np.ndarray  # (L,) bool
-    k: int
 
     @classmethod
     def observed(cls, seq, struct_bits):
@@ -69,7 +69,6 @@ class TokenState:
             struct_bits=struct_bits.copy(),
             mask_seq=np.zeros(length, dtype=bool),
             mask_struct=np.zeros(length, dtype=bool),
-            k=struct_bits.shape[1],
         )
 
     @classmethod
@@ -79,17 +78,18 @@ class TokenState:
             struct_bits=np.zeros((length, k)),
             mask_seq=np.ones(length, dtype=bool),
             mask_struct=np.ones(length, dtype=bool),
-            k=k,
         )
+
+    @property
+    def k(self):
+        return self.struct_bits.shape[1]
 
     def __len__(self):
         return len(self.seq)
 
     def copy(self):
-        return TokenState(
-            self.seq.copy(), self.struct_bits.copy(), self.mask_seq.copy(),
-            self.mask_struct.copy(), self.k,
-        )
+        return TokenState(self.seq.copy(), self.struct_bits.copy(), self.mask_seq.copy(),
+                          self.mask_struct.copy())
 
     def seq_view(self):
         """Sequence ids with MASK_AA at masked positions."""
@@ -99,7 +99,7 @@ class TokenState:
 
     def struct_index_view(self):
         """Index tokens with the MASK id at masked positions."""
-        out = bits_to_index(self.struct_bits)
+        out = bits_to_index(self.struct_bits)[:, 0]
         out[self.mask_struct] = mask_id(self.k)
         return out
 
@@ -110,9 +110,8 @@ class TokenState:
 @dataclass
 class LMOutput:
     seq_logits: object  # Tensor (L, 20); None when no sequence position is masked
-    struct_logits: object  # Tensor (L, 2^K) for index head or (L, 2K) for bit head
+    struct_logits: object  # Tensor (L, G, C): (L, K, 2) for the bit head, (L, 1, 2^K) for index
     hidden_layers: list = field(default_factory=list)  # per-layer (L, D) Tensors
-    head: str = "bit"
 
 
 # -- forward corruption ------------------------------------------------------
@@ -151,34 +150,25 @@ def seq_ce(output: LMOutput, x0: TokenState, xt: TokenState):
     return _masked_ce(output.seq_logits, x0.seq, xt.mask_seq)
 
 
-def loss_index(output: LMOutput, x0: TokenState, xt: TokenState, t, schedule: NoiseSchedule):
-    """lambda_t * (seq CE + index CE), each averaged over its masked set."""
-    if output.head != "index":
-        raise HeadMismatch(f"index loss on head {output.head!r}")
-    lam = schedule.lambda_w[t]
-    struct_targets = bits_to_index(x0.struct_bits)
-    struct = _masked_ce(output.struct_logits, struct_targets, xt.mask_struct)
-    return (seq_ce(output, x0, xt) + struct) * lam
-
-
 def loss_bit(output: LMOutput, x0: TokenState, xt: TokenState, t, schedule: NoiseSchedule):
-    """lambda_t * (seq CE + sum_k per-bit CE via the (L, K, 2) softmax)."""
-    if output.head != "bit":
-        raise HeadMismatch(f"bit loss on head {output.head!r}")
-    lam = schedule.lambda_w[t]
-    k = x0.k
-    length = len(x0)
+    """lambda_t * (seq CE + structure CE), each averaged over its masked set.
+
+    One loss for both heads: the structure CE of a position sums the CE of
+    each of its G groups under the (L, G, C) logits, so it is the sum of K
+    per-bit CEs for the bit head and the 2^K-way index CE for the index
+    head."""
     idx = np.flatnonzero(xt.mask_struct)
     if len(idx) == 0:
         struct = ad.Tensor(0.0)
     else:
-        lp = ad.log_softmax(ad.reshape(output.struct_logits, (length, k, 2)), axis=-1)
-        bit_targets = (x0.struct_bits > 0).astype(np.int64)  # (L, K) in {0, 1}
-        rows = np.repeat(idx, k)
-        cols = np.tile(np.arange(k), len(idx))
-        picked = lp[rows, cols, bit_targets[idx].reshape(-1)]
-        struct = -picked.sum() * (1.0 / len(idx))  # sum over bits, mean over positions
-    return (seq_ce(output, x0, xt) + struct) * lam
+        groups = output.struct_logits.shape[1]
+        lp = ad.log_softmax(output.struct_logits, axis=-1)
+        targets = bits_to_index(x0.struct_bits, groups)[idx]  # (n, G)
+        rows = np.repeat(idx, groups)
+        cols = np.tile(np.arange(groups), len(idx))
+        picked = lp[rows, cols, targets.reshape(-1)]
+        struct = -picked.sum() * (1.0 / len(idx))  # sum over groups, mean over positions
+    return (seq_ce(output, x0, xt) + struct) * schedule.lambda_w[t]
 
 
 # -- reverse process ---------------------------------------------------------
@@ -229,23 +219,22 @@ def sample_prediction(output: LMOutput, xt: TokenState, temperature, rng):
         state.seq[i] = choice
         conf_seq[i] = seq_p[i, choice]
     conf_struct = np.zeros(length)
-    if output.head == "bit":
-        probs = _temperature_softmax(
-            output.struct_logits.data.reshape(length, xt.k, 2), temperature
-        )
-        idx = np.flatnonzero(xt.mask_struct)
-        p_one = probs[idx, :, 1]  # (n, K)
-        # one (n, K) draw takes the same numbers as n draws of K
-        ones = rng.random(p_one.shape) < p_one
-        state.struct_bits[idx] = np.where(ones, 1.0, -1.0)
-        conf_struct[idx] = np.prod(np.where(ones, p_one, 1.0 - p_one), axis=1)
-    else:
-        probs = _temperature_softmax(output.struct_logits.data, temperature)
-        for i in np.flatnonzero(xt.mask_struct):
-            choice = int(rng.choice(probs.shape[1], p=probs[i]))
-            state.struct_bits[i] = index_to_bits(np.array([choice]), xt.k)[0]
-            conf_struct[i] = probs[i, choice]
+    idx = np.flatnonzero(xt.mask_struct)
+    probs = _temperature_softmax(output.struct_logits.data[idx], temperature)  # (n, G, C)
+    codes = _draw_from_top(probs, rng)  # one (n, G) draw takes the same numbers as n draws of G
+    state.struct_bits[idx] = index_to_bits(codes, xt.k)
+    conf_struct[idx] = np.take_along_axis(probs, codes[..., None], axis=-1)[..., 0].prod(axis=1)
     return Prediction(state=state, conf_seq=conf_seq, conf_struct=conf_struct)
+
+
+def _draw_from_top(probs, rng):
+    """One inverse-CDF draw of a class per row of `probs`' last axis, one
+    uniform u per row, with the classes stacked from the highest down: the
+    top class is drawn when u < p(top), so at two classes class 1 is drawn
+    exactly when u < p(1)."""
+    above = np.cumsum(probs[..., :0:-1], axis=-1)  # mass of the top 1, 2, .., C-1 classes
+    u = rng.random(probs.shape[:-1])
+    return probs.shape[-1] - 1 - (above <= u[..., None]).sum(axis=-1)
 
 
 def _temperature_softmax(logits, temperature):

@@ -61,10 +61,6 @@ class BadT(BitfoldError):
     pass
 
 
-class HeadMismatch(BitfoldError):
-    pass
-
-
 class ModeInputMissing(BitfoldError):
     pass
 

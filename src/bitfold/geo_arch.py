@@ -12,6 +12,12 @@ flags and dims, `n_blocks`, the token width `k`, the output `head`, the
 noise schedule (`T`, `weighting`) and the init `seed`. `EncoderBlock` and
 `PairUpdate` read the same config.
 
+Only the model reads `head`, besides `config`'s check. It picks the
+structure input: the K bits through a linear map, with a learnable
+absorbing row at masked positions (`bit`), or a table of 2^K + 1 index
+tokens whose last row, token 2^K, is MASK (`index`). It also picks the
+output's G groups of C-way logits: (L, K, 2) or (L, 1, 2^K).
+
 Every attention here is one gated `nn.MultiHeadAttention` after an
 `autodiff.LayerNorm` pre-norm: trunk attention over residues (relative
 position bias, plus the pair bias when the pair track is on), SeqStruct
@@ -256,16 +262,16 @@ class ProteinLM(Module):
         d, k = cfg.d_model, cfg.k
         self.cfg = cfg
         self.k = cfg.k
-        self.head = cfg.head
         self.schedule = dfn.make_schedule(cfg.T, weighting=cfg.weighting)
         self.seq_embed = Tensor(rng.normal(0.0, 0.5, size=(dfn.MASK_AA + 1, d)), requires_grad=True)
         if cfg.head == "bit":
             self.struct_in = Linear(rng, k, d)
             self.absorbing = Tensor(rng.normal(0.0, 0.5, size=(d,)), requires_grad=True)
-            self.struct_out = Linear(rng, d, 2 * k)
+            self.struct_layout = (k, 2)
         else:
             self.struct_embed = Tensor(rng.normal(0.0, 0.5, size=(2**k + 1, d)), requires_grad=True)
-            self.struct_out = Linear(rng, d, 2**k)
+            self.struct_layout = (1, 2**k)
+        self.struct_out = Linear(rng, d, int(np.prod(self.struct_layout)))
         self.modality = Tensor(rng.normal(0.0, 0.5, size=(2, d)), requires_grad=True)
         if cfg.pair_bias:
             self.pair_init = PairInit(rng, d, cfg.d_pair)
@@ -277,7 +283,7 @@ class ProteinLM(Module):
 
     def _embed_struct(self, state):
         length = len(state)
-        if self.head == "bit":
+        if self.cfg.head == "bit":
             emb = self.struct_in(Tensor(state.struct_bits))
             gate = (~state.mask_struct).astype(ad.compute_dtype())[:, None]
             absorbed = ad.reshape(self.absorbing, (1, -1)) * (1.0 - gate)
@@ -324,9 +330,8 @@ class ProteinLM(Module):
         h = self.final_norm(h)
         return dfn.LMOutput(
             seq_logits=self.seq_out(h[length:]) if seq_read else None,
-            struct_logits=self.struct_out(h[:length]),
+            struct_logits=ad.reshape(self.struct_out(h[:length]), (length, *self.struct_layout)),
             hidden_layers=hidden_layers,
-            head=self.head,
         )
 
     def parameter_count(self):

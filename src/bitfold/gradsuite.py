@@ -39,32 +39,21 @@ def _state(rng, length=5, k=3):
     return x0, xt
 
 
-def _loss_index(seed):
-    rng = np.random.default_rng(seed)
-    x0, xt = _state(rng)
-    schedule = dfn.make_schedule(10)
-    seq_logits = Tensor(rng.normal(size=(5, 20)), requires_grad=True)
-    struct_logits = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+def _loss_ce(groups, classes):
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        x0, xt = _state(rng)
+        schedule = dfn.make_schedule(10)
+        seq_logits = Tensor(rng.normal(size=(5, 20)), requires_grad=True)
+        struct_logits = Tensor(rng.normal(size=(5, groups * classes)), requires_grad=True)
 
-    def fn():
-        out = dfn.LMOutput(seq_logits=seq_logits, struct_logits=struct_logits, head="index")
-        return dfn.loss_index(out, x0, xt, 4, schedule)
+        def fn():  # the output layer's flat logits in the (L, G, C) layout, as the LM gives them
+            grouped = ad.reshape(struct_logits, (5, groups, classes))
+            return dfn.loss_bit(dfn.LMOutput(seq_logits, grouped), x0, xt, 4, schedule)
 
-    return fn, {"seq_logits": seq_logits, "struct_logits": struct_logits}
+        return fn, {"seq_logits": seq_logits, "struct_logits": struct_logits}
 
-
-def _loss_bit(seed):
-    rng = np.random.default_rng(seed)
-    x0, xt = _state(rng)
-    schedule = dfn.make_schedule(10)
-    seq_logits = Tensor(rng.normal(size=(5, 20)), requires_grad=True)
-    struct_logits = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-
-    def fn():
-        out = dfn.LMOutput(seq_logits=seq_logits, struct_logits=struct_logits, head="bit")
-        return dfn.loss_bit(out, x0, xt, 4, schedule)
-
-    return fn, {"seq_logits": seq_logits, "struct_logits": struct_logits}
+    return build
 
 
 def _loss_repa(seed):
@@ -293,8 +282,8 @@ def _gate(swish):
 
 
 SUITE = {
-    "index-ce": _loss_index,
-    "bit-ce": _loss_bit,
+    "index-ce": _loss_ce(groups=1, classes=8),
+    "bit-ce": _loss_ce(groups=3, classes=2),
     "repa": _loss_repa,
     "resdiff": _loss_resdiff,
     "transition": _loss_transition,

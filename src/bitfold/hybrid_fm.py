@@ -7,9 +7,9 @@ Kabsch-aligns the denoised structure onto the current state before the
 linear update. The language model itself is time-unaware: corruption level
 reaches it only through the encoder features.
 
-As in the other stages, the entry points take the LM, which needs the bit
-head, and the frozen tokenizer. The flow state is the noisy structure x_t;
-its time t is `fm_generate`'s loop variable.
+As in the other stages, the entry points take the LM, with either head,
+and the frozen tokenizer. The flow state is the noisy structure x_t; its
+time t is `fm_generate`'s loop variable.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import diffusion as dfn
 from . import geometry as geo
 from . import tokenizer as tok
-from .errors import HeadMismatch, ShapeMismatch, TimeOrder
+from .errors import ShapeMismatch, TimeOrder
 from .optim import fit
 
 PRIOR_SIGMA = 10.0
@@ -28,11 +28,6 @@ PRIOR_SIGMA = 10.0
 
 def _centered(coords):
     return coords - coords[:, 1, :].mean(axis=0)
-
-
-def _require_bit_head(lm):
-    if lm.head != "bit":
-        raise HeadMismatch(f"hybrid flow matching needs head 'bit', the LM has head {lm.head!r}")
 
 
 def corrupt(x1: geo.BackboneStructure, t, rng):
@@ -50,7 +45,7 @@ def denoise(x_t: geo.BackboneStructure, lm, tokenizer, conditioning=None, positi
     """The composed denoiser decoder(LM(encoder(x_t))): tokenize the noisy
     structure, one LM forward with its bits observed (sequence clamped to
     the `conditioning` amino-acid ids if given, masked otherwise), greedy
-    bit readout, decode to centered coordinates. `positional` is the LM's
+    readout of each group's class, decode to centered coordinates. `positional` is the LM's
     record for this length (`ProteinLM.positional`) and
     `decoder_positional` the tokenizer decoder's (`Decoder.positional`);
     each is built when it is not given."""
@@ -63,9 +58,10 @@ def denoise(x_t: geo.BackboneStructure, lm, tokenizer, conditioning=None, positi
     lm_state.mask_seq = np.full(len(x_t), conditioning is None)
     with ad.no_grad():
         out = lm.forward(lm_state, positional=positional)
-    length, k = bits_t.shape
-    bit_logits = out.struct_logits.data.reshape(length, k, 2)
-    pred_bits = np.where(bit_logits[:, :, 1] >= bit_logits[:, :, 0], 1.0, -1.0)
+    logits = out.struct_logits.data  # (L, G, C)
+    top = logits.shape[-1] - 1
+    codes = top - np.argmax(logits[..., ::-1], axis=-1)  # a tie goes to the higher class
+    pred_bits = tok.index_to_bits(codes, bits_t.shape[1])
     coords = tok.decode(pred_bits, tokenizer, decoder_positional).data
     return geo.BackboneStructure(_centered(coords), x_t.chain_ids, x_t.source_id)
 
@@ -98,7 +94,6 @@ def fm_generate(lm, tokenizer, length, rng, conditioning=None, *, n_steps, denoi
     x_t = geo.BackboneStructure(_centered(rng.normal(0.0, PRIOR_SIGMA, size=(length, 4, 3))),
                                 chain_ids)
     if denoiser is None:
-        _require_bit_head(lm)
         with ad.no_grad():  # positions do not change between flow steps
             positional = lm.positional(length)
             decoder_positional = tokenizer.decoder.positional(length)
@@ -112,11 +107,11 @@ def fm_generate(lm, tokenizer, length, rng, conditioning=None, *, n_steps, denoi
 
 
 def fm_finetune(lm, tokenizer, dataset, steps, seed=0, *, peak, warmup, floor, log_every=0):
-    """Fine-tune the LM to predict clean bit tokens from encoder features of
-    flow-corrupted structures (bit cross-entropy; decoder untouched).
+    """Fine-tune the LM to predict clean structure tokens from encoder
+    features of flow-corrupted structures (the structure cross-entropy of
+    `diffusion.loss_bit`; decoder untouched).
 
     `dataset` is a list of (structure, sequence) pairs."""
-    _require_bit_head(lm)
     rng = np.random.default_rng(seed)
     clean_bits = [tok.tokenize(structure, tokenizer).bits for structure, _ in dataset]
 
@@ -126,7 +121,7 @@ def fm_finetune(lm, tokenizer, dataset, steps, seed=0, *, peak, warmup, floor, l
         out = lm.forward(dfn.TokenState.observed(np.asarray(seq), bits_t))
         target = dfn.TokenState.observed(np.asarray(seq), clean_bits[i])
         supervised = target.copy()
-        supervised.mask_struct[:] = True  # bit CE at every structure position
+        supervised.mask_struct[:] = True  # structure CE at every position
         return dfn.loss_bit(out, target, supervised, 1, lm.schedule), ""
 
     fit(lm.parameters(), dataset, steps, rng, step_loss, "fm-finetune", peak, warmup, floor,

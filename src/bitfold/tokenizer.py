@@ -242,21 +242,24 @@ def lfq_quantize(z):
 
 # -- bit/index codec ---------------------------------------------------------
 
-def bits_to_index(bits):
-    """z_index = sum_k 1(bit_k > 0) * 2^(k-1); bit k=1 is the LSB."""
-    bits = np.asarray(bits.data if isinstance(bits, Tensor) else bits)
-    if bits.ndim != 2:
-        raise ShapeMismatch(f"bits must be (L, K), got {bits.shape}")
-    weights = 2 ** np.arange(bits.shape[1], dtype=np.int64)
-    return ((bits > 0).astype(np.int64) * weights).sum(axis=1)
+def bits_to_index(bits, groups=1):
+    """(L, K) bits to (L, G) codes: each group's code reads its K/G
+    consecutive bits as a binary number, its first bit the LSB. G = 1 gives
+    the index token, G = K each bit as 0 or 1."""
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] % groups:
+        raise ShapeMismatch(f"bits must be (L, K) with {groups} dividing K, got {bits.shape}")
+    weights = 2 ** np.arange(bits.shape[1] // groups, dtype=np.int64)
+    return ((bits.reshape(len(bits), groups, -1) > 0) * weights).sum(axis=-1)
 
 
-def index_to_bits(indices, k):
-    indices = np.asarray(indices, dtype=np.int64)
-    if np.any(indices < 0) or np.any(indices >= 2**k):
-        raise IndexOutOfRange(f"indices outside [0, {2**k})")
-    shifted = (indices[:, None] >> np.arange(k)) & 1
-    return np.where(shifted > 0, 1.0, -1.0)
+def index_to_bits(codes, k):
+    """(L, G) codes to (L, K) bits; the inverse of `bits_to_index`."""
+    codes = np.asarray(codes, dtype=np.int64)
+    width = k // codes.shape[1]
+    if np.any(codes < 0) or np.any(codes >= 2**width):
+        raise IndexOutOfRange(f"codes outside [0, {2**width})")
+    return np.where((codes[..., None] >> np.arange(width)) & 1, 1.0, -1.0).reshape(len(codes), k)
 
 
 # -- reconstruction loss and training ----------------------------------------

@@ -59,7 +59,6 @@ def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, log_every=0):
     """
     trained = dict(lm.parameters())
     rng = np.random.default_rng(cfg.seed)
-    loss_fn = dfn.loss_bit if cfg.head == "bit" else dfn.loss_index
     states, targets = encode_dataset(dataset, tokenizer_params, with_targets=cfg.repa_enabled)
     if cfg.repa_enabled:
         repa_head = repa.RepaHead(cfg.d_model, cfg.tok_width, cfg.n_blocks, seed=cfg.seed)
@@ -77,7 +76,7 @@ def train_lm(lm, tokenizer_params, dataset, cfg: ModelConfig, log_every=0):
         if not (xt.mask_seq.any() or xt.mask_struct.any()):
             return None  # nothing masked: the loss is identically zero
         out = lm.forward(xt)
-        loss = loss_fn(out, x0, xt, t, lm.schedule)
+        loss = dfn.loss_bit(out, x0, xt, t, lm.schedule)
         if cfg.repa_enabled and cfg.repa_weight != 0.0:
             loss = loss + cfg.repa_weight * repa.repa_loss(
                 out.hidden_layers, repa_head, targets[i]

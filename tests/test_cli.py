@@ -89,6 +89,8 @@ def test_pipeline_subcommands_run(tmp_path):
         ["sample", "--tokenizer", tok_ckpt, "--ckpt", grid["2-geo-bit"],
          "--out", str(tmp_path / "fm_samples"), "--length", "16",
          "--set", "pair_bias=true", "--set", "fm_enabled=true"],
+        ["finetune-fm", *common, "--ckpt", grid["0-baseline-index"],
+         "--out", str(tmp_path / "fm_index.ckpt"), "--steps", "2", "--set", "head=index"],
         ["eval", "--mode", "folding", *common, "--ckpt", grid["3-geo-bit-repa"],
          "--steps", "4", "--set", "pair_bias=true"],
     ]
@@ -97,8 +99,6 @@ def test_pipeline_subcommands_run(tmp_path):
          "--set", "k=6"],
         ["sample", "--tokenizer", tok_ckpt, "--ckpt", grid["2-geo-bit"],
          "--out", str(tmp_path / "fm_samples"), "--length", "16"],
-        ["finetune-fm", *common, "--ckpt", grid["0-baseline-index"],
-         "--out", str(tmp_path / "none.ckpt"), "--steps", "2", "--set", "head=index"],
         ["train-tokenizer", "--data", str(short), "--out", str(tmp_path / "none.ckpt"),
          "--steps", "2"],
         ["train-lm", "--data", str(empty), "--tokenizer", tok_ckpt,
@@ -112,7 +112,6 @@ def test_pipeline_subcommands_run(tmp_path):
     assert codes == [0] * len(passing) + [1] * len(failing), list(zip(codes, runs))
     assert f"{tok_ckpt}: checkpoint has k = 8, config has 6" in err
     assert f"{grid['2-geo-bit']}: checkpoint has pair_bias = True, config has False" in err
-    assert "needs head 'bit', the LM has head 'index'" in err
     assert f"{short / 's0.seq'}: 15 residues, but {short / 's0.bkb'} has 16" in err
     assert f"no training items: --data {empty}" in err
     assert "eval --mode folding needs --ckpt" in err

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from bitfold import autodiff as ad
 from bitfold import diffusion as dfn
 from bitfold import tokenizer as tok
 from bitfold.autodiff import Tensor
-from bitfold.errors import BadT, HeadMismatch, ModeInputMissing, ShapeMismatch
+from bitfold.errors import BadT, ModeInputMissing, ShapeMismatch
 
 
 def make_state(rng, length=8, k=3):
@@ -21,7 +22,7 @@ def test_schedule_linear_values():
     s = dfn.make_schedule(10)
     assert s.alpha_bar[5] == pytest.approx(0.5)
     assert s.alpha_bar[10] == 0.0
-    assert s.beta[1] == pytest.approx(1 - 1 / 10)
+    assert s.alpha_bar[1] / s.alpha_bar[0] == pytest.approx(1 - 1 / 10)
     assert np.all(np.diff(s.alpha_bar) < 0)
 
 
@@ -64,8 +65,8 @@ def test_forward_mask_composition_matches_direct():
     for _ in range(n):
         masked = np.zeros(length, dtype=bool)
         for t in range(1, t_target + 1):
-            # per-step kernel: survive with probability beta_t
-            masked |= rng.random(length) >= schedule.beta[t]
+            # per-step kernel: survive with probability alpha_bar_t / alpha_bar_{t-1}
+            masked |= rng.random(length) >= schedule.alpha_bar[t] / schedule.alpha_bar[t - 1]
         composed_counts += masked
     p_direct = 1.0 - schedule.alpha_bar[t_target]
     expected = p_direct
@@ -81,20 +82,20 @@ def test_forward_mask_composition_matches_direct():
 
 # -- losses ------------------------------------------------------------------
 
+# The structure logits of each head, as `ProteinLM` lays them out: G groups of C classes.
+LAYOUTS = {"bit": lambda k: (k, 2), "index": lambda k: (1, 2**k)}
+
+
 def _perfect_output(x0, k, head):
     length = len(x0)
     seq_logits = np.full((length, 20), -30.0)
     seq_logits[np.arange(length), x0.seq] = 30.0
-    if head == "index":
-        struct = np.full((length, 2**k), -30.0)
-        struct[np.arange(length), tok.bits_to_index(x0.struct_bits)] = 30.0
-    else:
-        struct = np.full((length, k, 2), -30.0)
-        targets = (x0.struct_bits > 0).astype(int)
-        for i in range(length):
-            struct[i, np.arange(k), targets[i]] = 30.0
-        struct = struct.reshape(length, 2 * k)
-    return dfn.LMOutput(seq_logits=Tensor(seq_logits), struct_logits=Tensor(struct), head=head)
+    groups, classes = LAYOUTS[head](k)
+    struct = np.full((length, groups, classes), -30.0)
+    codes = tok.bits_to_index(x0.struct_bits, groups)
+    for i in range(length):
+        struct[i, np.arange(groups), codes[i]] = 30.0
+    return dfn.LMOutput(seq_logits=Tensor(seq_logits), struct_logits=Tensor(struct))
 
 
 @pytest.mark.parametrize("head", ["index", "bit"])
@@ -104,8 +105,7 @@ def test_loss_zero_for_perfect_prediction(head):
     schedule = dfn.make_schedule(10)
     xt = dfn.forward_mask(x0, schedule, 8, rng)
     out = _perfect_output(x0, 3, head)
-    loss_fn = dfn.loss_index if head == "index" else dfn.loss_bit
-    assert loss_fn(out, x0, xt, 8, schedule).item() == pytest.approx(0.0, abs=1e-12)
+    assert dfn.loss_bit(out, x0, xt, 8, schedule).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_uniform_values():
@@ -116,16 +116,10 @@ def test_loss_uniform_values():
     xt = x0.copy()
     xt.mask_struct[:] = True  # struct fully masked, seq untouched
     length = len(x0)
-    uniform_index = dfn.LMOutput(
-        seq_logits=Tensor(np.zeros((length, 20))),
-        struct_logits=Tensor(np.zeros((length, 2**k))), head="index",
-    )
-    uniform_bit = dfn.LMOutput(
-        seq_logits=Tensor(np.zeros((length, 20))),
-        struct_logits=Tensor(np.zeros((length, 2 * k))), head="bit",
-    )
-    assert dfn.loss_index(uniform_index, x0, xt, 5, schedule).item() == pytest.approx(np.log(2**k))
-    assert dfn.loss_bit(uniform_bit, x0, xt, 5, schedule).item() == pytest.approx(k * np.log(2))
+    for head in ("index", "bit"):
+        uniform = dfn.LMOutput(seq_logits=Tensor(np.zeros((length, 20))),
+                               struct_logits=Tensor(np.zeros((length, *LAYOUTS[head](k)))))
+        assert dfn.loss_bit(uniform, x0, xt, 5, schedule).item() == pytest.approx(k * np.log(2))
 
 
 def test_loss_zero_when_nothing_masked():
@@ -139,7 +133,7 @@ def test_loss_zero_when_nothing_masked():
 
 def test_struct_only_loss_needs_no_seq_logits():
     """With no sequence position masked the model returns no sequence
-    logits; both losses then count only the structure term."""
+    logits; the loss then counts only the structure term, on either head."""
     rng = np.random.default_rng(21)
     k = 3
     x0 = make_state(rng, k=k)
@@ -147,37 +141,87 @@ def test_struct_only_loss_needs_no_seq_logits():
     xt = x0.copy()
     xt.mask_struct[[0, 5]] = True
     length = len(x0)
-    for head, width, loss in (("bit", 2 * k, dfn.loss_bit), ("index", 2**k, dfn.loss_index)):
-        struct = Tensor(rng.normal(size=(length, width)))
-        with_seq = dfn.LMOutput(Tensor(rng.normal(size=(length, 20))), struct, head=head)
-        without = dfn.LMOutput(None, struct, head=head)
+    for head in ("bit", "index"):
+        struct = Tensor(rng.normal(size=(length, *LAYOUTS[head](k))))
+        with_seq = dfn.LMOutput(Tensor(rng.normal(size=(length, 20))), struct)
+        without = dfn.LMOutput(None, struct)
         assert dfn.seq_ce(without, x0, xt).item() == 0.0
-        assert loss(without, x0, xt, 3, schedule).item() == loss(with_seq, x0, xt, 3, schedule).item()
+        assert (dfn.loss_bit(without, x0, xt, 3, schedule).item()
+                == dfn.loss_bit(with_seq, x0, xt, 3, schedule).item())
 
 
-def test_head_mismatch():
-    rng = np.random.default_rng(7)
-    x0 = make_state(rng)
+# -- the two losses the grouped one replaced, kept as reference; they take the
+# output layer's flat (L, 2^K) or (L, 2K) logits
+
+def _old_loss_index(seq_logits, flat_logits, x0, xt, t, schedule):
+    lam = schedule.lambda_w[t]
+    struct_targets = tok.bits_to_index(x0.struct_bits)[:, 0]
+    struct = dfn._masked_ce(flat_logits, struct_targets, xt.mask_struct)
+    return (dfn.seq_ce(dfn.LMOutput(seq_logits, None), x0, xt) + struct) * lam
+
+
+def _old_loss_bit(seq_logits, flat_logits, x0, xt, t, schedule):
+    lam = schedule.lambda_w[t]
+    length, k = x0.struct_bits.shape
+    idx = np.flatnonzero(xt.mask_struct)
+    lp = ad.log_softmax(ad.reshape(flat_logits, (length, k, 2)), axis=-1)
+    bit_targets = (x0.struct_bits > 0).astype(np.int64)
+    rows = np.repeat(idx, k)
+    cols = np.tile(np.arange(k), len(idx))
+    picked = lp[rows, cols, bit_targets[idx].reshape(-1)]
+    struct = -picked.sum() * (1.0 / len(idx))
+    return (dfn.seq_ce(dfn.LMOutput(seq_logits, None), x0, xt) + struct) * lam
+
+
+def _value_and_grads(loss_fn, head, grouped, seed):
+    """The loss and the gradients of its logits, in the compute dtype, on a
+    state with both tracks partly masked. The logits are the output
+    layer's flat ones, viewed in `head`'s (L, G, C) layout when `grouped`."""
+    rng = np.random.default_rng(seed)
+    x0 = make_state(rng, length=7, k=3)
     schedule = dfn.make_schedule(10)
-    out = _perfect_output(x0, 3, "bit")
-    with pytest.raises(HeadMismatch):
-        dfn.loss_index(out, x0, x0, 3, schedule)
+    xt = dfn.forward_mask(x0, schedule, 6, rng)
+    xt.mask_seq[0] = xt.mask_struct[0] = True
+    layout = LAYOUTS[head](3)
+    seq_logits = Tensor(rng.normal(size=(7, 20)), requires_grad=True)
+    flat = Tensor(rng.normal(size=(7, layout[0] * layout[1])), requires_grad=True)
+    struct = ad.reshape(flat, (7, *layout)) if grouped else flat
+    loss = loss_fn(seq_logits, struct, x0, xt, 6, schedule)
+    loss.backward()
+    return loss.item(), seq_logits.grad, flat.grad
+
+
+@pytest.mark.parametrize("head,old_loss", [("index", _old_loss_index), ("bit", _old_loss_bit)],
+                         ids=["index", "bit"])
+def test_grouped_loss_equals_the_old_head_loss(head, old_loss):
+    """On the (L, 1, 2^K) layout the loss and its gradients equal the old
+    `loss_index`, and on (L, K, 2) the old `loss_bit`, bit for bit."""
+    def grouped(seq_logits, struct_logits, x0, xt, t, schedule):
+        return dfn.loss_bit(dfn.LMOutput(seq_logits, struct_logits), x0, xt, t, schedule)
+
+    for seed in range(4):
+        got = _value_and_grads(grouped, head, True, seed)
+        want = _value_and_grads(old_loss, head, False, seed)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(g, w)
 
 
 def test_bit_loss_equals_index_loss_at_k1():
+    """At K = 1 the two layouts coincide, and the old index and bit losses
+    give the grouped loss's value."""
     rng = np.random.default_rng(8)
     length = 6
     x0 = make_state(rng, length=length, k=1)
     schedule = dfn.make_schedule(10)
     xt = dfn.forward_mask(x0, schedule, 7, rng)
     logits = rng.normal(size=(length, 2))
-    seq_logits = rng.normal(size=(length, 20))
-    out_bit = dfn.LMOutput(Tensor(seq_logits), Tensor(logits.copy()), head="bit")
-    # index head with codebook {0, 1}: column order matches (bit=-1 -> index 0)
-    out_idx = dfn.LMOutput(Tensor(seq_logits), Tensor(logits.copy()), head="index")
-    a = dfn.loss_bit(out_bit, x0, xt, 7, schedule).item()
-    b = dfn.loss_index(out_idx, x0, xt, 7, schedule).item()
-    assert a == pytest.approx(b, abs=1e-12)
+    seq_logits = Tensor(rng.normal(size=(length, 20)))
+    grouped = dfn.loss_bit(dfn.LMOutput(seq_logits, Tensor(logits[:, None, :])), x0, xt, 7,
+                           schedule).item()
+    for old_loss in (_old_loss_index, _old_loss_bit):
+        assert old_loss(seq_logits, Tensor(logits), x0, xt, 7, schedule).item() == pytest.approx(
+            grouped, abs=1e-12)
 
 
 # -- posterior ----------------------------------------------------------------
@@ -263,14 +307,32 @@ def test_sample_prediction_bit_confidence_is_product():
     x0 = make_state(rng, length=length, k=k)
     xt = x0.copy()
     xt.mask_struct[:] = True
-    logits = np.zeros((length, 2 * k))
-    logits[:, 1::2] = 1.0  # favor bit = +1 everywhere, so the draws mix both signs
-    out = dfn.LMOutput(Tensor(np.zeros((length, 20))), Tensor(logits), head="bit")
+    logits = np.zeros((length, k, 2))
+    logits[:, :, 1] = 1.0  # favor bit = +1 everywhere, so the draws mix both signs
+    out = dfn.LMOutput(Tensor(np.zeros((length, 20))), Tensor(logits))
     pred = dfn.sample_prediction(out, xt, 1.0, rng)
     p_one = 1.0 / (1.0 + np.exp(-1.0))
     drawn = np.where(pred.state.struct_bits > 0, p_one, 1.0 - p_one)
     assert set(pred.state.struct_bits.ravel()) == {-1.0, 1.0}
     assert pred.conf_struct == pytest.approx(drawn.prod(axis=1))
+
+
+def test_sample_prediction_index_frequencies():
+    """At one group of 8 classes each index token is drawn at its softmax
+    probability, within 4 sigma over 20k draws, and its confidence is that
+    probability."""
+    n, k = 20_000, 3
+    xt = dfn.TokenState.all_masked(n, k)
+    xt.mask_seq[:] = False
+    logits = np.array([0.5, -1.0, 2.0, 0.0, -0.5, 1.0, -2.0, 0.3])
+    out = dfn.LMOutput(None, Tensor(np.broadcast_to(logits, (n, 1, 8)).copy()))
+    pred = dfn.sample_prediction(out, xt, 1.0, np.random.default_rng(24))
+    probs = dfn._temperature_softmax(out.struct_logits.data[0, 0], 1.0)
+    codes = tok.bits_to_index(pred.state.struct_bits)[:, 0]
+    counts = np.bincount(codes, minlength=8)
+    sigma = np.sqrt(n * probs * (1.0 - probs))
+    assert np.all(np.abs(counts - n * probs) < 4.0 * sigma), (counts, n * probs)
+    np.testing.assert_array_equal(pred.conf_struct, probs[codes])
 
 
 class OracleModel:
@@ -292,9 +354,7 @@ class OracleModel:
         targets = (self.x0.struct_bits > 0).astype(int)
         for i in range(length):
             struct[i, np.arange(self.k), targets[i]] = 30.0
-        return dfn.LMOutput(
-            Tensor(seq_logits), Tensor(struct.reshape(length, 2 * self.k)), head="bit"
-        )
+        return dfn.LMOutput(Tensor(seq_logits), Tensor(struct))
 
 
 def test_generate_folding_preserves_sequence():
@@ -449,7 +509,7 @@ class NoisyModel:
     def forward(self, state, positional=None):
         length = len(state)
         return dfn.LMOutput(Tensor(self.rng.normal(size=(length, 20)) * 2.0),
-                            Tensor(self.rng.normal(size=(length, 2 * self.k)) * 2.0), head="bit")
+                            Tensor(self.rng.normal(size=(length, self.k, 2)) * 2.0))
 
 
 @pytest.mark.parametrize("mode,strategy", [("folding", "confidence"), ("unconditional", "stochastic")])

@@ -595,11 +595,11 @@ def test_parameter_count_ordering():
 def test_heads_and_hidden_layers():
     rng = np.random.default_rng(9)
     state = seq_masked(make_state(rng, length=5, k=4))
-    for head, width in (("bit", 8), ("index", 16)):
+    for head, layout in (("bit", (4, 2)), ("index", (1, 16))):
         model = ga.ProteinLM(small_cfg(head=head))
         with ad.no_grad():
             out = model.forward(state)
-        assert out.struct_logits.shape == (5, width)
+        assert out.struct_logits.shape == (5, *layout)
         assert out.seq_logits.shape == (5, 20)
         assert len(out.hidden_layers) == 2
         assert out.hidden_layers[0].shape == (5, 32)

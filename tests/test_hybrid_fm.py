@@ -4,13 +4,15 @@ oracle denoiser that always returns the target."""
 import numpy as np
 import pytest
 
+from bitfold import diffusion as dfn
 from bitfold import geo_arch as ga
 from bitfold import geometry as geo
 from bitfold import hybrid_fm as fm
 from bitfold import nn
 from bitfold import tokenizer as tok
+from bitfold.autodiff import Tensor
 from bitfold.config import ModelConfig
-from bitfold.errors import HeadMismatch, ShapeMismatch, TimeOrder
+from bitfold.errors import ShapeMismatch, TimeOrder
 
 
 def make_target(seed=0, length=12):
@@ -93,11 +95,45 @@ def test_fm_generate_rejects_conditioning_of_another_length(n_tokens):
                        n_steps=2)
 
 
-def test_hybrid_flow_matching_needs_the_bit_head():
+def test_hybrid_flow_matching_runs_on_the_index_head():
     lm, tokenizer = small_models(head="index")
     target = make_target()
-    with pytest.raises(HeadMismatch, match="needs head 'bit'"):
-        fm.fm_generate(lm, tokenizer, len(target), np.random.default_rng(0), n_steps=2)
-    with pytest.raises(HeadMismatch, match="needs head 'bit'"):
-        fm.fm_finetune(lm, tokenizer, [(target, np.arange(len(target)) % 20)], steps=1,
-                       peak=1e-4, warmup=1, floor=1e-5)
+    fm.fm_finetune(lm, tokenizer, [(target, np.arange(len(target)) % 20)], steps=2,
+                   peak=1e-4, warmup=1, floor=1e-5)
+    out = fm.fm_generate(lm, tokenizer, len(target), np.random.default_rng(0), n_steps=2)
+    assert out.coords.shape == (len(target), 4, 3)
+    assert np.isfinite(out.coords).all()
+
+
+class _FixedLogits:
+    """An LM stand-in whose structure logits are fixed, whatever the state."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def forward(self, state, positional=None):
+        return dfn.LMOutput(None, Tensor(self.logits))
+
+
+@pytest.mark.parametrize("layout", [(4, 2), (1, 16)], ids=["bit", "index"])
+def test_greedy_readout_breaks_ties_to_the_higher_class(monkeypatch, layout):
+    """Each group reads out its top class, and a tie goes to the higher
+    one: at two classes a tied bit reads +1."""
+    target = make_target(length=8)
+    logits = np.zeros((8, *layout))
+    if layout == (4, 2):
+        logits[:, :2, 0] = 1.0  # bits 1-2 read -1, bits 3-4 tie and read +1
+        want = np.tile([-1.0, -1.0, 1.0, 1.0], (8, 1))
+    else:
+        logits[:, 0, [3, 9]] = 1.0  # classes 3 and 9 tie at the top; 9 = 0b1001
+        want = np.tile([1.0, -1.0, -1.0, 1.0], (8, 1))
+    read = []
+
+    def decode(bits, tokenizer, positional=None):
+        read.append(bits)
+        return Tensor(np.zeros((len(bits), 4, 3)))
+
+    monkeypatch.setattr(tok, "decode", decode)
+    _, tokenizer = small_models()
+    fm.denoise(target, _FixedLogits(logits), tokenizer)
+    np.testing.assert_array_equal(read[0], want)

@@ -23,24 +23,34 @@ def test_mask_id():
 
 def test_bits_to_index_lsb_convention():
     # bit k=1 is the least significant bit
-    assert tok.bits_to_index(np.array([[1.0, -1.0, -1.0]]))[0] == 1
-    assert tok.bits_to_index(np.array([[-1.0, 1.0, -1.0]]))[0] == 2
-    assert tok.bits_to_index(np.array([[1.0, 1.0, 1.0]]))[0] == 7
+    assert tok.bits_to_index(np.array([[1.0, -1.0, -1.0]]))[0, 0] == 1
+    assert tok.bits_to_index(np.array([[-1.0, 1.0, -1.0]]))[0, 0] == 2
+    assert tok.bits_to_index(np.array([[1.0, 1.0, 1.0]]))[0, 0] == 7
+    # each group of K/G bits is one code, its first bit the LSB
+    np.testing.assert_array_equal(
+        tok.bits_to_index(np.array([[1.0, -1.0, -1.0, 1.0]]), 2), [[1, 2]])
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])
 def test_codec_bijection_exhaustive(k):
-    indices = np.arange(2**k)
+    indices = np.arange(2**k)[:, None]
     bits = tok.index_to_bits(indices, k)
     assert bits.shape == (2**k, k)
     np.testing.assert_array_equal(tok.bits_to_index(bits), indices)
+    for groups in (2, k):  # the same bits, read in groups
+        codes = tok.bits_to_index(bits, groups)
+        assert codes.shape == (2**k, groups) and codes.max() == 2 ** (k // groups) - 1
+        np.testing.assert_array_equal(tok.index_to_bits(codes, k), bits)
+    np.testing.assert_array_equal(tok.bits_to_index(bits, k), bits > 0)
 
 
 def test_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
-        tok.index_to_bits(np.array([16]), 4)
+        tok.index_to_bits(np.array([[16]]), 4)
     with pytest.raises(IndexOutOfRange):
-        tok.index_to_bits(np.array([-1]), 4)
+        tok.index_to_bits(np.array([[-1]]), 4)
+    with pytest.raises(IndexOutOfRange):
+        tok.index_to_bits(np.array([[3, 4]]), 4)
 
 
 def test_invariant_features_rigid_invariance():
@@ -146,7 +156,7 @@ def test_tokenize_is_one_encoder_pass():
 
 def test_decode_builds_no_graph_from_arrays_or_tensors():
     params = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=16, blocks=1), seed=0)
-    bits = tok.index_to_bits(np.arange(6) % 16, 4)
+    bits = tok.index_to_bits(np.arange(6)[:, None] % 16, 4)
     from_array = tok.decode(bits, params)
     from_tensor = tok.decode(Tensor(bits), params)
     assert from_array._parents == () and not from_array.requires_grad
@@ -189,7 +199,7 @@ def test_lfq_straight_through_gradient():
 @pytest.mark.usefixtures("float64")
 def test_decode_centered_on_ca_centroid():
     params = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=32, blocks=1), seed=0)
-    bits = tok.index_to_bits(np.arange(6) % 16, 4)
+    bits = tok.index_to_bits(np.arange(6)[:, None] % 16, 4)
     with ad.no_grad():
         coords = tok.decode(Tensor(bits), params).data
     np.testing.assert_allclose(coords[:, 1, :].mean(axis=0), 0.0, atol=1e-9)
@@ -197,7 +207,7 @@ def test_decode_centered_on_ca_centroid():
 
 def test_decode_rejects_positional_terms_of_another_length():
     params = tok.TokenizerParams(tok.TokenizerConfig(k=4, width=32, blocks=1), seed=0)
-    bits = Tensor(tok.index_to_bits(np.arange(6) % 16, 4))
+    bits = Tensor(tok.index_to_bits(np.arange(6)[:, None] % 16, 4))
     with ad.no_grad(), pytest.raises(ShapeMismatch):
         tok.decode(bits, params, params.decoder.positional(5))
 

@@ -1,5 +1,6 @@
 """Guards on the package as a whole: every module and config field is
 reached, only the tokenizer module runs the frozen tokenizer, only the
+config and the model compare the structure head's values, only the
 autodiff core and the optimizer touch gradients, sigmoid gates are fused
 nodes, every name the benchmark's tracer wraps still exists, and the
 benchmark's smallest runs pass, one of them traced."""
@@ -65,6 +66,21 @@ def test_only_the_tokenizer_module_runs_the_frozen_tokenizer():
                 signs.add(f"{path.stem}.{inner.name if inner else '<module>'}")
     assert callers == set()
     assert signs == {"tokenizer.tokenize", "autodiff.sign_ste"}
+
+
+def test_only_the_config_and_the_model_compare_head_values():
+    """The head's two values, "bit" and "index", are compared where the
+    config checks them and where `ProteinLM` builds its structure input
+    and output layout. Every other module reads the (L, G, C) layout from
+    the shape of the logits."""
+    comparing = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(leaf, ast.Constant) and leaf.value in ("bit", "index")
+                    for leaf in ast.walk(node)):
+                comparing.add(path.name)
+    assert comparing == {"config.py", "geo_arch.py"}
 
 
 def test_only_autodiff_and_optim_touch_gradients():

@@ -67,7 +67,6 @@ def _loop_train_lm(lm, tokenizer_params, dataset, cfg):
         targets = [_teacher_targets(s, tokenizer_params) for s, _ in dataset]
     opt = optim.Adam(trained)
     rng = np.random.default_rng(cfg.seed)
-    loss_fn = dfn.loss_bit if cfg.head == "bit" else dfn.loss_index
     states = []
     for structure, seq in dataset:
         with ad.no_grad():
@@ -89,7 +88,7 @@ def _loop_train_lm(lm, tokenizer_params, dataset, cfg):
             losses.append(0.0)
             continue
         out = lm.forward(xt)
-        loss = loss_fn(out, x0, xt, t, lm.schedule)
+        loss = dfn.loss_bit(out, x0, xt, t, lm.schedule)
         if cfg.repa_enabled and cfg.repa_weight != 0.0:
             loss = loss + cfg.repa_weight * repa_mod.repa_loss(
                 out.hidden_layers, repa_head, targets[i]
