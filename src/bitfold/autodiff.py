@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense float32 arrays.
 
-A Tensor wraps a numpy array and records the op that produced it; calling
-``backward`` on a scalar loss walks the recorded graph in reverse
-topological order and accumulates gradients into every reachable tensor
-with ``requires_grad=True``. The graph is rebuilt on every forward pass
-and freed node by node as backward walks it.
+A Tensor wraps a numpy array. An op with an input that needs a gradient
+also gives its output a graph `Node`, which records the op; calling
+``backward`` on a scalar loss walks the nodes in reverse topological order
+and accumulates gradients into the node of every reachable tensor with
+``requires_grad=True``. The graph is rebuilt on every forward pass and
+freed node by node as backward walks it.
 
 Precision: every Tensor holds an array of the one compute dtype, float32,
 as in mixed-precision training (Micikevicius et al. 2018): the graph
@@ -38,21 +39,37 @@ from their inputs, exactly, with the forward's ops in the forward's order
 `swish`, the normalized input of `layernorm` from its row mean and inverse
 deviation, and the weights of `attention` from its row max and sum.
 
+Nodes and data: a Tensor holds its array and its node; the node holds the
+gradient, the parent nodes and the backward closure, never a Tensor. A
+tensor that needs no gradient has no node, and a leaf's node has no
+parents and no closure. Each closure captures the nodes it sends gradients
+to and only the arrays its backward reads, as PyTorch saves only the
+tensors a backward needs (Paszke et al. 2019). `add`, `sub`, `sign_ste`,
+`where` and the shape ops (`tsum`, `reshape`, `transpose`, `concat`,
+`take`, `pad`) read no input; `mul`, `matmul`, `linear` and
+`tri_contract` read an operand only for the other operand's gradient;
+`exp`, `sqrt`, `tanh`, `sigmoid`, `softmax` and `log_softmax` read only
+their output; the other ops read the inputs their gradients need. So an
+op output that no backward reads, such as a projection that only feeds a
+residual add, is freed as soon as its caller drops the Tensor, not when
+backward reaches its consumer.
+
 Gradient ownership: after ``backward`` only the leaves keep ``.grad``.
-Once an op output's backward closure has run, no gradient can
-reach it any more, so the walk drops its ``.grad`` and its graph references
-there and then, and its data and gradient are freed as soon as no node
-still waiting needs them. No gradient array is ever written in place. A
-tensor keeps the first gradient it receives as it is (a broadcast view if
-its shape differs) and adds later ones out of place, so a leaf's ``.grad``
-may alias the upstream gradient or a sibling's (the two operands of
-``add`` share one array). Code that reads ``.grad`` must copy it before
+Once an op output's backward closure has run, no gradient can reach its
+node any more, so the walk drops the node's gradient, parents and closure
+there and then, and the arrays the closure saved are freed as soon as no
+node still waiting needs them. No gradient array is ever written in
+place. A node keeps the first gradient it receives as it is (a broadcast
+view if its shape differs) and adds later ones out of place, so a leaf's
+``.grad`` may alias the upstream gradient or a sibling's (the two operands
+of ``add`` share one array). Code that reads ``.grad`` must copy it before
 modifying it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,17 +131,35 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+class Node:
+    """The graph side of a tensor that needs a gradient: the shape of its
+    data, its gradient, the nodes it sends gradients to and the closure
+    that sends them (None for a leaf)."""
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    __slots__ = ("shape", "grad", "parents", "backward")
+
+    def __init__(self, shape, parents, backward):
+        self.shape = shape
+        self.grad = None
+        self.parents = parents
+        self.backward = backward
+
+    def _accum(self, g):
+        """Add `g` to the gradient; every gradient arrives here."""
+        if self.grad is None:
+            self.grad = g if g.shape == self.shape else np.broadcast_to(g, self.shape)
+        else:
+            self.grad = self.grad + g
+
+
+class Tensor:
+    __slots__ = ("data", "_node")
+
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=_dtype)
         _check_finite(arr)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        self._node = Node(arr.shape, (), None) if requires_grad else None
 
     # -- basic introspection ------------------------------------------------
     @property
@@ -139,6 +174,28 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
+
+    @property
+    def _backward(self):
+        """The backward closure of the op that made this tensor, which the
+        walk calls; None for a leaf or a tensor without a gradient."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node.backward = fn
+
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -151,48 +208,44 @@ class Tensor:
 
         The walk pops the nodes in reverse topological order. After a
         node's backward closure has run, its parents, its closure and its
-        ``.grad`` are dropped, so each op output's arrays are released as
-        the walk passes it; only the leaves keep ``.grad``.
+        gradient are dropped, so the arrays each closure saved are released
+        as the walk passes it; only the leaves keep ``.grad``.
         """
         if self.size != 1:
             raise NotScalar(f"backward requires a scalar, got shape {self.shape}")
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise DetachedLoss("loss does not depend on any tracked parameter")
         topo, seen = [], set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+            for p in node.parents:
+                if p not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            backward = node._backward
+            backward = node.backward
             if backward is None:
                 continue  # a leaf
             if node.grad is not None:
                 backward(node.grad)
             # every consumer has run: nothing else reaches this node
-            node._parents = ()
-            node._backward = None
+            node.parents = ()
+            node.backward = None
             node.grad = None
 
-    def _accum(self, g):
-        if self.grad is None:
-            self.grad = g if g.shape == self.data.shape else np.broadcast_to(g, self.data.shape)
-        else:
-            self.grad = self.grad + g
-
     def zero_grad(self):
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
@@ -247,97 +300,113 @@ def as_tensor(x):
 
 
 def _make(data, parents, backward):
+    """The op output over `data`. `parents` are the inputs' nodes, None for
+    an input that needs no gradient; the output gets a node when graph
+    recording is on and some input has one."""
     try:
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
-        return Tensor(data)
+        out = Tensor(data)
     except NonFiniteValue:
         op = backward.__qualname__.split(".")[0]
         raise NonFiniteValue(
             f"non-finite value produced by {op}, output shape {np.shape(data)}") from None
+    if _grad_enabled and any(parents):
+        out._node = Node(out.data.shape, tuple(filter(None, parents)), backward)
+    return out
+
+
+def _other_operands(a, b):
+    """The data of `a` if `b` needs a gradient and the data of `b` if `a`
+    does: what a product's backward reads."""
+    return (a.data if b._node is not None else None,
+            b.data if a._node is not None else None)
 
 
 # -- arithmetic -------------------------------------------------------------
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
+    na, nb = a._node, b._node
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(g, nb.shape))
 
-    return _make(out, (a, b), bw)
+    return _make(a.data + b.data, (na, nb), bw)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
+    na, nb = a._node, b._node
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(-g, nb.shape))
 
-    return _make(out, (a, b), bw)
+    return _make(a.data - b.data, (na, nb), bw)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    na, nb = a._node, b._node
+    a_data, b_data = _other_operands(a, b)
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g * b_data, na.shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(g * a_data, nb.shape))
 
-    return _make(out, (a, b), bw)
+    return _make(a.data * b.data, (na, nb), bw)
 
 
 def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
+    na, nb = a._node, b._node
+    a_data, b_data = a.data if nb is not None else None, b.data
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g / b_data, na.shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(-g * a_data / (b_data * b_data), nb.shape))
 
-    return _make(out, (a, b), bw)
+    return _make(a.data / b.data, (na, nb), bw)
 
 
 def power(a, p):
     a = as_tensor(a)
     p = float(p)
-    out = a.data ** p
+    na, a_data = a._node, a.data
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g * p * a.data ** (p - 1.0))
+        na._accum(g * p * a_data ** (p - 1.0))
 
-    return _make(out, (a,), bw)
+    return _make(a.data ** p, (na,), bw)
 
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    na, nb = a._node, b._node
+    a_data, b_data = _other_operands(a, b)
 
     def bw(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2) if b.ndim > 1 else np.outer(g, b.data) if a.ndim > 1 else g * b.data
-            a._accum(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g if a.ndim > 1 else np.outer(a.data, g)
-            b._accum(_unbroadcast(gb, b.shape))
+        if na is not None:
+            if b_data.ndim > 1:
+                ga = g @ np.swapaxes(b_data, -1, -2)
+            else:
+                ga = np.outer(g, b_data) if len(na.shape) > 1 else g * b_data
+            na._accum(_unbroadcast(ga, na.shape))
+        if nb is not None:
+            gb = np.swapaxes(a_data, -1, -2) @ g if a_data.ndim > 1 else np.outer(a_data, g)
+            nb._accum(_unbroadcast(gb, nb.shape))
 
-    return _make(out, (a, b), bw)
+    return _make(a.data @ b.data, (na, nb), bw)
 
 
 def linear(x, w, b):
@@ -352,16 +421,18 @@ def linear(x, w, b):
         raise ShapeMismatch(f"linear: {x.shape} @ {w.shape}")
     out = x.data @ w.data
     out += b.data
+    nx, nw, nb = x._node, w._node, b._node
+    x_data, w_data = _other_operands(x, w)
 
     def bw(g):
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
-        if x.requires_grad:
-            x._accum(g @ w.data.T)
-        if w.requires_grad:
-            w._accum(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(g, nb.shape))
+        if nx is not None:
+            nx._accum(g @ w_data.T)
+        if nw is not None:
+            nw._accum(_unbroadcast(np.swapaxes(x_data, -1, -2) @ g, nw.shape))
 
-    return _make(out, (x, w, b), bw)
+    return _make(out, (nx, nw, nb), bw)
 
 
 # -- elementwise nonlinearities ---------------------------------------------
@@ -369,41 +440,44 @@ def linear(x, w, b):
 def exp(a):
     a = as_tensor(a)
     out = np.exp(a.data)
+    na = a._node
 
     def bw(g):
-        a._accum(g * out)
+        na._accum(g * out)
 
-    return _make(out, (a,), bw)
+    return _make(out, (na,), bw)
 
 
 def log(a):
     a = as_tensor(a)
-    out = np.log(a.data)
+    na, a_data = a._node, a.data
 
     def bw(g):
-        a._accum(g / a.data)
+        na._accum(g / a_data)
 
-    return _make(out, (a,), bw)
+    return _make(np.log(a.data), (na,), bw)
 
 
 def sqrt(a):
     a = as_tensor(a)
     out = np.sqrt(a.data)
+    na = a._node
 
     def bw(g):
-        a._accum(g * 0.5 / out)
+        na._accum(g * 0.5 / out)
 
-    return _make(out, (a,), bw)
+    return _make(out, (na,), bw)
 
 
 def tanh(a):
     a = as_tensor(a)
     out = np.tanh(a.data)
+    na = a._node
 
     def bw(g):
-        a._accum(g * (1.0 - out * out))
+        na._accum(g * (1.0 - out * out))
 
-    return _make(out, (a,), bw)
+    return _make(out, (na,), bw)
 
 
 def _sigmoid(x):
@@ -421,11 +495,12 @@ def _sigmoid(x):
 def sigmoid(a):
     a = as_tensor(a)
     out = _sigmoid(a.data)
+    na = a._node
 
     def bw(g):
-        a._accum(g * out * (1.0 - out))
+        na._accum(g * out * (1.0 - out))
 
-    return _make(out, (a,), bw)
+    return _make(out, (na,), bw)
 
 
 def gate(x, y, swish=False):
@@ -444,40 +519,42 @@ def gate(x, y, swish=False):
     if swish:
         out *= x.data
     out *= y.data
+    nx, ny = x._node, y._node
+    x_data, y_data = x.data, y.data if nx is not None else None
 
     def bw(g):
-        s = _sigmoid(x.data)
-        if y.requires_grad:
+        s = _sigmoid(x_data)
+        if ny is not None:
             if swish:
-                gy = x.data * s
+                gy = x_data * s
                 gy *= g
             else:
                 gy = g * s
-            y._accum(gy)
-        if x.requires_grad:
-            gs = g * y.data  # reaches act(x)
+            ny._accum(gy)
+        if nx is not None:
+            gs = g * y_data  # reaches act(x)
             if swish:  # x * s: x gets gs * s, and gs * x reaches s
                 gx = gs * s
-                gs *= x.data
+                gs *= x_data
             gs *= s  # through the sigmoid: gs * s * (1 - s)
             np.subtract(1.0, s, out=s)
             gs *= s
             if swish:
                 gx += gs
                 gs = gx
-            x._accum(gs)
+            nx._accum(gs)
 
-    return _make(out, (x, y), bw)
+    return _make(out, (nx, ny), bw)
 
 
 def relu(a):
     a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
+    na, a_data = a._node, a.data
 
     def bw(g):
-        a._accum(g * (a.data > 0.0))
+        na._accum(g * (a_data > 0.0))
 
-    return _make(out, (a,), bw)
+    return _make(np.maximum(a.data, 0.0), (na,), bw)
 
 
 def swish(a):
@@ -488,49 +565,49 @@ def swish(a):
 
 def sin(a):
     a = as_tensor(a)
-    out = np.sin(a.data)
+    na, a_data = a._node, a.data
 
     def bw(g):
-        a._accum(g * np.cos(a.data))
+        na._accum(g * np.cos(a_data))
 
-    return _make(out, (a,), bw)
+    return _make(np.sin(a.data), (na,), bw)
 
 
 def cos(a):
     a = as_tensor(a)
-    out = np.cos(a.data)
+    na, a_data = a._node, a.data
 
     def bw(g):
-        a._accum(-g * np.sin(a.data))
+        na._accum(-g * np.sin(a_data))
 
-    return _make(out, (a,), bw)
+    return _make(np.cos(a.data), (na,), bw)
 
 
 def sign_ste(a):
     """sign with sign(0)=+1; straight-through identity gradient."""
     a = as_tensor(a)
-    out = np.where(a.data >= 0.0, 1.0, -1.0).astype(a.data.dtype)
+    na = a._node
 
     def bw(g):
-        a._accum(g)
+        na._accum(g)
 
-    return _make(out, (a,), bw)
+    return _make(np.where(a.data >= 0.0, 1.0, -1.0).astype(a.data.dtype), (na,), bw)
 
 
 # -- reductions -------------------------------------------------------------
 
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    na = a._node
 
     def bw(g):
         if axis is None:
-            a._accum(np.broadcast_to(g, a.shape).copy() if np.ndim(g) else np.full(a.shape, g))
+            na._accum(np.broadcast_to(g, na.shape).copy() if np.ndim(g) else np.full(na.shape, g))
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(gg, a.shape).copy())
+            na._accum(np.broadcast_to(gg, na.shape).copy())
 
-    return _make(out, (a,), bw)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (na,), bw)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -543,38 +620,38 @@ def tmean(a, axis=None, keepdims=False):
 
 def reshape(a, shape):
     a = as_tensor(a)
-    out = a.data.reshape(shape)
+    na = a._node
 
     def bw(g):
-        a._accum(g.reshape(a.shape))
+        na._accum(g.reshape(na.shape))
 
-    return _make(out, (a,), bw)
+    return _make(a.data.reshape(shape), (na,), bw)
 
 
 def transpose(a, axes=None):
     a = as_tensor(a)
-    out = np.transpose(a.data, axes)
+    na = a._node
 
     def bw(g):
         inv = None if axes is None else np.argsort(axes)
-        a._accum(np.transpose(g, inv))
+        na._accum(np.transpose(g, inv))
 
-    return _make(out, (a,), bw)
+    return _make(np.transpose(a.data, axes), (na,), bw)
 
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    nodes = [t._node for t in tensors]
 
     def bw(g):
         parts = np.split(g, splits, axis=axis)
-        for t, p in zip(tensors, parts):
-            if t.requires_grad:
-                t._accum(p)
+        for n, p in zip(nodes, parts):
+            if n is not None:
+                n._accum(p)
 
-    return _make(out, tuple(tensors), bw)
+    return _make(out, nodes, bw)
 
 
 def _gather(idx):
@@ -601,14 +678,15 @@ def take(a, idx):
     """
     a = as_tensor(a)
     gather = _gather(idx)
-    out = gather(a.data)
+    na = a._node
 
     def bw(g):
-        pos = gather(np.arange(a.size).reshape(a.shape))
-        summed = np.bincount(pos.ravel(), weights=g.ravel(), minlength=a.size)  # always float64
-        a._accum(summed.astype(g.dtype, copy=False).reshape(a.shape))
+        size = math.prod(na.shape)
+        pos = gather(np.arange(size).reshape(na.shape))
+        summed = np.bincount(pos.ravel(), weights=g.ravel(), minlength=size)  # always float64
+        na._accum(summed.astype(g.dtype, copy=False).reshape(na.shape))
 
-    return _make(out, (a,), bw)
+    return _make(gather(a.data), (na,), bw)
 
 
 def pad(a, widths):
@@ -617,28 +695,28 @@ def pad(a, widths):
     `widths` has one (before, after) pair per axis, as in `np.pad`.
     """
     a = as_tensor(a)
-    out = np.pad(a.data, widths)
     inner = tuple(slice(lo, lo + n) for (lo, _), n in zip(widths, a.shape))
+    na = a._node
 
     def bw(g):
-        a._accum(g[inner])
+        na._accum(g[inner])
 
-    return _make(out, (a,), bw)
+    return _make(np.pad(a.data, widths), (na,), bw)
 
 
 def where(cond, a, b):
     """cond is a constant boolean array; gradients flow to both branches."""
     a, b = as_tensor(a), as_tensor(b)
     cond = np.asarray(cond, dtype=bool)
-    out = np.where(cond, a.data, b.data)
+    na, nb = a._node, b._node
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(np.where(cond, g, 0.0), a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(np.where(cond, 0.0, g), b.shape))
+        if na is not None:
+            na._accum(_unbroadcast(np.where(cond, g, 0.0), na.shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(np.where(cond, 0.0, g), nb.shape))
 
-    return _make(out, (a, b), bw)
+    return _make(np.where(cond, a.data, b.data), (na, nb), bw)
 
 
 # -- normalizations ---------------------------------------------------------
@@ -648,12 +726,13 @@ def softmax(a, axis=-1):
     x = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(x)
     out = e / e.sum(axis=axis, keepdims=True)
+    na = a._node
 
     def bw(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
-        a._accum((g - dot) * out)
+        na._accum((g - dot) * out)
 
-    return _make(out, (a,), bw)
+    return _make(out, (na,), bw)
 
 
 def log_softmax(a, axis=-1):
@@ -661,12 +740,13 @@ def log_softmax(a, axis=-1):
     x = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(x).sum(axis=axis, keepdims=True))
     out = x - lse
+    na = a._node
 
     def bw(g):
         sm = np.exp(out)
-        a._accum(g - sm * g.sum(axis=axis, keepdims=True))
+        na._accum(g - sm * g.sum(axis=axis, keepdims=True))
 
-    return _make(out, (a,), bw)
+    return _make(out, (na,), bw)
 
 
 def layernorm(a, gamma, beta, eps=LAYERNORM_EPS):
@@ -688,21 +768,23 @@ def layernorm(a, gamma, beta, eps=LAYERNORM_EPS):
     xhat *= inv
     out = xhat * gamma.data
     out += beta.data
+    na, ngamma, nbeta = a._node, gamma._node, beta._node
+    a_data, gamma_data = a.data, gamma.data if na is not None else None
 
     def bw(g):
-        if beta.requires_grad:
-            beta._accum(_unbroadcast(g, beta.shape))
-        xhat = a.data - mu
+        if nbeta is not None:
+            nbeta._accum(_unbroadcast(g, nbeta.shape))
+        xhat = a_data - mu
         xhat *= inv
-        if gamma.requires_grad:
-            gamma._accum(_unbroadcast(g * xhat, gamma.shape))
-        if a.requires_grad:
-            gn = g * gamma.data
+        if ngamma is not None:
+            ngamma._accum(_unbroadcast(g * xhat, ngamma.shape))
+        if na is not None:
+            gn = g * gamma_data
             gm = gn.mean(axis=-1, keepdims=True)
             gxm = (gn * xhat).mean(axis=-1, keepdims=True)
-            a._accum(inv * (gn - gm - xhat * gxm))
+            na._accum(inv * (gn - gm - xhat * gxm))
 
-    return _make(out, (a, gamma, beta), bw)
+    return _make(out, (na, ngamma, nbeta), bw)
 
 
 # -- fused attention --------------------------------------------------------
@@ -737,7 +819,8 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
     (..., H, Lq, Lk) array stays alive between the passes.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    parents = [q, k, v]
+    nq, nk, nv = q._node, k._node, v._node
+    parents = [nq, nk, nv]
 
     def split(x):  # (..., L, H*d) -> (..., H, L, d), a view when x is contiguous
         return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, -1)), -2, -3)
@@ -746,15 +829,17 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
         return np.swapaxes(x, -2, -3).reshape(shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    bias_data = nbias = None
     if bias is not None:
         bias = as_tensor(bias)
-        parents.append(bias)
+        bias_data, nbias = bias.data, bias._node
+        parents.append(nbias)
 
     def logits():
         a = qh @ np.swapaxes(kh, -1, -2)  # turned into weights in place
         a *= scale
-        if bias is not None:
-            a += bias.data
+        if bias_data is not None:
+            a += bias_data
         return a
 
     a = logits()
@@ -766,9 +851,11 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
     row_sum = a.sum(axis=-1, keepdims=True)
     a /= row_sum
     out = a @ vh
+    tv = ntable = None
     if rel is not None:
         table, diff = rel
-        parents.append(table)
+        ntable = table._node
+        parents.append(ntable)
         n_bins, block = table.shape[0], diff.shape[0] * table.shape[0]
         cells = np.arange(diff.shape[0])[:, None] * n_bins + diff  # bins in one (Lq, R) block
         planes = a.size // diff.size  # the leading axes times the heads
@@ -788,27 +875,27 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
         np.exp(a, out=a)
         a /= row_sum
         g = split(g)
-        if v.requires_grad:
-            v._accum(merge(np.swapaxes(a, -1, -2) @ g, v.shape))
+        if nv is not None:
+            nv._accum(merge(np.swapaxes(a, -1, -2) @ g, nv.shape))
         ga = g @ np.swapaxes(vh, -1, -2)
-        if rel is not None:
-            if table.requires_grad:
+        if tv is not None:
+            if ntable is not None:
                 g_tv = _unbroadcast(np.swapaxes(bin_sums(a), -1, -2) @ g, tv.shape)
-                table._accum(np.swapaxes(g_tv, 0, 1))
+                ntable._accum(np.swapaxes(g_tv, 0, 1))
             g_bin = g @ np.swapaxes(tv, -1, -2)  # (..., H, Lq, R), gathered per (i, j) at diff[i, j]
             ga += np.take(g_bin.reshape(g_bin.shape[:-2] + (-1,)), cells, axis=-1)
         ga -= (ga * a).sum(axis=-1, keepdims=True)
         ga *= a
-        if bias is not None and bias.requires_grad:
-            gb = _unbroadcast(ga, bias.shape)
-            bias._accum(gb)
+        if nbias is not None:
+            gb = _unbroadcast(ga, nbias.shape)
+            nbias._accum(gb)
             if gb is ga:  # bias now holds ga, so scale a copy
                 ga = ga.copy()
         ga *= scale
-        if q.requires_grad:
-            q._accum(merge(ga @ kh, q.shape))
-        if k.requires_grad:
-            k._accum(merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ ga, -1, -2), k.shape))
+        if nq is not None:
+            nq._accum(merge(ga @ kh, nq.shape))
+        if nk is not None:
+            nk._accum(merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ ga, -1, -2), nk.shape))
 
     return _make(merge(out, q.shape[:-1] + (-1,)), parents, bw)
 
@@ -826,29 +913,31 @@ def tri_contract(a, b, mode):
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape or a.ndim != 3 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"tri_contract: {a.shape} vs {b.shape}")
+    na, nb = a._node, b._node
+    a_data, b_data = _other_operands(a, b)
     if mode == "outgoing":
         # per channel d: O = A B^T, dA = G B, dB = G^T A
         out = kernels.cmm_bt(a.data, b.data)
 
         def bw(g):
-            if a.requires_grad:
-                a._accum(kernels.cmm(g, b.data))
-            if b.requires_grad:
-                b._accum(kernels.cmm_at(g, a.data))
+            if na is not None:
+                na._accum(kernels.cmm(g, b_data))
+            if nb is not None:
+                nb._accum(kernels.cmm_at(g, a_data))
 
     elif mode == "incoming":
         # per channel d: O = A^T B, dA = B G^T, dB = A G
         out = kernels.cmm_at(a.data, b.data)
 
         def bw(g):
-            if a.requires_grad:
-                a._accum(kernels.cmm_bt(b.data, g))
-            if b.requires_grad:
-                b._accum(kernels.cmm(a.data, g))
+            if na is not None:
+                na._accum(kernels.cmm_bt(b_data, g))
+            if nb is not None:
+                nb._accum(kernels.cmm(a_data, g))
 
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _make(out, (a, b), bw)
+    return _make(out, (na, nb), bw)
 
 
 def pair_dist(x, eps=1e-8):
@@ -863,11 +952,12 @@ def pair_dist(x, eps=1e-8):
     if x.ndim != 2 or x.shape[1] != 3:
         raise ShapeMismatch(f"pair_dist expects (L,3), got {x.shape}")
     out = kernels.pdist(x.data, eps)
+    nx, x_data = x._node, x.data
 
     def bw(g):
-        x._accum(kernels.pdist_grad(x.data, out, g, eps))
+        nx._accum(kernels.pdist_grad(x_data, out, g, eps))
 
-    return _make(out, (x,), bw)
+    return _make(out, (nx,), bw)
 
 
 # -- gradient checking ------------------------------------------------------

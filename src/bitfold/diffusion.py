@@ -212,19 +212,23 @@ def sample_prediction(output: LMOutput, xt: TokenState, temperature, rng):
     state.mask_struct = np.zeros(length, dtype=bool)
     conf_seq = np.zeros(length)
     seq_masked = np.flatnonzero(xt.mask_seq)
-    if len(seq_masked):
-        seq_p = _temperature_softmax(output.seq_logits.data, temperature)
-    for i in seq_masked:
-        choice = int(rng.choice(N_AA, p=seq_p[i]))
-        state.seq[i] = choice
-        conf_seq[i] = seq_p[i, choice]
+    if len(seq_masked):  # the amino acids are one group of N_AA classes
+        codes, conf_seq[seq_masked] = _draw(output.seq_logits.data[seq_masked, None], temperature, rng)
+        state.seq[seq_masked] = codes[:, 0]
     conf_struct = np.zeros(length)
     idx = np.flatnonzero(xt.mask_struct)
-    probs = _temperature_softmax(output.struct_logits.data[idx], temperature)  # (n, G, C)
-    codes = _draw_from_top(probs, rng)  # one (n, G) draw takes the same numbers as n draws of G
+    codes, conf_struct[idx] = _draw(output.struct_logits.data[idx], temperature, rng)
     state.struct_bits[idx] = index_to_bits(codes, xt.k)
-    conf_struct[idx] = np.take_along_axis(probs, codes[..., None], axis=-1)[..., 0].prod(axis=1)
     return Prediction(state=state, conf_seq=conf_seq, conf_struct=conf_struct)
+
+
+def _draw(logits, temperature, rng):
+    """A class per (row, group) of (n, G, C) `logits` at `temperature`, and
+    each row's confidence, the product over its groups of p(chosen). One
+    (n, G) draw takes the same numbers as n draws of G."""
+    probs = _temperature_softmax(logits, temperature)
+    codes = _draw_from_top(probs, rng)
+    return codes, np.take_along_axis(probs, codes[..., None], axis=-1)[..., 0].prod(axis=1)
 
 
 def _draw_from_top(probs, rng):

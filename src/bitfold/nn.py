@@ -137,8 +137,10 @@ class MultiHeadAttention(Module):
         ctx = ad.attention(self.q(xq), ad.matmul(x, self.k), self.v(x), self.n_heads,
                            1.0 / np.sqrt(self.d_head), bias=bias, rel=rel)
         if self.gate is not None:
-            # not `ad.gate`: its parent order would change the order in which
-            # the gradients into `x` add up, and so their bits
+            # not `ad.gate`: `sigmoid`'s backward reads only its output, so the
+            # fused node would keep as much (the gate's input for the sigmoid),
+            # and its parent order would change the order in which the
+            # gradients into `x` add up, and so their bits
             ctx = ctx * ad.sigmoid(self.gate(xq))
         return self.out(ctx)
 

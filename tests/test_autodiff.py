@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -502,8 +503,8 @@ def test_linear_and_layernorm_modules_record_one_node():
     rng = np.random.default_rng(23)
     x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     lin, norm = ad.Linear(rng, 4, 5), ad.LayerNorm(4)
-    assert lin(x)._parents == (x, lin.w, lin.b)
-    assert norm(x)._parents == (x, norm.gamma, norm.beta)
+    assert lin(x)._node.parents == (x._node, lin.w._node, lin.b._node)
+    assert norm(x)._node.parents == (x._node, norm.gamma._node, norm.beta._node)
 
 
 def _sigmoid_gate_chain(x, y):
@@ -546,8 +547,8 @@ def test_gate_matches_sigmoid_mul_chain(fused, chain, n_inputs, dtype):
 def test_gate_records_one_node_and_rejects_unequal_shapes():
     x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
     y = ad.Tensor(np.ones((2, 3)), requires_grad=True)
-    assert ad.gate(x, y)._parents == (x, y)
-    assert ad.swish(x)._parents == (x, x)
+    assert ad.gate(x, y)._node.parents == (x._node, y._node)
+    assert ad.swish(x)._node.parents == (x._node, x._node)
     with pytest.raises(ShapeMismatch):
         ad.gate(x, ad.Tensor(np.ones(3)))
 
@@ -569,10 +570,13 @@ def _captured_arrays(fn, seen=None):
     return found
 
 
-def _assert_keeps_no_array_like(node, shape):
-    """No array the node's backward keeps has `shape` or owns as many elements."""
+def _assert_keeps_no_array_like(node, shape, inputs):
+    """No array the node's backward keeps, other than the data of its
+    `inputs` or a view of it, has `shape` or owns as many elements."""
     size = int(np.prod(shape))
     for arr in _captured_arrays(node._backward):
+        if any(np.shares_memory(arr, t.data) for t in inputs):
+            continue
         assert arr.shape != tuple(shape), arr.shape
         assert arr.base is not None or arr.size < size, arr.shape
 
@@ -588,7 +592,8 @@ def test_attention_backward_keeps_no_weights(shape, bias_shape, with_rel):
     if with_rel:
         rel = (ad.Tensor(rng.normal(size=(7, heads, shape[-1])), requires_grad=True), _REPEATED_BINS)
     out = ad.attention(q, k, v, heads, 0.5, bias=bias, rel=rel)
-    _assert_keeps_no_array_like(out, shape[:-1] + (length,))
+    inputs = [t for t in (q, k, v, bias, rel[0] if rel else None) if t is not None]
+    _assert_keeps_no_array_like(out, shape[:-1] + (length,), inputs)
 
 
 @pytest.mark.parametrize("x_shape,gamma_shape,beta_shape", LAYERNORM_CASES)
@@ -597,7 +602,7 @@ def test_layernorm_backward_keeps_no_normalized_input(x_shape, gamma_shape, beta
     rng = np.random.default_rng(26)
     x, gamma, beta = (ad.Tensor(rng.normal(size=s), requires_grad=True)
                       for s in (x_shape, gamma_shape, beta_shape))
-    _assert_keeps_no_array_like(ad.layernorm(x, gamma, beta), x_shape)
+    _assert_keeps_no_array_like(ad.layernorm(x, gamma, beta), x_shape, [x, gamma, beta])
 
 
 # -- the compute dtype ----------------------------------------------------------
@@ -649,22 +654,22 @@ def test_backward_releases_every_op_output():
     sums = squares.sum(), scaled.sum()
     loss = sums[0] + sums[1]
     loss.backward()
-    for node in (h, squares, scaled, *sums, loss):
-        assert node.grad is None and node._parents == () and node._backward is None
+    for node in (t._node for t in (h, squares, scaled, *sums, loss)):
+        assert node.grad is None and node.parents == () and node.backward is None
     upstream = 2.0 * x.data * w.data + c  # d loss / d h
     np.testing.assert_allclose(x.grad, upstream * w.data, atol=1e-12)
     np.testing.assert_allclose(w.grad, upstream * x.data, atol=1e-12)
 
 
-def _traced_full_geo_step():
+def _traced_full_geo_step(length=32):
     """Traced memory of one full-geo forward, `loss_bit` and backward at
-    L=32: (peak over the step, held after forward, peak of the backward).
-    Every number counts from the start of the forward."""
+    `length`: (peak over the step, held after forward, peak of the
+    backward). Every number counts from the start of the forward."""
     cfg = ModelConfig(pair_bias=True, struct_transition=True, triangle_update=True,
                       triangle_attention=True, seqstruct_attention=True)
     lm = ProteinLM(cfg.validate())
     rng = np.random.default_rng(0)
-    length, t = 32, cfg.T // 2
+    t = cfg.T // 2
     x0 = dfn.TokenState.observed(rng.integers(20, size=length),
                                  rng.choice([-1.0, 1.0], size=(length, cfg.k)))
     xt = dfn.forward_mask(x0, lm.schedule, t, rng)
@@ -689,9 +694,35 @@ def test_full_geo_backward_only_lowers_traced_memory():
 
 
 def test_full_geo_step_traced_peak():
-    """Fused gates and the weights and x-hat recomputed in backward keep the
-    step's traced peak at L=32 near 7.5 MiB (9.3 MiB when the graph kept
-    the sigmoids, the swish products, every attention's weights and every
+    """Fused gates, the weights and x-hat recomputed in backward, and nodes
+    that keep only the arrays their backward reads keep the step's traced
+    peak at L=32 near 6.5 MiB (7.5 MiB when every op output lived until
+    backward passed its consumers, 9.3 MiB when the graph also kept the
+    sigmoids, the swish products, every attention's weights and every
     layernorm's normalized input)."""
     peak = _traced_full_geo_step()[0]
     assert peak <= 8.0 * 2**20, peak / 2**20
+
+
+def test_full_geo_graph_holds_only_what_backward_reads():
+    """After a full-geo forward and `loss_bit` at L=48 the graph holds about
+    11.0 MiB; it held 13.1 MiB while every op output stayed alive until
+    backward passed its consumers."""
+    held = _traced_full_geo_step(48)[1]
+    assert held <= 12.0 * 2**20, held / 2**20
+
+
+def test_op_output_that_no_backward_reads_is_freed():
+    """A Linear output that only feeds an `add`, and the input of a `pad`,
+    are freed once the caller drops their Tensors; a `mul` operand is kept,
+    since the other operand's gradient reads it."""
+    rng = np.random.default_rng(27)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    lin = ad.Linear(rng, 4, 4)
+    residual, padded, product = lin(x), lin(x), lin(x)
+    refs = [weakref.ref(t.data) for t in (residual, padded, product)]
+    outs = [x + residual, ad.pad(padded, ((1, 0), (0, 2))), product * x]
+    del residual, padded, product
+    assert [r() is None for r in refs] == [True, True, False]
+    sum(out.sum() for out in outs).backward()
+    assert x.grad is not None and lin.w.grad is not None

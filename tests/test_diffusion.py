@@ -335,6 +335,22 @@ def test_sample_prediction_index_frequencies():
     np.testing.assert_array_equal(pred.conf_struct, probs[codes])
 
 
+def test_sample_prediction_sequence_frequencies():
+    """Each amino acid is drawn at its softmax probability, within 4 sigma
+    over 20k draws, and its confidence is that probability."""
+    n = 20_000
+    xt = dfn.TokenState.all_masked(n, 2)
+    xt.mask_struct[:] = False
+    logits = np.linspace(-2.0, 2.0, dfn.N_AA)[np.random.default_rng(25).permutation(dfn.N_AA)]
+    out = dfn.LMOutput(Tensor(np.broadcast_to(logits, (n, dfn.N_AA)).copy()), Tensor(np.zeros((n, 2, 2))))
+    pred = dfn.sample_prediction(out, xt, 1.0, np.random.default_rng(26))
+    probs = dfn._temperature_softmax(out.seq_logits.data[0], 1.0)
+    counts = np.bincount(pred.state.seq, minlength=dfn.N_AA)
+    sigma = np.sqrt(n * probs * (1.0 - probs))
+    assert np.all(np.abs(counts - n * probs) < 4.0 * sigma), (counts, n * probs)
+    np.testing.assert_array_equal(pred.conf_seq, probs[pred.state.seq])
+
+
 class OracleModel:
     """Always predicts one fixed state, with certainty."""
 
@@ -449,7 +465,12 @@ def _loop_sample_prediction(output, xt, temperature, rng):
     seq_p = dfn._temperature_softmax(output.seq_logits.data, temperature)
     conf_seq = np.zeros(length)
     for i in np.flatnonzero(xt.mask_seq):
-        choice = int(rng.choice(dfn.N_AA, p=seq_p[i]))
+        u = rng.random()  # inverse CDF, the classes stacked from the highest down
+        choice = dfn.N_AA - 1
+        mass = seq_p[i, choice]
+        while mass <= u and choice > 0:
+            choice -= 1
+            mass += seq_p[i, choice]
         state.seq[i] = choice
         conf_seq[i] = seq_p[i, choice]
     conf_struct = np.zeros(length)

@@ -159,7 +159,7 @@ def test_decode_builds_no_graph_from_arrays_or_tensors():
     bits = tok.index_to_bits(np.arange(6)[:, None] % 16, 4)
     from_array = tok.decode(bits, params)
     from_tensor = tok.decode(Tensor(bits), params)
-    assert from_array._parents == () and not from_array.requires_grad
+    assert from_array._node is None and not from_array.requires_grad
     np.testing.assert_array_equal(from_array.data, from_tensor.data)
 
 

@@ -2,7 +2,7 @@
 reached, only the tokenizer module runs the frozen tokenizer, only the
 config and the model compare the structure head's values, only the
 autodiff core and the optimizer touch gradients, sigmoid gates are fused
-nodes, every name the benchmark's tracer wraps still exists, and the
+nodes, no backward closure holds a Tensor, every name the benchmark's tracer wraps still exists, and the
 benchmark's smallest runs pass, one of them traced."""
 
 import ast
@@ -14,10 +14,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bitfold
+from bitfold import autodiff as ad
+from bitfold import diffusion as dfn
+from bitfold import geometry as geo
+from bitfold import tokenizer as tok
 from bitfold.config import ModelConfig
+from bitfold.geo_arch import ProteinLM
 
 SRC = Path(bitfold.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -95,8 +101,10 @@ def test_only_autodiff_and_optim_touch_gradients():
 def test_sigmoid_gates_are_fused():
     """A sigmoid or swish gate times a value is one `ad.gate` node, which
     keeps no sigmoid output for backward. The callers left: the LFQ
-    entropy's bit probabilities, and attention's output gate, where the
-    fused node's parent order would change the bits of the gradients."""
+    entropy's bit probabilities, and attention's output gate. There
+    fusing would save no memory, since `sigmoid`'s backward reads only
+    its output and the gate's input is freed, and the fused node's
+    parent order would change the bits of the gradients."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
@@ -105,6 +113,64 @@ def test_sigmoid_gates_are_fused():
             if "ad.sigmoid(" in "\n".join(lines[node.lineno - 1:node.end_lineno]):
                 callers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
     assert callers == {"tokenizer.lfq_quantize", "nn.MultiHeadAttention"}
+
+
+def _captured_values(fn, seen):
+    """Every value a function's closure reaches, through nested functions
+    (as attention's `logits`) and tuples or lists."""
+    found = []
+    for cell in fn.__closure__ or ():
+        try:
+            found.append(cell.cell_contents)
+        except ValueError:  # a name the function never bound, as `bin_sums` without `rel`
+            continue
+    values = []
+    while found:
+        value = found.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        values.append(value)
+        if isinstance(value, (tuple, list)):
+            found += value
+        elif callable(value) and getattr(value, "__closure__", None):
+            values += _captured_values(value, seen)
+    return values
+
+
+def _full_geo_loss():
+    cfg = ModelConfig(d_model=16, d_pair=8, heads=2, n_blocks=2, T=8, pair_bias=True,
+                      struct_transition=True, triangle_update=True, triangle_attention=True,
+                      seqstruct_attention=True).validate()
+    lm = ProteinLM(cfg)
+    rng = np.random.default_rng(0)
+    x0 = dfn.TokenState.observed(rng.integers(20, size=10), rng.choice([-1.0, 1.0], size=(10, cfg.k)))
+    xt = dfn.forward_mask(x0, lm.schedule, cfg.T // 2, rng)
+    return dfn.loss_bit(lm.forward(xt), x0, xt, cfg.T // 2, lm.schedule)
+
+
+def _tokenizer_loss():
+    params = tok.TokenizerParams(tok.TokenizerConfig(width=16, blocks=1, heads=2), seed=0)
+    structure, _ = geo.synth_backbone(geo.SynthSpec(length=12), seed=0)
+    return tok.tokenizer_loss(params, structure, tok.invariant_features(structure))
+
+
+@pytest.mark.parametrize("make_loss", [_full_geo_loss, _tokenizer_loss], ids=["full-geo", "tokenizer"])
+def test_no_backward_closure_captures_a_tensor(make_loss):
+    """A backward closure holds the nodes it sends gradients to and the
+    arrays its backward reads, never a Tensor, so an op output that no
+    backward reads is freed as soon as its caller drops it."""
+    nodes, stack = set(), [make_loss()._node]
+    while stack:
+        node = stack.pop()
+        if node in nodes:
+            continue
+        nodes.add(node)
+        stack += node.parents
+        if node.backward is not None:
+            captured = _captured_values(node.backward, set())
+            assert not any(isinstance(v, ad.Tensor) for v in captured), node.backward.__qualname__
+    assert len(nodes) > 100
 
 
 def test_every_traced_name_exists(monkeypatch):

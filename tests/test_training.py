@@ -464,9 +464,10 @@ def test_whole_buffer_adam_matches_per_array_loop(pairs, tok_params, monkeypatch
 
 def test_no_op_computes_in_float64(pairs, tok_params, monkeypatch):
     """Two steps of every trainer and one fold: every op output and every
-    gradient is float32, so nothing in the graph is promoted to float64."""
+    gradient is float32, so nothing in the graph is promoted to float64.
+    Every gradient, a leaf's or an op output's, goes through `Node._accum`."""
     wide = set()
-    make, accum = ad._make, ad.Tensor._accum
+    make, accum = ad._make, ad.Node._accum
 
     def checked_make(data, parents, backward):
         dtype = np.asarray(data).dtype
@@ -474,13 +475,13 @@ def test_no_op_computes_in_float64(pairs, tok_params, monkeypatch):
             wide.add(f"{backward.__qualname__.split('.')[0]} output {dtype}")
         return make(data, parents, backward)
 
-    def checked_accum(tensor, g):
+    def checked_accum(node, g):
         if g.dtype != np.float32:
-            wide.add(f"gradient {g.dtype} of shape {tensor.shape}")
-        return accum(tensor, g)
+            wide.add(f"gradient {g.dtype} of shape {node.shape}")
+        return accum(node, g)
 
     monkeypatch.setattr(ad, "_make", checked_make)
-    monkeypatch.setattr(ad.Tensor, "_accum", checked_accum)
+    monkeypatch.setattr(ad.Node, "_accum", checked_accum)
     lm = training.build_lm(small_cfg(steps=2))
     training.train_lm(lm, tok_params, pairs, small_cfg(steps=2))
     cfg = small_cfg(steps=2, repa_enabled=True, **GEO_FLAGS)
