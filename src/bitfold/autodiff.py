@@ -33,11 +33,21 @@ and triangle updates), `tri_contract` and `pair_dist`. Each records one
 graph node where the op chain it replaces recorded several, so fewer
 intermediate arrays stay alive until backward.
 
-Some nodes keep less than their backward reads and recompute the rest
-from their inputs, exactly, with the forward's ops in the forward's order
-(activation recomputation, Chen et al. 2016): `sigmoid` inside `gate` and
-`swish`, the normalized input of `layernorm` from its row mean and inverse
-deviation, and the weights of `attention` from its row max and sum.
+Recomputation: some nodes keep less than their backward reads and
+recompute the rest, exactly, with the forward's ops in the forward's order
+(activation recomputation, Chen et al. 2016). Within one op, `gate` and
+`swish` recompute their sigmoid from the input, `layernorm` its normalized
+input from its row mean and inverse deviation, and `attention` its weights
+from its row max and sum. Across a whole sub-layer, `recompute(module,
+*inputs)` runs the module without recording and keeps one node with only
+the input arrays; its backward runs the module again, recording, and walks
+that graph, so none of the sub-layer's intermediate arrays stay alive
+between the passes, at the cost of a second forward. Models choose which
+sub-layers to recompute by memory freed per millisecond recomputed
+(selective recomputation, Korthikanti et al. 2022). Backward passes also
+bound their own temporaries: `gate`'s runs in blocks of about BLOCK
+scalars and makes no temporary of the gate's size besides the two
+gradients it returns.
 
 Nodes and data: a Tensor holds its array and its node; the node holds the
 gradient, the parent nodes and the backward closure, never a Tensor. A
@@ -77,6 +87,7 @@ import numpy as np
 from .errors import DetachedLoss, NonFiniteValue, NotScalar, ShapeMismatch
 
 LAYERNORM_EPS = 1e-5
+BLOCK = 16384  # scalars per pass of a blocked backward: its scratch stays in cache
 
 _grad_enabled = True
 _dtype = np.float32
@@ -102,15 +113,21 @@ def precision(dtype):
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (pure inference)."""
+def _recording(enabled):
+    """Record the graph inside the block if `enabled`, restoring the
+    previous setting on exit."""
     global _grad_enabled
     prev = _grad_enabled
-    _grad_enabled = False
+    _grad_enabled = enabled
     try:
         yield
     finally:
         _grad_enabled = prev
+
+
+def no_grad():
+    """Disable graph recording inside the block (pure inference)."""
+    return _recording(False)
 
 
 def _check_finite(arr):
@@ -216,32 +233,8 @@ class Tensor:
         root = self._node
         if root is None:
             raise DetachedLoss("loss does not depend on any tracked parameter")
-        topo, seen = [], set()
-        stack = [(root, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.append((node, True))
-            for p in node.parents:
-                if p not in seen:
-                    stack.append((p, False))
         root.grad = np.ones_like(self.data)
-        while topo:
-            node = topo.pop()
-            backward = node.backward
-            if backward is None:
-                continue  # a leaf
-            if node.grad is not None:
-                backward(node.grad)
-            # every consumer has run: nothing else reaches this node
-            node.parents = ()
-            node.backward = None
-            node.grad = None
+        _walk(root)
 
     def zero_grad(self):
         if self._node is not None:
@@ -293,6 +286,38 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis, keepdims)
+
+
+def _walk(root):
+    """Run the backward closure of every node that `root` reaches, `root`
+    first, in reverse topological order; `root.grad` is the seed. After a
+    node's closure has run, its parents, closure and gradient are dropped.
+    `Tensor.backward` and `recompute` both walk through here."""
+    topo, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for p in node.parents:
+            if p not in seen:
+                stack.append((p, False))
+    while topo:
+        node = topo.pop()
+        backward = node.backward
+        if backward is None:
+            continue  # a leaf
+        if node.grad is not None:
+            backward(node.grad)
+        # every consumer has run: nothing else reaches this node
+        node.parents = ()
+        node.backward = None
+        node.grad = None
 
 
 def as_tensor(x):
@@ -480,11 +505,11 @@ def tanh(a):
     return _make(out, (na,), bw)
 
 
-def _sigmoid(x):
-    """1 / (1 + exp(-x)) in one new buffer. Below -88 in float32 (-709 in
-    float64) exp(-x) overflows to inf and the result is the exact 0, so
-    the overflow is not warned about."""
-    out = np.negative(x)
+def _sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) in one buffer, `out` or a new one. Below -88 in
+    float32 (-709 in float64) exp(-x) overflows to inf and the result is
+    the exact 0, so the overflow is not warned about."""
+    out = np.negative(x, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -509,8 +534,11 @@ def gate(x, y, swish=False):
 
     Backward recomputes sigmoid(x) from `x`, so the graph keeps neither
     the sigmoid nor the swish product. Both passes compute the arrays of the
-    chain `sigmoid(x) * y` (`mul(x, sigmoid(x)) * y`) in its order and
-    reuse their scratch buffers in place.
+    chain `sigmoid(x) * y` (`mul(x, sigmoid(x)) * y`) in its order. The
+    backward runs over blocks of whole rows of the first axis, about BLOCK
+    scalars each, in any memory layout: it allocates only the two
+    gradients and reuses two block-sized scratch buffers, so it makes no
+    other temporary of the gate's size.
     """
     x, y = as_tensor(x), as_tensor(y)
     if x.shape != y.shape:
@@ -523,26 +551,39 @@ def gate(x, y, swish=False):
     x_data, y_data = x.data, y.data if nx is not None else None
 
     def bw(g):
-        s = _sigmoid(x_data)
+        shape = g.shape or (1,)  # blocks of whole rows along the first axis
+        xr, gr = x_data.reshape(shape), g.reshape(shape)
+        yr = None if nx is None else y_data.reshape(shape)
+        dtype = np.result_type(g, x_data)
+        gx = None if nx is None else np.empty(shape, dtype)
+        gy = None if ny is None else np.empty(shape, dtype)
+        step = max(1, min(shape[0], BLOCK // max(math.prod(shape[1:]), 1)))
+        s_buf, t_buf = np.empty((2, step) + shape[1:], dtype)
+        for lo in range(0, shape[0], step):
+            rows = slice(lo, lo + step)
+            xb, gb = xr[rows], gr[rows]
+            s = _sigmoid(xb, out=s_buf[:len(xb)])
+            if gy is not None:
+                if swish:
+                    np.multiply(xb, s, out=gy[rows])
+                    gy[rows] *= gb
+                else:
+                    np.multiply(gb, s, out=gy[rows])
+            if gx is not None:
+                t = t_buf[:len(xb)] if swish else gx[rows]
+                np.multiply(gb, yr[rows], out=t)  # reaches act(x)
+                if swish:  # x * s: x gets t * s, and t * x reaches s
+                    np.multiply(t, s, out=gx[rows])
+                    t *= xb
+                t *= s  # through the sigmoid: t * s * (1 - s)
+                np.subtract(1.0, s, out=s)
+                t *= s
+                if swish:
+                    gx[rows] += t
         if ny is not None:
-            if swish:
-                gy = x_data * s
-                gy *= g
-            else:
-                gy = g * s
-            ny._accum(gy)
+            ny._accum(gy.reshape(ny.shape))
         if nx is not None:
-            gs = g * y_data  # reaches act(x)
-            if swish:  # x * s: x gets gs * s, and gs * x reaches s
-                gx = gs * s
-                gs *= x_data
-            gs *= s  # through the sigmoid: gs * s * (1 - s)
-            np.subtract(1.0, s, out=s)
-            gs *= s
-            if swish:
-                gx += gs
-                gs = gx
-            nx._accum(gs)
+            nx._accum(gx.reshape(nx.shape))
 
     return _make(out, (nx, ny), bw)
 
@@ -654,39 +695,59 @@ def concat(tensors, axis=0):
     return _make(out, nodes, bw)
 
 
-def _gather(idx):
-    """The function x -> x[idx]. When `idx` is full slices followed by one
-    integer array it is `np.take` along that array's axis: the same
-    elements in the same layout, without the generic fancy-indexing path."""
+def take(a, idx):
+    """Basic slicing or integer-array gather; backward scatters-adds.
+
+    Three cases, each with the bits of an unbuffered scatter-add that sums
+    in float64 in output order and rounds once, as `np.bincount` does:
+    - basic indexing writes the gradient into zeros; adding 0.0 first
+      turns -0.0 into +0.0, as that sum does;
+    - full slices followed by one integer array run on numpy's `take`
+      fast path, and backward sums the gradient with one bincount over
+      that array's positions per leading index;
+    - any other index gathers the flat source position of every output
+      element and sums per position with one bincount.
+    """
+    a = as_tensor(a)
+    na = a._node
     lead, arr = (), idx
     if isinstance(idx, tuple) and idx:
         *lead, arr = idx
     if (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"
             and all(isinstance(s, slice) and s == slice(None) for s in lead)):
-        return lambda x: np.take(x, arr, axis=len(lead))
-    return lambda x: x[idx]
+        axis = len(lead)
 
+        def bw(g):
+            shape = na.shape
+            n, rows, cols = shape[axis], math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+            bins = arr.ravel()
+            if bins.size and bins.min() < 0:  # they count from the end, as in np.take
+                bins = bins % n
+            if cols > 1:
+                bins = (bins[:, None] * cols + np.arange(cols)).ravel()
+            g = g.reshape(rows, -1)
+            grad = np.empty((rows, n * cols), g.dtype)
+            for r in range(rows):
+                grad[r] = np.bincount(bins, weights=g[r], minlength=n * cols)  # always float64
+            na._accum(grad.reshape(shape))
 
-def take(a, idx):
-    """Basic slicing or integer-array gather; backward scatters-adds.
+        return _make(np.take(a.data, arr, axis=axis), (na,), bw)
 
-    Backward gathers the flat source position of every output element and
-    sums the gradient per position with one bincount. That serves every
-    kind of index, and repeated positions add in output order, exactly as
-    an unbuffered scatter-add does. Both passes gather through `_gather`,
-    so an index like `[:, arr]` runs on numpy's `take` fast path.
-    """
-    a = as_tensor(a)
-    gather = _gather(idx)
-    na = a._node
+    out = a.data[idx]
+    if np.may_share_memory(out, a.data):  # basic indexing: a view, no element twice
+        def bw(g):
+            grad = np.zeros(na.shape, g.dtype)
+            grad[idx] = g + 0.0
+            na._accum(grad)
 
-    def bw(g):
-        size = math.prod(na.shape)
-        pos = gather(np.arange(size).reshape(na.shape))
-        summed = np.bincount(pos.ravel(), weights=g.ravel(), minlength=size)  # always float64
-        na._accum(summed.astype(g.dtype, copy=False).reshape(na.shape))
+    else:
+        def bw(g):
+            size = math.prod(na.shape)
+            pos = np.arange(size).reshape(na.shape)[idx]
+            summed = np.bincount(pos.ravel(), weights=g.ravel(), minlength=size)  # always float64
+            na._accum(summed.astype(g.dtype, copy=False).reshape(na.shape))
 
-    return _make(gather(a.data), (na,), bw)
+    return _make(out, (na,), bw)
 
 
 def pad(a, widths):
@@ -958,6 +1019,52 @@ def pair_dist(x, eps=1e-8):
         nx._accum(kernels.pdist_grad(x_data, out, g, eps))
 
     return _make(out, (nx,), bw)
+
+
+# -- module-level recomputation ---------------------------------------------
+
+def recompute(module, *inputs):
+    """`module(*inputs)` as one node that keeps only the input arrays.
+
+    The forward runs the module without recording. Backward runs it again,
+    recording, on leaves over the same input arrays, seeds its output with
+    the incoming gradient and walks that graph: the module's parameters get
+    their gradients there, and each input's gradient goes on to the
+    input's node. The node's parents are the input nodes and the
+    parameters' nodes, so the parameters are trained also when no input
+    needs a gradient. The module must return one Tensor and read no Tensor
+    with a node other than its inputs and its parameters.
+
+    The rerun computes the forward's arrays with the forward's ops, so the
+    gradients get the direct call's bits as long as they add up in the same
+    order. An input's gradients from inside the module are summed before
+    the input's node sees them, so that holds when the module reads each
+    input once or nothing outside the module reads it, as for the pair
+    init and the triangle updates. Without recording, or when nothing needs
+    a gradient, it is the direct call.
+    """
+    in_nodes = [t._node for t in inputs]
+    parents = [n for n in in_nodes if n is not None]
+    parents += [p._node for p in module.parameters().values()]
+    if not (_grad_enabled and parents):
+        return module(*inputs)
+    arrays = [t.data for t in inputs]
+    with no_grad():
+        out = module(*inputs)
+
+    def bw(g):
+        leaves = [Tensor(arr, requires_grad=node is not None)
+                  for arr, node in zip(arrays, in_nodes)]
+        with _recording(True):
+            root = module(*leaves)._node
+        root.grad = g
+        _walk(root)
+        for leaf, node in zip(leaves, in_nodes):
+            if node is not None and leaf.grad is not None:
+                node._accum(leaf.grad)
+
+    out._node = Node(out.shape, tuple(parents), bw)
+    return out
 
 
 # -- gradient checking ------------------------------------------------------

@@ -3,10 +3,10 @@
 Each entry builds a tiny instance of one loss (token cross-entropies,
 representation alignment, residual diffusion, transitions, pair-biased
 attention, relative-value attention on one chain and on a batch of two,
-attention with fewer queries than keys, triangle operations, SeqStruct
-attention) or of one fused primitive (`linear`, modulated `layernorm`,
-`pad`, the sigmoid and swish `gate`) and compares backpropagated gradients
-against central finite differences.
+attention with fewer queries than keys, triangle operations, the triangle
+updates through `recompute`, SeqStruct attention) or of one fused primitive
+(`linear`, modulated `layernorm`, `pad`, the sigmoid and swish `gate`) and
+compares backpropagated gradients against central finite differences.
 
 Every case is built and checked under `autodiff.precision(np.float64)`:
 central differences at step 1e-5 need float64 to resolve the 1e-4
@@ -168,25 +168,28 @@ def _loss_fewer_queries_attention(seed):
     return fn, params
 
 
-def _loss_triangle_update(seed):
-    rng = np.random.default_rng(seed)
-    pair = Tensor(rng.normal(size=(4, 4, 5)), requires_grad=True)
-    ups = []
-    for mode in ("outgoing", "incoming"):
-        up = geo_arch.TriangleUpdate(rng, 5, 6, mode)
-        up.out.w.data[:] = rng.normal(size=up.out.w.data.shape) * 0.2
-        ups.append(up)
+def _loss_triangle_update(call):
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        pair = Tensor(rng.normal(size=(4, 4, 5)), requires_grad=True)
+        ups = []
+        for mode in ("outgoing", "incoming"):
+            up = geo_arch.TriangleUpdate(rng, 5, 6, mode)
+            up.out.w.data[:] = rng.normal(size=up.out.w.data.shape) * 0.2
+            ups.append(up)
 
-    def fn():
-        total = Tensor(0.0)
-        for up in ups:
-            total = total + (up(pair) ** 2).mean()
-        return total
+        def fn():
+            total = Tensor(0.0)
+            for up in ups:
+                total = total + (call(up, pair) ** 2).mean()
+            return total
 
-    params = {"pair": pair}
-    for i, up in enumerate(ups):
-        params.update(up.parameters(prefix=f"up.{i}."))
-    return fn, params
+        params = {"pair": pair}
+        for i, up in enumerate(ups):
+            params.update(up.parameters(prefix=f"up.{i}."))
+        return fn, params
+
+    return build
 
 
 def _loss_triangle_attention(seed):
@@ -291,7 +294,8 @@ SUITE = {
     "relpos-value-attention": _loss_relpos_value_attention,
     "batched-relpos-value-attention": _loss_batched_relpos_value_attention,
     "fewer-queries-attention": _loss_fewer_queries_attention,
-    "triangle-update": _loss_triangle_update,
+    "triangle-update": _loss_triangle_update(lambda up, pair: up(pair)),
+    "recompute-triangle-update": _loss_triangle_update(ad.recompute),
     "triangle-attention": _loss_triangle_attention,
     "seqstruct-attention": _loss_seqstruct,
     "linear": _linear,

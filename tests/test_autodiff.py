@@ -11,7 +11,7 @@ from bitfold import autodiff as ad
 from bitfold import diffusion as dfn
 from bitfold.config import ModelConfig
 from bitfold.errors import DetachedLoss, NonFiniteValue, NotScalar, ShapeMismatch
-from bitfold.geo_arch import ProteinLM
+from bitfold.geo_arch import PairInit, ProteinLM, TriangleUpdate
 
 
 def test_matmul_identity_exact():
@@ -205,6 +205,16 @@ def test_take_backward_matches_add_at(shape, idx):
     np.testing.assert_array_equal(a.grad, want)
 
 
+@pytest.mark.parametrize("shape,idx", [TAKE_CASES[0], TAKE_CASES[2], TAKE_CASES[5]])
+def test_take_backward_sums_signed_zeros_to_positive_zero(shape, idx):
+    """Every path adds the gradient onto zeros, as a scatter-add does, so a
+    -0.0 gradient arrives as +0.0, basic slicing included."""
+    a = ad.Tensor(np.ones(shape), requires_grad=True)
+    out = ad.take(a, idx)
+    out._node.backward(np.full(out.shape, -0.0, dtype=np.float32))
+    assert not np.signbit(a.grad).any()
+
+
 GATHER_CASES = [  # (shape, index, on the np.take fast path)
     pytest.param((6,), np.array([4, 0, 0, 5]), True, id="1d-on-1d"),
     pytest.param((6, 3), np.array([[0, 5], [-1, 2], [5, 5]]), True, id="2d-negative"),
@@ -222,8 +232,9 @@ GATHER_CASES = [  # (shape, index, on the np.take fast path)
 @pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("shape,idx,fast", GATHER_CASES)
 def test_take_fast_path_matches_fancy_indexing(monkeypatch, shape, idx, fast):
-    """Full slices then one integer array go through `np.take` in both
-    passes, with the bits of fancy indexing; other indices do not."""
+    """Full slices then one integer array go through `np.take` in the
+    forward, with the bits of fancy indexing, and backward sums them per
+    leading index without gathering; other indices do not."""
     calls = []
     np_take = np.take
     monkeypatch.setattr(np, "take", lambda *a, **kw: calls.append(1) or np_take(*a, **kw))
@@ -237,7 +248,7 @@ def test_take_fast_path_matches_fancy_indexing(monkeypatch, shape, idx, fast):
     want = np.zeros(shape)
     np.add.at(want, idx, g)
     np.testing.assert_array_equal(a.grad, want)
-    assert len(calls) == (2 if fast else 0)
+    assert len(calls) == (1 if fast else 0)
 
 
 @pytest.mark.usefixtures("float64")
@@ -554,7 +565,8 @@ def test_gate_records_one_node_and_rejects_unequal_shapes():
 
 
 def _captured_arrays(fn, seen=None):
-    """Every array a function's closure reaches, through nested functions."""
+    """Every array a function's closure reaches, through nested functions
+    and lists (as `recompute`'s input arrays)."""
     seen = set() if seen is None else seen
     found = []
     for cell in fn.__closure__ or ():
@@ -564,6 +576,8 @@ def _captured_arrays(fn, seen=None):
             continue
         if isinstance(value, np.ndarray):
             found.append(value)
+        elif isinstance(value, list):
+            found += [v for v in value if isinstance(v, np.ndarray)]
         elif callable(value) and getattr(value, "__closure__", None) and id(value) not in seen:
             seen.add(id(value))
             found += _captured_arrays(value, seen)
@@ -694,20 +708,23 @@ def test_full_geo_backward_only_lowers_traced_memory():
 
 
 def test_full_geo_step_traced_peak():
-    """Fused gates, the weights and x-hat recomputed in backward, and nodes
-    that keep only the arrays their backward reads keep the step's traced
-    peak at L=32 near 6.5 MiB (7.5 MiB when every op output lived until
-    backward passed its consumers, 9.3 MiB when the graph also kept the
-    sigmoids, the swish products, every attention's weights and every
-    layernorm's normalized input)."""
+    """Fused gates, the weights and x-hat recomputed in backward, nodes
+    that keep only the arrays their backward reads, the pair init and the
+    triangle updates recomputed and the blocked gate backward keep the
+    step's traced peak at L=32 near 4.5 MiB (6.5 MiB without the last two,
+    7.5 MiB when every op output also lived until backward passed its
+    consumers, 9.3 MiB when the graph also kept the sigmoids, the swish
+    products, every attention's weights and every layernorm's normalized
+    input)."""
     peak = _traced_full_geo_step()[0]
     assert peak <= 8.0 * 2**20, peak / 2**20
 
 
 def test_full_geo_graph_holds_only_what_backward_reads():
     """After a full-geo forward and `loss_bit` at L=48 the graph holds about
-    11.0 MiB; it held 13.1 MiB while every op output stayed alive until
-    backward passed its consumers."""
+    7.2 MiB; it held 11.0 MiB before the pair init and the triangle updates
+    were recomputed in backward, and 13.1 MiB while every op output also
+    stayed alive until backward passed its consumers."""
     held = _traced_full_geo_step(48)[1]
     assert held <= 12.0 * 2**20, held / 2**20
 
@@ -726,3 +743,150 @@ def test_op_output_that_no_backward_reads_is_freed():
     assert [r() is None for r in refs] == [True, True, False]
     sum(out.sum() for out in outs).backward()
     assert x.grad is not None and lin.w.grad is not None
+
+
+def test_full_geo_recompute_lowers_held_memory_and_backward_peak():
+    """With the pair init and the triangle updates recomputed in backward and
+    the gate backward run in blocks, a full-geo step at L=48 holds about
+    7.2 MiB after the forward and peaks at about 8.2 MiB in backward (11.0
+    and 13.0 MiB before: the peak came at the pair transition's swish-gate
+    backward, with four gate-sized temporaries)."""
+    _, held, peak = _traced_full_geo_step(48)
+    assert held <= 8.0 * 2**20, held / 2**20
+    assert peak <= 9.5 * 2**20, peak / 2**20
+
+
+# -- the blocked gate backward --------------------------------------------------
+
+GATE_BLOCK_SHAPES = [
+    pytest.param((3, 5, 4), id="below-a-block"),
+    pytest.param((ad.BLOCK // 64, 8, 8), id="one-block"),
+    pytest.param((2 * ad.BLOCK // 64 + 5, 8, 8), id="partial-last-block"),
+    pytest.param((3, ad.BLOCK + 5), id="rows-over-a-block"),
+]
+
+
+@pytest.mark.parametrize("shape", GATE_BLOCK_SHAPES)
+@pytest.mark.parametrize("fused,chain", [pytest.param(ad.gate, _sigmoid_gate_chain, id="sigmoid"),
+                                         pytest.param(lambda x, y: ad.gate(x, y, swish=True),
+                                                      _swish_gate_chain, id="swish")])
+def test_gate_blocks_match_the_op_chain(fused, chain, shape):
+    """Every block gives the bits of the unblocked op chain, also for an
+    upstream gradient in another memory layout (through a transpose)."""
+    rng = np.random.default_rng(28)
+    values = [rng.normal(size=shape) * 40.0, rng.normal(size=shape)]
+    weights = ad.Tensor(rng.normal(size=shape[::-1]))
+    results = []
+    for fn in (fused, chain):
+        leaves = [ad.Tensor(v, requires_grad=True) for v in values]
+        out = fn(*leaves)
+        (ad.transpose(out) * weights).sum().backward()
+        results.append((out.data, [t.grad for t in leaves]))
+    _assert_bit_identical(results)
+
+
+# -- module-level recomputation -------------------------------------------------
+
+RECOMPUTE_CASES = [  # (builder, input shape, an intermediate shape of the sub-layer)
+    pytest.param(lambda rng: TriangleUpdate(rng, 8, 12, "outgoing"), (7, 7, 8), (7, 7, 12),
+                 id="triangle-outgoing"),
+    pytest.param(lambda rng: TriangleUpdate(rng, 8, 12, "incoming"), (7, 7, 8), (7, 7, 12),
+                 id="triangle-incoming"),
+    pytest.param(lambda rng: PairInit(rng, 10, 8), (7, 10), (7, 7, 8), id="pair-init"),
+]
+
+
+def _randomized(module, rng):
+    """`module` with every parameter redrawn: no zero init hides a term."""
+    for p in module.parameters().values():
+        p.data[...] = rng.normal(scale=0.5, size=p.shape)
+    return module
+
+
+def _direct_and_recomputed(module, x, input_grad=True):
+    """Output and input gradient, then each parameter's gradient, of the
+    direct call and of `recompute`, under one weighted-sum loss."""
+    results = []
+    for call in (module, lambda t: ad.recompute(module, t)):
+        module.zero_grad()
+        leaf = ad.Tensor(x, requires_grad=input_grad)
+        out = call(leaf)
+        weights = np.random.default_rng(29).normal(size=out.shape)
+        (out * ad.Tensor(weights)).sum().backward()
+        results.append([out.data, leaf.grad] + [p.grad for p in module.parameters().values()])
+    return results
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("build,shape,hidden", RECOMPUTE_CASES)
+def test_recompute_matches_the_direct_call(build, shape, hidden, seed):
+    """Output, input gradient and every parameter gradient, bit for bit,
+    in float32."""
+    rng = np.random.default_rng(seed)
+    module = _randomized(build(rng), rng)
+    got, want = _direct_and_recomputed(module, rng.normal(size=shape))[::-1]
+    assert got[0].dtype == np.float32
+    for g, w in zip(got, want):
+        assert g is not None and w is not None
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("build,shape,hidden", RECOMPUTE_CASES)
+def test_recompute_node_keeps_only_its_inputs(build, shape, hidden):
+    """The node keeps the input array and none of the sub-layer's
+    intermediate arrays; its parents are the input's and the parameters'
+    nodes."""
+    rng = np.random.default_rng(30)
+    module = build(rng)
+    x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+    out = ad.recompute(module, x)
+    kept = _captured_arrays(out._backward)
+    assert kept and all(np.shares_memory(arr, x.data) for arr in kept)
+    _assert_keeps_no_array_like(out, hidden, [x])
+    assert out._node.parents == (x._node, *(p._node for p in module.parameters().values()))
+
+
+def test_recompute_without_a_graph_is_the_direct_call():
+    """Without recording, or when neither the input nor any parameter needs
+    a gradient, it returns the direct call's bits and builds no node."""
+    rng = np.random.default_rng(31)
+    module = _randomized(TriangleUpdate(rng, 8, 12, "outgoing"), rng)
+    x = ad.Tensor(rng.normal(size=(7, 7, 8)), requires_grad=True)
+    with ad.no_grad():
+        out, want = ad.recompute(module, x), module(x)
+    assert out._node is None
+    np.testing.assert_array_equal(out.data, want.data)
+    for p in module.parameters().values():
+        p._node = None  # frozen
+    out = ad.recompute(module, ad.Tensor(x.data))
+    assert out._node is None
+    np.testing.assert_array_equal(out.data, want.data)
+
+
+def test_recompute_trains_parameters_when_no_input_needs_a_gradient():
+    rng = np.random.default_rng(32)
+    module = _randomized(TriangleUpdate(rng, 8, 12, "incoming"), rng)
+    got, want = _direct_and_recomputed(module, rng.normal(size=(7, 7, 8)), input_grad=False)[::-1]
+    assert got[1] is None and want[1] is None
+    for g, w in zip(got[2:], want[2:]):
+        assert g is not None
+        np.testing.assert_array_equal(g, w)
+
+
+def test_full_geo_step_calls_backward_once(monkeypatch):
+    """The recomputed sub-layers walk their graphs without `Tensor.backward`,
+    which callers may wrap to read the loss once per step."""
+    calls = []
+    backward = ad.Tensor.backward
+    monkeypatch.setattr(ad.Tensor, "backward", lambda self: calls.append(self) or backward(self))
+    cfg = ModelConfig(d_model=16, d_pair=8, heads=2, n_blocks=3, T=8, pair_bias=True,
+                      struct_transition=True, triangle_update=True, triangle_attention=True,
+                      seqstruct_attention=True).validate()
+    lm = ProteinLM(cfg)
+    rng = np.random.default_rng(33)
+    x0 = dfn.TokenState.observed(rng.integers(20, size=10), rng.choice([-1.0, 1.0], size=(10, cfg.k)))
+    xt = dfn.forward_mask(x0, lm.schedule, cfg.T // 2, rng)
+    dfn.loss_bit(lm.forward(xt), x0, xt, cfg.T // 2, lm.schedule).backward()
+    assert len(calls) == 1
+    assert all(p.grad is not None for p in lm.pair_init.parameters().values())
+    assert all(p.grad is not None for p in lm.pair_updates[0].tri_in.parameters().values())

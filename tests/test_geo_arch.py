@@ -380,10 +380,13 @@ def test_last_block_leaves_pair_alone(monkeypatch, n_blocks):
         lm.blocks[-1] = _PairUpdatedToo(last, extra) if reference else last
         out = lm.forward(state)
         lm.blocks[-1] = last
+        assert calls == dict.fromkeys(calls, 2 * (n_blocks - 1 + reference))
         outputs = [out.seq_logits, out.struct_logits, *out.hidden_layers]
         weights = np.random.default_rng(0)
         sum((t * Tensor(weights.normal(size=t.shape))).sum() for t in outputs).backward()
-        assert calls == dict.fromkeys(calls, 2 * (n_blocks - 1 + reference))
+        # backward reruns each triangle update the outputs read, once
+        assert calls == {"TriangleUpdate": 2 * (2 * (n_blocks - 1) + reference),
+                         "TriangleAttention": 2 * (n_blocks - 1 + reference)}
         assert all(t.grad is None for t in extra.parameters().values())
         results.append([t.data for t in outputs] + [params[name].grad for name in sorted(params)])
     labels = ["seq_logits", "struct_logits"] + [f"hidden_layers[{i}]" for i in range(n_blocks)]
