@@ -1,97 +1,91 @@
-"""Binary checkpoint format.
+"""Checkpoints as numpy `.npz` archives.
 
-Little-endian layout: magic `BFCK`, version u32, config echo (u32 length +
-UTF-8 text), training step u64, rng-state echo (u32 length + UTF-8 JSON),
-parameter count u32, then per-parameter records {u32 name length, name,
-u32 rank, u32 dims..., float64 payload}. Loading returns the config echo
-as stored; the caller scopes the check of it to the keys of the component
-it loads (`config.check_architecture`).
+A checkpoint is one uncompressed zip archive written by `np.savez`, with
+these entries:
+- `param/<name>`: each parameter array in its own dtype (float32, as the
+  model computes);
+- `config`: the config text, a 0-d unicode array;
+- `step`: the training step, a 0-d integer;
+- `version`: the layout's version, a 0-d integer.
 
-Parameters compute in float32, and every float32 value converts to float64
-exactly, so the payload holds them without loss and files written by
-float64 builds stay valid. Restoring casts each stored array to its
-parameter's dtype and refuses a finite value that overflows it.
+Loading returns the config text as stored; the caller scopes the check of
+it to the keys of the component it loads (`config.check_architecture`).
+Entries outside this list are ignored, so a later layout can add entries
+that older readers skip.
+
+The zip format stores a CRC-32 of every entry and reading checks it, so a
+flipped byte is refused. Every malformed file raises a `ParseError` whose
+message starts with the path; a missing file raises `FileNotFoundError`.
+Saving writes `<path>.tmp` and renames it over `<path>`, so an interrupted
+save never leaves a truncated checkpoint under the final name.
+
+Restoring casts each stored array to its parameter's dtype and refuses a
+finite value that overflows it.
 """
 
 from __future__ import annotations
 
-import json
-import struct
+import os
+import zipfile
 
 import numpy as np
 
 from .errors import InvalidConfig, ParseError
 
-MAGIC = b"BFCK"
 VERSION = 1
 
 
-def _pack_str(text):
-    data = text.encode("utf-8")
-    return struct.pack("<I", len(data)) + data
-
-
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n):
-        if self.pos + n > len(self.data):
-            raise ParseError("truncated checkpoint")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self):
-        return self.take(self.u32()).decode("utf-8")
-
-
-def save_checkpoint(path, params, config_text, step=0, rng_state=None):
-    """Write named tensors as f64 plus config/step/rng-state echoes.
+def save_checkpoint(path, params, config_text, step=0):
+    """Write named arrays with the config text and step to `path`.
 
     `params` maps name -> Tensor (or ndarray)."""
-    chunks = [MAGIC, struct.pack("<I", VERSION), _pack_str(config_text),
-              struct.pack("<Q", step), _pack_str(json.dumps(rng_state or {}, default=int)),
-              struct.pack("<I", len(params))]
-    for name in sorted(params):
-        value = params[name]
-        arr = np.ascontiguousarray(getattr(value, "data", value), dtype="<f8")
-        chunks.append(_pack_str(name))
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    entries = {f"param/{name}": np.asarray(getattr(value, "data", value))
+               for name, value in sorted(params.items())}
+    tmp = f"{path}.tmp"
+    try:
+        # A file object, since `np.savez` appends `.npz` to a path without it.
+        with open(tmp, "wb") as fh:
+            np.savez(fh, allow_pickle=False, version=np.int64(VERSION),
+                     config=np.array(config_text), step=np.int64(step), **entries)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
-    """Returns (tensors dict, config_text, step, rng_state)."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
-    if reader.take(4) != MAGIC:
-        raise ParseError("not a BFCK checkpoint")
-    version = reader.u32()
+    """Returns (tensors dict, config_text, step)."""
+    with open(path, "rb") as fh:  # outside the try: a missing file stays FileNotFoundError
+        if fh.read(4) != b"PK\x03\x04":
+            raise ParseError(f"{path}: not an .npz archive")
+        fh.seek(0)
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            entries = {name: archive[name] for name in archive.files}
+        except (ValueError, EOFError, OSError, NotImplementedError, zipfile.BadZipFile) as exc:
+            # OSError: a corrupt offset seeks before the start of the file;
+            # NotImplementedError: a corrupt header names an unknown compression.
+            raise ParseError(f"{path}: not a readable checkpoint: {exc}") from None
+
+    def scalar(name, kinds, what):
+        value = entries.get(name)
+        if value is None or value.shape != () or value.dtype.kind not in kinds:
+            got = "no entry" if value is None else f"{value.dtype} of shape {value.shape}"
+            raise ParseError(f"{path}: '{name}' must be {what}, got {got}")
+        return value.item()
+
+    version = scalar("version", "iu", "a scalar integer")
     if version != VERSION:
-        raise ParseError(f"unsupported checkpoint version {version}")
-    config_text = reader.string()
-    step = reader.u64()
-    rng_state = json.loads(reader.string())
-    tensors = {}
-    for _ in range(reader.u32()):
-        name = reader.string()
-        rank = reader.u32()
-        dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        count = int(np.prod(dims)) if rank else 1
-        payload = reader.take(8 * count)
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-    return tensors, config_text, step, rng_state
+        raise ParseError(f"{path}: unsupported checkpoint version {version}")
+    config_text = scalar("config", "U", "scalar text")
+    step = scalar("step", "iu", "a scalar integer")
+    tensors = {name[len("param/"):]: value for name, value in entries.items()
+               if name.startswith("param/")}
+    for name, value in tensors.items():
+        if value.dtype.kind not in "fiu":
+            raise ParseError(f"{path}: 'param/{name}' has dtype {value.dtype}, "
+                             f"not float or integer")
+    return tensors, config_text, step
 
 
 def restore_parameters(module, tensors, prefix=""):

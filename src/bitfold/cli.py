@@ -110,7 +110,7 @@ def _save_model(path, module, cfg, step=0):
 def _load(path, module, cfg, component):
     """Restore `module` from `path` once the stored config agrees with `cfg`
     on `component`'s keys."""
-    tensors, stored, _, _ = ckpt.load_checkpoint(path)
+    tensors, stored, _ = ckpt.load_checkpoint(path)
     check_architecture(path, stored, cfg, component)
     try:
         ckpt.restore_parameters(module, tensors)

@@ -120,34 +120,24 @@ def _loss_pair_bias_attention(seed):
     return fn, params
 
 
-def _loss_relpos_value_attention(seed):
-    rng = np.random.default_rng(seed)
-    block = tok.DecoderBlock(rng, tok.TokenizerConfig(width=8, heads=2))
-    block.attn.out.w.data[:] = rng.normal(size=block.attn.out.w.data.shape) * 0.3
-    x = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-    positions = np.array([0, 1, 2, 5, 6, 40])  # the gap past REL_POS_CLIP repeats clipped bins
+def _loss_relpos_value_attention(lead):
+    """`lead` is the input's leading shape: () for one chain, (2,) for two
+    chains, as the decoder runs."""
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        block = tok.DecoderBlock(rng, tok.TokenizerConfig(width=8, heads=2))
+        block.attn.out.w.data[:] = rng.normal(size=block.attn.out.w.data.shape) * 0.3
+        x = Tensor(rng.normal(size=(*lead, 6, 8)), requires_grad=True)
+        positions = np.array([0, 1, 2, 5, 6, 40])  # the gap past REL_POS_CLIP repeats clipped bins
 
-    def fn():
-        return (block(x, block.rel(positions)) ** 2).mean()
+        def fn():
+            return (block(x, block.rel(positions)) ** 2).mean()
 
-    params = {"x": x}
-    params.update(block.parameters(prefix="block."))
-    return fn, params
+        params = {"x": x}
+        params.update(block.parameters(prefix="block."))
+        return fn, params
 
-
-def _loss_batched_relpos_value_attention(seed):
-    rng = np.random.default_rng(seed)
-    block = tok.DecoderBlock(rng, tok.TokenizerConfig(width=8, heads=2))
-    block.attn.out.w.data[:] = rng.normal(size=block.attn.out.w.data.shape) * 0.3
-    x = Tensor(rng.normal(size=(2, 6, 8)), requires_grad=True)  # two chains, as the decoder runs
-    positions = np.array([0, 1, 2, 5, 6, 40])
-
-    def fn():
-        return (block(x, block.rel(positions)) ** 2).mean()
-
-    params = {"x": x}
-    params.update(block.parameters(prefix="block."))
-    return fn, params
+    return build
 
 
 def _loss_fewer_queries_attention(seed):
@@ -291,8 +281,8 @@ SUITE = {
     "resdiff": _loss_resdiff,
     "transition": _loss_transition,
     "pair-bias-attention": _loss_pair_bias_attention,
-    "relpos-value-attention": _loss_relpos_value_attention,
-    "batched-relpos-value-attention": _loss_batched_relpos_value_attention,
+    "relpos-value-attention": _loss_relpos_value_attention(lead=()),
+    "batched-relpos-value-attention": _loss_relpos_value_attention(lead=(2,)),
     "fewer-queries-attention": _loss_fewer_queries_attention,
     "triangle-update": _loss_triangle_update(lambda up, pair: up(pair)),
     "recompute-triangle-update": _loss_triangle_update(ad.recompute),

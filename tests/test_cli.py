@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import bitfold
+from bitfold import autodiff as ad
 from bitfold import checkpoint as ckpt
-from bitfold import cli
+from bitfold import cli, gradsuite
 from bitfold import geometry as geo
 from bitfold import hybrid_fm, training
 from bitfold import resdiff as rd
@@ -65,6 +66,8 @@ def test_pipeline_subcommands_run(tmp_path):
     empty.mkdir()
     short = tmp_path / "short"
     short.mkdir()
+    garbage = tmp_path / "garbage.ckpt"
+    garbage.write_bytes(b"not a checkpoint")
     structure, seq = geo.synth_backbone(geo.SynthSpec(length=16), seed=0)
     structure.source_id = "s0"
     cli.write_sample(str(short), structure, seq[:-1])
@@ -106,6 +109,8 @@ def test_pipeline_subcommands_run(tmp_path):
         ["eval", "--mode", "folding", *common, "--steps", "4"],
         ["train-tokenizer", "--data", data, "--out", str(tmp_path / "none.ckpt"),
          "--steps", "2", "--set", "tok_heads=3"],
+        ["sample", "--tokenizer", tok_ckpt, "--ckpt", str(garbage),
+         "--out", str(tmp_path / "none"), "--length", "16"],
     ]
     runs = passing + failing
     codes, err = run_cli(runs)
@@ -116,6 +121,7 @@ def test_pipeline_subcommands_run(tmp_path):
     assert f"no training items: --data {empty}" in err
     assert "eval --mode folding needs --ckpt" in err
     assert "tok_heads = 3 must divide tok_width = 64" in err
+    assert f"{garbage}: not an .npz archive" in err
     assert not any(name.startswith("repa.")
                    for name in ckpt.load_checkpoint(grid["3-geo-bit-repa"])[0])
     plain, hot = ckpt.load_checkpoint(rd_ckpt)[0], ckpt.load_checkpoint(rd_hot_ckpt)[0]
@@ -227,3 +233,20 @@ def test_train_lm_flags_override_the_config_only_when_given(tmp_path, monkeypatc
     assert [ckpt.load_checkpoint(path)[2] for path in out] == [3, 2, cfg.steps]
     printed = capsys.readouterr().out
     assert "over 3 steps" in printed and "over 2 steps" in printed
+
+
+@pytest.mark.parametrize("errors, code", [((2e-9, 3e-8), 0), ((2e-9, 3e-2), 1)],
+                         ids=["pass", "fail"])
+def test_grad_check_prints_each_case_and_exits_on_the_verdict(monkeypatch, capsys, errors, code):
+    """`grad-check` prints a line per case and the worst one, and exits 1
+    when a case fails. The suite is stubbed here; test_gradsuite runs it."""
+    reports = [(f"case@{i}", ad.GradCheckReport(err, "x", err < 1e-4))
+               for i, err in enumerate(errors)]
+    monkeypatch.setattr(gradsuite, "run_grad_suite", lambda: reports)
+    assert cli.main(["grad-check"]) == code
+    verdict = "FAIL" if code else "pass"
+    assert capsys.readouterr().out.splitlines() == [
+        "case@0: max rel err 2.00e-09 (pass)",
+        f"case@1: max rel err {errors[1]:.2e} ({verdict})",
+        f"worst: case@1 {errors[1]:.2e}",
+    ]

@@ -1,9 +1,10 @@
 """Guards on the package as a whole: every module and config field is
 reached, only the tokenizer module runs the frozen tokenizer, only the
 config and the model compare the structure head's values, only the
-autodiff core and the optimizer touch gradients, sigmoid gates are fused
-nodes, no backward closure holds a Tensor, every name the benchmark's tracer wraps still exists, and the
-benchmark's smallest runs pass, one of them traced."""
+autodiff core and the optimizer touch gradients, only the checkpoint
+module reads or writes numpy files, sigmoid gates are fused nodes, no
+backward closure holds a Tensor, every name the benchmark's tracer wraps
+still exists, and the benchmark's smallest runs pass, one of them traced."""
 
 import ast
 import dataclasses
@@ -96,6 +97,13 @@ def test_only_autodiff_and_optim_touch_gradients():
     touching = {path.name for path in SRC.glob("*.py")
                 if re.search(r"\.grad\b", path.read_text())}
     assert touching == {"autodiff.py", "optim.py"}
+
+
+def test_only_checkpoint_reads_or_writes_numpy_files():
+    """The on-disk format of a checkpoint is written in one module."""
+    callers = {path.name for path in SRC.glob("*.py")
+               if re.search(r"\bnp\.(load|save|savez\w*)\(", path.read_text())}
+    assert callers == {"checkpoint.py"}
 
 
 def test_sigmoid_gates_are_fused():
