@@ -136,12 +136,20 @@ def _check_finite(arr):
 
 
 def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape` (reverse of numpy broadcasting)."""
+    """Sum `grad` down to `shape` (reverse of numpy broadcasting).
+
+    The leading axes that `shape` lacks are summed as one BLAS product, a
+    row of ones times `grad` flattened to (rows, trailing size), in
+    `grad`'s dtype: BLAS's order of summation over the rows, not numpy's
+    pairwise one, which would sum an (L, L, d) gradient one d-wide row at
+    a time. Axes where `shape` has 1 are then summed by numpy."""
     if grad.shape == tuple(shape):
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        n_rows, trailing = math.prod(grad.shape[:extra]), grad.shape[extra:]
+        rows = grad.reshape(n_rows, math.prod(trailing))
+        grad = (np.ones(n_rows, grad.dtype) @ rows).reshape(trailing)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -874,6 +882,11 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
     The forward runs in the order of the unfused op chain and without `rel`
     gives the same bits.
 
+    `scale` is cast once to the dtype of `q`, and both passes multiply the
+    logits (and backward their gradient) by that value, so a float64 scale
+    on float32 logits costs no float64 loop; a scale that is a power of
+    two, as 1/sqrt(16) is, keeps every bit.
+
     The node keeps only each row's logit max and exp sum, as FlashAttention
     (Dao et al. 2022) does: backward rebuilds the weights with the
     forward's ops in the forward's order, so it gets the same bits, and no
@@ -890,6 +903,7 @@ def attention(q, k, v, n_heads, scale, bias=None, rel=None):
         return np.swapaxes(x, -2, -3).reshape(shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = qh.dtype.type(scale)
     bias_data = nbias = None
     if bias is not None:
         bias = as_tensor(bias)

@@ -6,7 +6,9 @@ these entries:
   model computes);
 - `config`: the config text, a 0-d unicode array;
 - `step`: the training step, a 0-d integer;
-- `version`: the layout's version, a 0-d integer.
+- `version`: the layout's version, a 0-d integer;
+- `count`: the number of `param/` entries, a 0-d integer, written ahead
+  of them.
 
 Loading returns the config text as stored; the caller scopes the check of
 it to the keys of the component it loads (`config.check_architecture`).
@@ -14,8 +16,11 @@ Entries outside this list are ignored, so a later layout can add entries
 that older readers skip.
 
 The zip format stores a CRC-32 of every entry and reading checks it, so a
-flipped byte is refused. Every malformed file raises a `ParseError` whose
-message starts with the path; a missing file raises `FileNotFoundError`.
+flipped byte is refused. A flipped byte in the central directory can hide
+the entries after it (a record's comment length that swallows the records
+that follow), so loading checks the `param/` entries against `count`.
+Every malformed file raises a `ParseError` whose message starts with the
+path; a missing file raises `FileNotFoundError`.
 Saving writes `<path>.tmp` and renames it over `<path>`, so an interrupted
 save never leaves a truncated checkpoint under the final name.
 
@@ -32,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidConfig, ParseError
 
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path, params, config_text, step=0):
@@ -46,7 +51,8 @@ def save_checkpoint(path, params, config_text, step=0):
         # A file object, since `np.savez` appends `.npz` to a path without it.
         with open(tmp, "wb") as fh:
             np.savez(fh, allow_pickle=False, version=np.int64(VERSION),
-                     config=np.array(config_text), step=np.int64(step), **entries)
+                     config=np.array(config_text), step=np.int64(step),
+                     count=np.int64(len(entries)), **entries)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -79,8 +85,12 @@ def load_checkpoint(path):
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
     config_text = scalar("config", "U", "scalar text")
     step = scalar("step", "iu", "a scalar integer")
+    count = scalar("count", "iu", "a scalar integer")
     tensors = {name[len("param/"):]: value for name, value in entries.items()
                if name.startswith("param/")}
+    if len(tensors) != count:
+        raise ParseError(f"{path}: lists {len(tensors)} 'param/' entries, "
+                         f"but 'count' is {count}")
     for name, value in tensors.items():
         if value.dtype.kind not in "fiu":
             raise ParseError(f"{path}: 'param/{name}' has dtype {value.dtype}, "

@@ -264,7 +264,7 @@ def index_to_bits(codes, k):
 
 # -- reconstruction loss and training ----------------------------------------
 
-def reconstruction_loss(pred_coords, target: geo.BackboneStructure):
+def reconstruction_loss(pred_coords, target: geo.BackboneStructure, d_true=None):
     """Rigid-alignment coordinate MSE plus a CA distance-matrix term.
 
     The target is superposed onto the current prediction with a proper
@@ -273,7 +273,8 @@ def reconstruction_loss(pred_coords, target: geo.BackboneStructure):
     exact gradient of the aligned loss. Proper rotations only, so
     mirror-image reconstructions remain expensive. The superposition runs
     in float64; the aligned target and its distance matrix enter the graph
-    in the compute dtype."""
+    in the compute dtype. `d_true` is that matrix, `target_distances(target)`,
+    when the caller has it already."""
     pred_ca_data = pred_coords.data[:, 1, :]
     try:
         res = geo.kabsch_points(target.ca(), pred_ca_data)
@@ -282,9 +283,16 @@ def reconstruction_loss(pred_coords, target: geo.BackboneStructure):
         aligned = target.coords - target.ca().mean(axis=0) + pred_ca_data.mean(axis=0)
     dtype = ad.compute_dtype()
     coord_term = ((pred_coords - aligned.astype(dtype)) ** 2).mean()
-    d_true = kernels.pdist(target.ca(), 1e-8).astype(dtype)
+    if d_true is None:
+        d_true = target_distances(target)
     dist_term = ((ad.pair_dist(pred_coords[:, 1, :]) - d_true) ** 2).mean()
     return coord_term + DIST_WEIGHT * dist_term
+
+
+def target_distances(target: geo.BackboneStructure):
+    """The target's CA distance matrix, computed in float64 and cast to the
+    compute dtype, as `reconstruction_loss` compares it."""
+    return kernels.pdist(target.ca(), 1e-8).astype(ad.compute_dtype())
 
 
 @dataclass
@@ -327,12 +335,15 @@ def tokenizer_loss(params: TokenizerParams, structure, feats):
 
     Both token paths go through the decoder in one call, as a (2, L, K)
     stack of the quantized bits and the continuous tokens; each path's
-    prediction is the one its own decoder call would give."""
+    prediction is the one its own decoder call would give, and both are
+    compared with one target distance matrix."""
     z, _ = params.encoder(feats)
     bits, q_losses = lfq_quantize(z)
     pred = params.decoder(ad.concat([ad.reshape(t, (1,) + t.shape) for t in (bits, z)]))
+    d_true = target_distances(structure)
     return (
-        0.5 * (reconstruction_loss(pred[0], structure) + reconstruction_loss(pred[1], structure))
+        0.5 * (reconstruction_loss(pred[0], structure, d_true)
+               + reconstruction_loss(pred[1], structure, d_true))
         + COMMIT_WEIGHT * q_losses["commitment"]
         + ENTROPY_WEIGHT * q_losses["entropy"]
     )

@@ -9,6 +9,7 @@ import pytest
 
 from bitfold import autodiff as ad
 from bitfold import diffusion as dfn
+from bitfold import kernels
 from bitfold.config import ModelConfig
 from bitfold.errors import DetachedLoss, NonFiniteValue, NotScalar, ShapeMismatch
 from bitfold.geo_arch import PairInit, ProteinLM, TriangleUpdate
@@ -170,6 +171,54 @@ def test_pair_dist_matches_direct():
     d = ad.pair_dist(ad.Tensor(x), eps=0.0).data
     want = np.linalg.norm(x[:, None] - x[None, :], axis=-1)
     np.testing.assert_allclose(d, want, atol=1e-12)
+
+
+def _pdist_by_axis(x, eps=1e-8):
+    """`kernels.pdist` as an (L, L, 3) difference array summed over its last axis."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1) + eps)
+
+
+def _pdist_grad_by_axis(x, d, g):
+    """`kernels.pdist_grad` as an (L, L, 3) product summed over j, then over i."""
+    diff = x[:, None, :] - x[None, :, :]
+    w = g / d
+    gx = (w[:, :, None] * diff).sum(axis=1)
+    gx -= (w[:, :, None] * diff).sum(axis=0)
+    return gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", [2, 17, 64])
+def test_pdist_kernels_match_the_summed_difference_array(dtype, length):
+    """The column-by-column kernels add in the order the (L, L, 3) sums do,
+    so they give the same bits."""
+    rng = np.random.default_rng(length)
+    x = (rng.normal(size=(length, 3)) * 10).astype(dtype)
+    g = rng.normal(size=(length, length)).astype(dtype)
+    d = kernels.pdist(x, 1e-8)
+    assert d.dtype == dtype
+    np.testing.assert_array_equal(d, _pdist_by_axis(x))
+    gx = kernels.pdist_grad(x, d, g, 1e-8)
+    assert gx.dtype == dtype
+    np.testing.assert_array_equal(gx, _pdist_grad_by_axis(x, d, g))
+
+
+@pytest.mark.parametrize("shape", [(16,), ()], ids=["channels", "scalar"])
+def test_unbroadcast_sums_a_pair_gradient_within_the_float32_bound(shape):
+    """Summing n float32 terms in any order lies within gamma_(n-1) *
+    sum |x| of the exact sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, eq. 4.4); the float64 sum of the same terms stands in for
+    the exact one."""
+    grad = np.random.default_rng(14).normal(size=(48, 48, 16)).astype(np.float32)
+    got = ad._unbroadcast(grad, shape)
+    assert got.shape == shape and got.dtype == np.float32
+    terms = grad.astype(np.float64).reshape(-1, *shape)
+    want, magnitude = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    u = np.finfo(np.float32).eps / 2
+    n = terms.shape[0]
+    bound = (n - 1) * u / (1 - (n - 1) * u) * magnitude
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def test_no_grad_builds_no_graph():
@@ -407,6 +456,59 @@ def test_attention_fewer_queries_match_leading_rows():
         np.testing.assert_array_equal(got, want[kept])
         for g, w in zip(got_grads, want_grads):
             np.testing.assert_allclose(g, w, atol=1e-12, rtol=0)
+
+
+def _attention_scaled_as_given(q, k, v, n_heads, scale, weights):
+    """Unbiased `ad.attention`, forward and backward, multiplying by `scale`
+    as given: the expression `attention` used before it cast the scale to
+    the compute dtype, so a float64 scale ran float64 loops on float32
+    logits. Returns the output and the gradients of q, k and v for the
+    loss sum(out * weights)."""
+    def split(x):
+        return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, -1)), -2, -3)
+
+    def merge(x):
+        x = np.swapaxes(x, -2, -3)
+        return x.reshape(x.shape[:-2] + (-1,))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    a = qh @ np.swapaxes(kh, -1, -2)
+    a *= scale
+    a -= np.fmax.reduce(a, axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    g = split(weights)
+    ga = g @ np.swapaxes(vh, -1, -2)
+    ga -= (ga * a).sum(axis=-1, keepdims=True)
+    ga *= a
+    ga *= scale
+    grads = [ga @ kh, np.swapaxes(np.swapaxes(qh, -1, -2) @ ga, -1, -2),
+             np.swapaxes(a, -1, -2) @ g]
+    return [merge(x) for x in [a @ vh] + grads]
+
+
+@pytest.mark.parametrize("d_head", [8, 16])
+def test_attention_scales_float32_logits_by_a_float32_scale(d_head):
+    """A float64 `scale` gives the bits of that scale cast to float32. At
+    d_head 16, 1/sqrt(16) is a power of two, so that is also every bit of
+    the float64 expression; at d_head 8 the float64 expression rounds
+    differently."""
+    rng = np.random.default_rng(15)
+    heads, shape = 2, (6, 9, 2 * d_head)  # triangle attention's rows of pair positions
+    data = [rng.normal(size=shape).astype(np.float32) for _ in range(4)]
+    scale = np.float64(1.0 / np.sqrt(d_head))
+    q, k, v = (ad.Tensor(x, requires_grad=True) for x in data[:3])
+    out = ad.attention(q, k, v, heads, scale)
+    (out * ad.Tensor(data[3])).sum().backward()
+    got = [out.data, q.grad, k.grad, v.grad]
+    assert all(x.dtype == np.float32 for x in got)
+    cast = _attention_scaled_as_given(*data[:3], heads, np.float32(scale), data[3])
+    for g, w in zip(got, cast):
+        np.testing.assert_array_equal(g, w)
+    if d_head == 16:
+        as_given = _attention_scaled_as_given(*data[:3], heads, scale, data[3])
+        for g, w in zip(got, as_given):
+            np.testing.assert_array_equal(g, w)
 
 
 @pytest.mark.usefixtures("float64")

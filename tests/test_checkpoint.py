@@ -95,7 +95,8 @@ def _edit(**changes):
     """Writes a valid archive with `changes` applied; a None drops the entry."""
     def write(path):
         entries = {"version": np.int64(ckpt.VERSION), "config": np.array(CONFIG),
-                   "step": np.int64(0), "param/w": np.zeros((2, 3), np.float32), **changes}
+                   "step": np.int64(0), "count": np.int64(1),
+                   "param/w": np.zeros((2, 3), np.float32), **changes}
         with open(path, "wb") as fh:
             np.savez(fh, **{name: v for name, v in entries.items() if v is not None})
     return write
@@ -111,21 +112,47 @@ def _edit(**changes):
     (_edit(version=np.array([1, 1])),
      r"'version' must be a scalar integer, got int64 of shape \(2,\)"),
     (_edit(version=np.int64(ckpt.VERSION + 1)), "unsupported checkpoint version"),
+    (_edit(version=np.int64(1)), "unsupported checkpoint version 1$"),
     (_edit(config=None), "'config' must be scalar text, got no entry"),
     (_edit(config=np.int64(3)), "'config' must be scalar text, got int64"),
     (_edit(step=np.float64(2.0)), "'step' must be a scalar integer, got float64"),
     (_edit(step=np.arange(2)), r"'step' must be a scalar integer, got int64 of shape \(2,\)"),
+    (_edit(count=None), "'count' must be a scalar integer, got no entry"),
+    (_edit(count=np.int64(2)), "lists 1 'param/' entries, but 'count' is 2"),
     (_edit(**{"param/w": np.array([{}], dtype=object)}), "Object arrays cannot be loaded"),
     (_edit(**{"param/w": np.array(["a"])}), "'param/w' has dtype <U1, not float or integer"),
 ], ids=["bfck", "empty", "npy", "truncated", "flipped-payload-byte", "no-version",
-        "version-array", "wrong-version", "no-config", "config-not-text", "step-float",
-        "step-array", "object-data", "text-parameter"])
+        "version-array", "wrong-version", "version-1", "no-config", "config-not-text",
+        "step-float", "step-array", "no-count", "count-mismatch", "object-data",
+        "text-parameter"])
 def test_malformed_checkpoint_is_refused_naming_the_file(saved, corrupt, message):
     path, _ = saved
     corrupt(path)
     with pytest.raises(ParseError, match=message) as info:
         ckpt.load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def test_a_hidden_central_directory_record_is_refused(saved):
+    """Adding 256 to the comment length of a central-directory record makes
+    that comment swallow the records after it, so the zip lists only the
+    entries up to it; the load must not return the parameters it still
+    lists. The last record has no records after it to hide."""
+    path, _ = saved
+    data = path.read_bytes()
+    records = []
+    at = data.find(b"PK\x01\x02")
+    while at >= 0:
+        records.append(at)
+        at = data.find(b"PK\x01\x02", at + 1)
+    assert len(records) == 4 + len(_mlp(1).parameters())
+    for record in records[:-1]:
+        flipped = bytearray(data)
+        flipped[record + 33] ^= 0x01  # high byte of the comment length at offset 32
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ParseError) as info:
+            ckpt.load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: "), record
 
 
 def test_a_missing_checkpoint_is_file_not_found(tmp_path):

@@ -196,13 +196,15 @@ def test_every_traced_name_exists(monkeypatch):
 
 @pytest.mark.parametrize("workload,trace", [
     pytest.param("fold-sample", 0, id="fold-sample"),
+    pytest.param("train-geo", 0, id="train-geo"),
     pytest.param("train-tokenizer", 0, id="train-tokenizer"),
     pytest.param("train-tokenizer", 1, id="train-tokenizer-traced"),
 ])
 def test_benchmark_smallest_run_passes(workload, trace):
     """The benchmark's shortest run of `workload` ends correct, with no
-    failed op. The two untraced runs make every call the benchmark makes
-    into the tokenizer, the sampler and the metrics. The traced run checks
+    failed op. The untraced runs make every call the benchmark makes into
+    the tokenizer, the sampler and the metrics, and train-geo's runs the
+    pair track's triangle kernels forward and backward. The traced run checks
     that the tracer's timed backward closures still run under the walk
     that releases them, and that both backward clocks advance."""
     proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", workload,
